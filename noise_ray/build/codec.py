@@ -15,27 +15,42 @@ import numpy as np
 _MAX_BYTES = 10  # enough for uint64
 
 
+def varint_sizes(values: np.ndarray) -> np.ndarray:
+    """Per-value LEB128 byte count (1..10) of a uint64/int64 array."""
+    v = np.asarray(values, dtype=np.uint64)
+    sizes = np.ones(v.shape, dtype=np.int64)
+    top = int(v.max()) if v.size else 0
+    for k in range(1, _MAX_BYTES):
+        if top >> (7 * k) == 0:
+            break
+        sizes += v >= np.uint64(1 << (7 * k))
+    return sizes
+
+
+def varint_ends(buf: bytes | memoryview) -> np.ndarray:
+    """Byte offset just past each LEB128 value in ``buf`` (its last byte
+    has the high bit clear)."""
+    return np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) < 0x80) + 1
+
+
 def encode_varint(values: np.ndarray) -> bytes:
     """LEB128-encode a uint64/int64 array (values must be >= 0)."""
     v = np.asarray(values, dtype=np.uint64)
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return b""
-    # byte i of each value: (v >> 7i) & 0x7f, emitted while v >= 2^(7i)
-    shifts = (np.arange(_MAX_BYTES, dtype=np.uint64) * np.uint64(7))[None, :]
-    chunks = (v[:, None] >> shifts).astype(np.uint64)
-    data = (chunks & np.uint64(0x7F)).astype(np.uint8)
-    # needed[i,j] = True if byte j is part of value i's encoding
-    needed = chunks != 0
-    needed[:, 0] = True  # at least one byte per value
-    # a byte is needed if ANY later chunk is nonzero (fill holes): suffix-or
-    needed = np.logical_or.accumulate(needed[:, ::-1], axis=1)[:, ::-1]
-    # continuation bit on all but the last needed byte
-    last = needed.sum(axis=1) - 1
-    cont = needed.copy()
-    cont[np.arange(n), last] = False
-    data = data | (cont.astype(np.uint8) << 7)
-    return data[needed].tobytes()
+    sizes = varint_sizes(v)
+    ends = np.cumsum(sizes)
+    out = np.empty(int(ends[-1]), dtype=np.uint8)
+    # pass j writes byte j of every value still longer than j bytes
+    at = ends - sizes
+    for j in range(_MAX_BYTES):
+        more = sizes > j + 1
+        out[at] = (v & np.uint64(0x7F)).astype(np.uint8) | (
+            more.view(np.uint8) << 7)
+        if not more.any():
+            break
+        v, at, sizes = v[more] >> np.uint64(7), at[more] + 1, sizes[more]
+    return out.tobytes()
 
 
 def decode_varint(buf: bytes | memoryview, count: int | None = None) -> np.ndarray:
@@ -43,8 +58,7 @@ def decode_varint(buf: bytes | memoryview, count: int | None = None) -> np.ndarr
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         return np.zeros(0, dtype=np.uint64)
-    is_last = (b & 0x80) == 0
-    ends = np.flatnonzero(is_last)
+    ends = varint_ends(b) - 1
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
@@ -58,16 +72,26 @@ def decode_varint(buf: bytes | memoryview, count: int | None = None) -> np.ndarr
     return out
 
 
-def encode_deltas(sorted_values: np.ndarray) -> bytes:
-    """Delta+varint encode an ascending int64 array (first value absolute)."""
+def encode_deltas(sorted_values: np.ndarray,
+                  starts: np.ndarray | None = None) -> bytes:
+    """Delta+varint encode an ascending int64 array (first value absolute).
+
+    With ``starts``, the array is a concatenation of ascending runs: the
+    delta restarts (value absolute) at each index in ``starts``, so the
+    result is the concatenation of the runs' own encodings.
+    """
     v = np.asarray(sorted_values, dtype=np.int64)
     if v.size == 0:
         return b""
     d = np.empty_like(v)
     d[0] = v[0]
     np.subtract(v[1:], v[:-1], out=d[1:])
+    if starts is not None:
+        d[starts] = 0
     if d.size > 1 and d[1:].min() < 0:
         raise ValueError("encode_deltas requires ascending input")
+    if starts is not None:
+        d[starts] = v[starts]
     return encode_varint(d.astype(np.uint64))
 
 

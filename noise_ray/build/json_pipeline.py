@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -47,10 +48,10 @@ import ray.data
 
 from ..analysis.tokenizer import tokenize_grouped
 from .arrow_shred import accumulate_postings, shred_table_fast
-from .codec import encode_deltas, encode_position_lists, encode_varint
+from .codec import encode_varint
 from .pipeline import (
-    MANIFEST_NAME, _ack, _atomic_write_table, _seg_path, _stats_path,
-    read_group_meta,
+    MANIFEST_NAME, _ack, _atomic_write_table, _binary_rows, _seg_path,
+    _stats_path, encode_posting_blocks, flatten_runs, read_group_meta,
 )
 from .shred import shred
 
@@ -134,17 +135,6 @@ def jsonl_to_doc_parquet(in_paths: list[str], out_dir: str) -> list[str]:
 
 
 # ----------------------------------------------------------------- stage 1+2
-
-def _pack_ap_order(doc_ids: np.ndarray, aps: list[tuple[int, ...]]):
-    """argsort by (doc, arraypath) numerically."""
-    n = len(aps)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    depth = len(aps[0]) if aps else 0
-    cols = [doc_ids] + [np.fromiter((a[j] for a in aps), dtype=np.int64,
-                                    count=n) for j in range(depth)]
-    return np.lexsort(tuple(reversed(cols)))
-
 
 def _kp_rank_codes(col) -> np.ndarray:
     """Alphabetical-rank codes per row for a dictionary-encoded kp
@@ -404,85 +394,43 @@ class ShredTokenize:
             self._shred_file(row["path"], int(row["offset"]),
                              int(row["rows"]), int(row["seq"]), acc)
 
-        out = {k: [] for k in ("gkey", "field", "term", "depth", "min_doc",
-                               "max_doc", "cnt", "c_block", "max_tf_norm",
-                               "docs", "aps", "tfs", "lens", "pos")}
-        nr, span, bsz = self.num_ranges, self.range_span, self.block_size
-        for (kp, term), (docs, aps, tfs, lens, pos) in acc.items():
-            docs_np = np.asarray(docs, dtype=np.int64)
-            order = _pack_ap_order(docs_np, aps)
-            depth = len(aps[0]) if aps else 0
-            docs_np = docs_np[order]
-            tf_all = np.asarray(tfs, dtype=np.int64)
-            tfs_np = tf_all[order]
-            lens_np = np.asarray(lens, dtype=np.int64)[order]
-            # positions re-gathered in instance order: one vectorized
-            # variable-length gather (repeat starts + ranges)
-            p_starts = np.zeros(tf_all.size, dtype=np.int64)
-            np.cumsum(tf_all[:-1], out=p_starts[1:])
-            pos_np = np.asarray(pos, dtype=np.int64)
-            if pos_np.size:
-                sel_starts = p_starts[order]
-                sel_ends = np.cumsum(tfs_np)
-                rel = (np.arange(int(sel_ends[-1]), dtype=np.int64)
-                       - np.repeat(sel_ends - tfs_np, tfs_np))
-                pos_np = pos_np[np.repeat(sel_starts, tfs_np) + rel]
-            ap_mat = (np.asarray(aps, dtype=np.int64)
-                      .reshape(len(aps), depth)[order])
-            pos_ends = np.cumsum(tfs_np)
-            tf_norm = np.sqrt(tfs_np.astype(np.float32)) / np.sqrt(
-                lens_np.astype(np.float32))
-            b = self._bucket(kp, term) * nr
-            if nr == 1:
-                starts, ends = [0], [docs_np.size]
-            else:
-                rng_of = np.minimum((docs_np - self.range_base) // span,
-                                    nr - 1)
-                cut = np.flatnonzero(np.diff(rng_of)) + 1
-                starts = np.concatenate(([0], cut))
-                ends = np.concatenate((cut, [docs_np.size]))
-            for r_lo, r_hi in zip(starts, ends):
-                r_lo, r_hi = int(r_lo), int(r_hi)
-                rng = min((int(docs_np[r_lo]) - self.range_base) // span,
-                          nr - 1)
-                g = b + rng
-                for lo in range(r_lo, r_hi, bsz):
-                    hi = min(lo + bsz, r_hi)
-                    p_lo = int(pos_ends[lo - 1]) if lo else 0
-                    p_hi = int(pos_ends[hi - 1])
-                    out["gkey"].append(g)
-                    out["field"].append(kp)
-                    out["term"].append(term)
-                    out["depth"].append(depth)
-                    out["min_doc"].append(int(docs_np[lo]))
-                    out["max_doc"].append(int(docs_np[hi - 1]))
-                    out["cnt"].append(hi - lo)
-                    out["c_block"].append(int(p_hi - p_lo))
-                    out["max_tf_norm"].append(float(tf_norm[lo:hi].max()))
-                    out["docs"].append(encode_deltas(docs_np[lo:hi]))
-                    out["aps"].append(
-                        encode_varint(ap_mat[lo:hi].ravel()))
-                    out["tfs"].append(encode_varint(tfs_np[lo:hi]))
-                    out["lens"].append(encode_varint(lens_np[lo:hi]))
-                    out["pos"].append(
-                        encode_position_lists(pos_np[p_lo:p_hi],
-                                              tfs_np[lo:hi]))
-        return pa.table({
-            "gkey": pa.array(out["gkey"], pa.int32()),
-            "field": pa.array(out["field"], pa.string()),
-            "term": pa.array(out["term"], pa.string()),
-            "depth": pa.array(out["depth"], pa.int32()),
-            "min_doc": pa.array(out["min_doc"], pa.int64()),
-            "max_doc": pa.array(out["max_doc"], pa.int64()),
-            "cnt": pa.array(out["cnt"], pa.int32()),
-            "c_block": pa.array(out["c_block"], pa.int64()),
-            "max_tf_norm": pa.array(out["max_tf_norm"], pa.float32()),
-            "docs": pa.array(out["docs"], pa.binary()),
-            "aps": pa.array(out["aps"], pa.binary()),
-            "tfs": pa.array(out["tfs"], pa.binary()),
-            "lens": pa.array(out["lens"], pa.binary()),
-            "pos": pa.array(out["pos"], pa.binary()),
-        })
+        key, (docs, tfs, lens, pos) = flatten_runs(
+            ((r[0], r[2], r[3], r[4]) for r in acc.values()), 4)
+        # arraypaths: one depth per keypath, padded to the batch's deepest
+        # so one lexsort orders every run by (doc, arraypath) numerically
+        key_depth = np.fromiter((len(r[1][0]) for r in acc.values()),
+                                np.int64, len(acc))
+        depth = key_depth[key]
+        in_ap = np.arange(int(key_depth.max(initial=0))) < depth[:, None]
+        ap_mat = np.zeros(in_ap.shape, dtype=np.int64)
+        ap_mat[in_ap] = np.fromiter(chain.from_iterable(chain.from_iterable(
+            r[1] for r in acc.values())), np.int64)
+        key_field = pa.array([kp for kp, _ in acc], pa.string())
+        key_term = pa.array([t for _, t in acc], pa.string())
+        bucket = np.fromiter((self._bucket(kp, t) for kp, t in acc),
+                             np.int64, len(acc))
+        del acc  # free the per-key lists before the encode temporaries
+        order = np.lexsort((*ap_mat.T[::-1], docs, key))
+        aps = ap_mat[order][in_ap]
+        # positions re-gathered in instance order: one vectorized
+        # variable-length gather (repeat starts + ranges)
+        p_starts = np.cumsum(tfs) - tfs
+        docs, tfs, lens = docs[order], tfs[order], lens[order]
+        pos = pos[np.repeat(p_starts[order] - (np.cumsum(tfs) - tfs), tfs)
+                  + np.arange(pos.size)]
+        bounds, cols = encode_posting_blocks(
+            key, docs, tfs, lens, pos, bucket, num_ranges=self.num_ranges,
+            range_span=self.range_span, range_base=self.range_base,
+            block_size=self.block_size)
+        row_key = key[bounds[:-1]]
+        ap_bounds = np.concatenate(([0], np.cumsum(depth)))[bounds]
+        cols["aps"] = _binary_rows(encode_varint(aps), ap_bounds)
+        cols["depth"] = pa.array(key_depth[row_key], pa.int32())
+        cols["field"] = key_field.take(row_key)
+        cols["term"] = key_term.take(row_key)
+        return pa.table({c: cols[c] for c in (
+            "gkey", "field", "term", "depth", "min_doc", "max_doc", "cnt",
+            "c_block", "max_tf_norm", "docs", "aps", "tfs", "lens", "pos")})
 
 
 # ----------------------------------------------------------------- stage 3

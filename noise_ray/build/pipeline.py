@@ -13,13 +13,18 @@ re-expressed as ONE streaming Ray Data execution:
                            Idempotent (tmp+rename), resumable per file.
   stage 2  tokenize        actor-pool ``map_batches`` over zero-copy Arrow
                            batches → per-(field, term) PRE-COMBINED posting
-                           runs, already delta+varint ENCODED (ascending
-                           doc order) with a shuffle key `gkey` = (term
-                           bucket, doc range).  Replicates
-                           src/json_shred.rs:148-203 with a map-side
-                           combiner: the wide shuffle moves one ~2B/posting
-                           binary row per (task, field, term), not one
-                           20B+ row per posting.
+                           runs, cut into finished blocks and already
+                           delta+varint ENCODED (ascending doc order) with
+                           a shuffle key `gkey` = (term bucket, doc range).
+                           Replicates src/json_shred.rs:148-203 with a
+                           map-side combiner: the wide shuffle moves one
+                           ~2B/posting binary row per (task, field, term),
+                           not one 20B+ row per posting.  Encoding is
+                           batch-level (``encode_posting_blocks``): each
+                           stream is encoded by ONE codec call over the
+                           whole batch, block metadata comes from
+                           ``reduceat`` over the row starts, and the bytes
+                           are sliced into rows — no per-block Python loop.
   stage 3  shuffle+write   ``groupby(gkey).map_groups`` → segment writer:
                            order the mapper's finished blocks by (field,
                            term, min_doc) and write them through (runs are
@@ -58,6 +63,7 @@ import os
 import time
 import uuid
 import zlib
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -67,7 +73,8 @@ import ray
 import ray.data
 
 from ..analysis.tokenizer import tokenize_grouped
-from .codec import encode_deltas, encode_position_lists, encode_varint
+from .codec import (encode_deltas, encode_position_lists, encode_varint,
+                    varint_ends)
 from .docids import FilePlan, plan_doc_ids, sorted_key_indices
 
 DEFAULT_FIELDS = ("role", "text", "tool")
@@ -154,8 +161,9 @@ class TokenizeBatch:
 
     Tokenizes every field of every doc in the batch
     (src/json_shred.rs:148-203) and PRE-COMBINES postings per (field, term)
-    into one "posting run" row per distinct term: ``docs`` ascending, plus
-    aligned ``tfs`` / ``lens`` and the flattened position lists.  Batches
+    into one posting run per distinct term: ``docs`` ascending, plus
+    aligned ``tfs`` / ``lens`` and the flattened position lists, emitted
+    as encoded block rows (``encode_posting_blocks``).  Batches
     arrive in ascending doc order (each ingest task covers a contiguous
     doc_id range), so runs from different tasks are doc-disjoint and the
     segment writer can merge them by simple min_doc-ordered concatenation.
@@ -184,8 +192,6 @@ class TokenizeBatch:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_numpy()
-        nr, span = self.num_ranges, self.range_span
-        bucket = self._bucket
         # (field, term) -> [docs, tfs, lens, flat positions]
         acc: dict[tuple[int, str], list] = {}
         for fi, fname in enumerate(self.fields):
@@ -203,80 +209,95 @@ class TokenizeBatch:
                     e[1].append(len(p))
                     e[2].append(field_len)
                     e[3].extend(p)
-        out = {k: [] for k in ("gkey", "field", "term", "min_doc", "max_doc",
-                               "cnt", "c_block", "max_tf_norm",
-                               "max_tf", "min_len",
-                               "docs", "tfs", "lens", "pos")}
-        bsz = self.block_size
-        for (fi, t), (docs, tfs, lens, pos) in acc.items():
-            b = bucket(t) * nr
-            docs_np = np.asarray(docs, dtype=np.int64)
-            tfs_np = np.asarray(tfs, dtype=np.int64)
-            lens_np = np.asarray(lens, dtype=np.int64)
-            pos_np = np.asarray(pos, dtype=np.int64)
-            pos_ends = np.cumsum(tfs_np)
-            tf_norm = np.sqrt(tfs_np.astype(np.float32)) / np.sqrt(
-                lens_np.astype(np.float32))
-            # split the run at doc-range boundaries so each row belongs to
-            # exactly one shuffle group (gkey = bucket × range)
-            if nr == 1:
-                starts, ends = [0], [docs_np.size]
-            else:
-                rng_of = np.minimum((docs_np - self.range_base) // span, nr - 1)
-                cut = np.flatnonzero(np.diff(rng_of)) + 1
-                starts = np.concatenate(([0], cut))
-                ends = np.concatenate((cut, [docs_np.size]))
-            for r_lo, r_hi in zip(starts, ends):
-                r_lo, r_hi = int(r_lo), int(r_hi)
-                rng = min((int(docs_np[r_lo]) - self.range_base) // span,
-                          nr - 1)
-                g = b + rng
-                # chunk at block_size: each emitted row IS a finished
-                # posting block (self-contained encodings, block metadata
-                # computed here) — the segment writer never re-encodes
-                for lo in range(r_lo, r_hi, bsz):
-                    hi = min(lo + bsz, r_hi)
-                    p_lo = int(pos_ends[lo - 1]) if lo else 0
-                    p_hi = int(pos_ends[hi - 1])
-                    out["gkey"].append(g)
-                    out["field"].append(fi)
-                    out["term"].append(t)
-                    out["min_doc"].append(int(docs_np[lo]))
-                    out["max_doc"].append(int(docs_np[hi - 1]))
-                    out["cnt"].append(hi - lo)
-                    out["c_block"].append(int(p_hi - p_lo))
-                    out["max_tf_norm"].append(float(tf_norm[lo:hi].max()))
-                    # BM25 block bounds: the kernel is increasing in tf and
-                    # decreasing in dl, so (max tf, min dl) upper-bounds any
-                    # posting's contribution (Lucene-impact-style skip data)
-                    out["max_tf"].append(int(tfs_np[lo:hi].max()))
-                    out["min_len"].append(int(lens_np[lo:hi].min()))
-                    # pre-encode in the mapper: the wide shuffle moves varint
-                    # bytes (~2B/posting), not int64 lists (~20B/posting)
-                    out["docs"].append(encode_deltas(docs_np[lo:hi]))
-                    out["tfs"].append(encode_varint(tfs_np[lo:hi]))
-                    out["lens"].append(encode_varint(lens_np[lo:hi]))
-                    out["pos"].append(
-                        encode_position_lists(pos_np[p_lo:p_hi],
-                                              tfs_np[lo:hi]))
-        return pa.table(
-            {
-                "gkey": pa.array(out["gkey"], pa.int32()),
-                "field": pa.array(out["field"], pa.int32()),
-                "term": pa.array(out["term"], pa.string()),
-                "min_doc": pa.array(out["min_doc"], pa.int64()),
-                "max_doc": pa.array(out["max_doc"], pa.int64()),
-                "cnt": pa.array(out["cnt"], pa.int32()),
-                "c_block": pa.array(out["c_block"], pa.int64()),
-                "max_tf_norm": pa.array(out["max_tf_norm"], pa.float32()),
-                "max_tf": pa.array(out["max_tf"], pa.int64()),
-                "min_len": pa.array(out["min_len"], pa.int64()),
-                "docs": pa.array(out["docs"], pa.binary()),
-                "tfs": pa.array(out["tfs"], pa.binary()),
-                "lens": pa.array(out["lens"], pa.binary()),
-                "pos": pa.array(out["pos"], pa.binary()),
-            }
-        )
+        key, (docs, tfs, lens, pos) = flatten_runs(acc.values(), 4)
+        key_field = np.fromiter((fi for fi, _ in acc), np.int32, len(acc))
+        key_term = pa.array([t for _, t in acc], pa.string())
+        bucket = np.fromiter((self._bucket(t) for _, t in acc), np.int64,
+                             len(acc))
+        del acc  # free the per-key lists before the encode temporaries
+        bounds, cols = encode_posting_blocks(
+            key, docs, tfs, lens, pos, bucket, num_ranges=self.num_ranges,
+            range_span=self.range_span, range_base=self.range_base,
+            block_size=self.block_size)
+        row_key = key[bounds[:-1]]
+        cols["field"] = pa.array(key_field[row_key])
+        cols["term"] = key_term.take(row_key)
+        return pa.table({c: cols[c] for c in (
+            "gkey", "field", "term", "min_doc", "max_doc", "cnt", "c_block",
+            "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens", "pos")})
+
+
+def flatten_runs(runs, width: int):
+    """Concatenate per-key posting runs (tuples of ``width`` lists whose
+    first list has one entry per posting) key by key → (key id per
+    posting, one int64 array per list).  Key ids follow ``runs`` order."""
+    runs = list(runs)
+    key_len = np.fromiter((len(r[0]) for r in runs), np.int64, len(runs))
+    key = np.repeat(np.arange(len(runs)), key_len)
+    cols = [np.fromiter(chain.from_iterable(r[j] for r in runs), np.int64)
+            for j in range(width)]
+    return key, cols
+
+
+def _binary_rows(data: bytes, bounds: np.ndarray) -> pa.Array:
+    """Split concatenated LEB128 ``data`` into one binary value per row:
+    row i holds values ``bounds[i]:bounds[i+1]``."""
+    ends = np.concatenate(([0], varint_ends(data)))
+    offsets = pa.array(ends[bounds], pa.int32())
+    return pa.Array.from_buffers(pa.binary(), len(bounds) - 1,
+                                 [None, offsets.buffers()[1],
+                                  pa.py_buffer(data)])
+
+
+def encode_posting_blocks(key, docs, tfs, lens, pos, bucket, *,
+                          num_ranges: int, range_span: int, range_base: int,
+                          block_size: int) -> tuple[np.ndarray, dict]:
+    """Cut a batch's postings into finished posting blocks, one row each.
+
+    Postings arrive grouped by ``key`` id and doc-ascending within a key;
+    ``pos`` holds their position lists back to back.  A row starts where
+    the key or the doc range changes, or a run reaches ``block_size``,
+    so each row belongs to exactly one shuffle group (gkey = ``bucket`` of
+    its key × doc range).  Every stream is encoded in ONE codec call over
+    the batch and sliced into rows: the encodings are self-contained per
+    row (doc deltas restart at each row, position deltas at each
+    posting), so the segment writer never re-encodes.  Returns the row
+    bounds (posting index of each row start, then the posting count) and
+    the block columns.
+    """
+    n = docs.size
+    rng = np.minimum((docs - range_base) // range_span, num_ranges - 1)
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = (key[1:] != key[:-1]) | (rng[1:] != rng[:-1])
+    idx = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(cut, idx, 0))
+    cut |= (idx - run_start) % block_size == 0
+    starts = np.flatnonzero(cut)
+    bounds = np.append(starts, n)
+    pos_bounds = np.concatenate(([0], np.cumsum(tfs)))[bounds]
+    tf_norm = np.sqrt(tfs.astype(np.float32)) / np.sqrt(
+        lens.astype(np.float32))
+    cols = {
+        "gkey": pa.array(bucket[key[starts]] * num_ranges + rng[starts],
+                         pa.int32()),
+        "min_doc": pa.array(docs[starts]),
+        "max_doc": pa.array(docs[bounds[1:] - 1]),
+        "cnt": pa.array(np.diff(bounds), pa.int32()),
+        "c_block": pa.array(np.diff(pos_bounds)),
+        "max_tf_norm": pa.array(np.maximum.reduceat(tf_norm, starts)),
+        # BM25 block bounds: the kernel is increasing in tf and decreasing
+        # in dl, so (max tf, min dl) upper-bounds any posting's
+        # contribution (Lucene-impact-style skip data)
+        "max_tf": pa.array(np.maximum.reduceat(tfs, starts)),
+        "min_len": pa.array(np.minimum.reduceat(lens, starts)),
+        # pre-encode in the mapper: the wide shuffle moves varint bytes
+        # (~2B/posting), not int64 lists (~20B/posting)
+        "docs": _binary_rows(encode_deltas(docs, starts=starts), bounds),
+        "tfs": _binary_rows(encode_varint(tfs), bounds),
+        "lens": _binary_rows(encode_varint(lens), bounds),
+        "pos": _binary_rows(encode_position_lists(pos, tfs), pos_bounds),
+    }
+    return bounds, cols
 
 
 # ----------------------------------------------------------------- stage 3

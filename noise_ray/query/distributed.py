@@ -338,7 +338,7 @@ def replica_slice(pool: list, partitions: int, group: int) -> list:
     groups.  Routing only relocates which actor evaluates a range —
     the per-range bodies and the merge are untouched, so results are
     bit-identical for every group value
-    (tests/test_search_server.py)."""
+    (tests/test_bm25.py::test_msearch_replica_groups_bit_identical)."""
     r = len(pool) // partitions
     if r < 2:
         return pool

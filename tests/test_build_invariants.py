@@ -135,3 +135,108 @@ def test_partitioning_independence(ray_session, tmp_path):
     ta, tb = run_query(ra, q), run_query(rb, q)
     assert ta.column("doc_id").to_pylist() == tb.column("doc_id").to_pylist()
     assert ta.column("score").to_pylist() == tb.column("score").to_pylist()
+
+
+def _reference_posting_blocks(batch, fields, num_buckets, num_ranges,
+                              range_span, range_base, block_size):
+    """Per-(field, term) reference for ``tokenize_batch``: one codec call
+    per block row, rows cut at doc-range boundaries and ``block_size``."""
+    import numpy as np
+    import pyarrow as pa
+
+    from noise_ray.analysis.tokenizer import tokenize_grouped
+    from noise_ray.build.codec import (encode_deltas, encode_position_lists,
+                                       encode_varint)
+    from noise_ray.build.pipeline import term_bucket
+
+    doc_ids = batch.column("doc_id").to_numpy()
+    acc = {}
+    for fi, fname in enumerate(fields):
+        for i, v in enumerate(batch.column(fname).to_pylist()):
+            if v is None:
+                continue
+            terms, positions, field_len = tokenize_grouped(v)
+            for t, p in zip(terms, positions):
+                e = acc.setdefault((fi, t), ([], [], [], []))
+                e[0].append(int(doc_ids[i]))
+                e[1].append(len(p))
+                e[2].append(field_len)
+                e[3].extend(p)
+    rows = []
+    for (fi, t), run in acc.items():
+        docs, tfs, lens, pos = (np.asarray(x, dtype=np.int64) for x in run)
+        pos_ends = np.cumsum(tfs)
+        tf_norm = (np.sqrt(tfs.astype(np.float32))
+                   / np.sqrt(lens.astype(np.float32)))
+        rng_of = np.minimum((docs - range_base) // range_span,
+                            num_ranges - 1)
+        cut = np.flatnonzero(np.diff(rng_of)) + 1
+        for r_lo, r_hi in zip(np.r_[0, cut], np.r_[cut, docs.size]):
+            for lo in range(int(r_lo), int(r_hi), block_size):
+                hi = min(lo + block_size, int(r_hi))
+                p_lo = int(pos_ends[lo - 1]) if lo else 0
+                p_hi = int(pos_ends[hi - 1])
+                rows.append({
+                    "gkey": term_bucket(t, num_buckets) * num_ranges
+                    + int(rng_of[lo]),
+                    "field": fi, "term": t,
+                    "min_doc": int(docs[lo]), "max_doc": int(docs[hi - 1]),
+                    "cnt": hi - lo, "c_block": p_hi - p_lo,
+                    "max_tf_norm": float(tf_norm[lo:hi].max()),
+                    "max_tf": int(tfs[lo:hi].max()),
+                    "min_len": int(lens[lo:hi].min()),
+                    "docs": encode_deltas(docs[lo:hi]),
+                    "tfs": encode_varint(tfs[lo:hi]),
+                    "lens": encode_varint(lens[lo:hi]),
+                    "pos": encode_position_lists(pos[p_lo:p_hi],
+                                                 tfs[lo:hi]),
+                })
+    schema = pa.schema([
+        ("gkey", pa.int32()), ("field", pa.int32()), ("term", pa.string()),
+        ("min_doc", pa.int64()), ("max_doc", pa.int64()),
+        ("cnt", pa.int32()), ("c_block", pa.int64()),
+        ("max_tf_norm", pa.float32()), ("max_tf", pa.int64()),
+        ("min_len", pa.int64()), ("docs", pa.binary()),
+        ("tfs", pa.binary()), ("lens", pa.binary()), ("pos", pa.binary())])
+    return pa.Table.from_pylist(rows, schema=schema)
+
+
+@pytest.mark.parametrize("num_ranges,range_span,range_base,block_size", [
+    (1, 10**9, 0, 4096),
+    (3, 40, 17, 4096),   # doc-range splits with a nonzero base
+    (1, 10**9, 0, 3),    # block_size cuts
+    (4, 25, 5, 3),       # both
+])
+def test_tokenize_batch_matches_per_term_reference(
+        num_ranges, range_span, range_base, block_size):
+    import numpy as np
+    import pyarrow as pa
+
+    from noise_ray.build.pipeline import tokenize_batch
+
+    rng = np.random.default_rng(7)
+    words = ["cat", "cats", "dog", "running", "runs", "the", "naïve",
+             "x9", "zebra", "apple", "bee"]
+    n = 120
+    texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+             for _ in range(n)]
+    texts[3] = None
+    texts[4] = ""                                 # fallback token
+    texts[5] = "!!! 42 ???"                       # no alphabetic token
+    texts[6] = "dog dog dog cat dog"              # repeated terms
+    roles = [[None, "user", "assistant"][i % 3] for i in range(n)]
+    tools = [None] * n
+    tools[10] = tools[11] = "grep the cats"
+    batch = pa.table({
+        "doc_id": pa.array(np.arange(range_base, range_base + n), pa.int64()),
+        "role": roles, "text": texts, "tool": tools})
+    kw = dict(fields=("role", "text", "tool"), num_buckets=8,
+              num_ranges=num_ranges, range_span=range_span,
+              range_base=range_base, block_size=block_size)
+    got = tokenize_batch(batch, **kw)
+    want = _reference_posting_blocks(batch, kw["fields"], 8, num_ranges,
+                                     range_span, range_base, block_size)
+    assert got.num_rows == want.num_rows > 0
+    assert got.equals(want)
+    empty = tokenize_batch(batch.slice(0, 0), **kw)
+    assert empty.equals(want.slice(0, 0))
