@@ -83,3 +83,88 @@ def test_distributed_params(idx):
     dist = run_query_distributed(idx, q, {"r": "user"},
                                  num_partitions=4).to_pylist()
     assert dist == local
+
+
+# ------------------------------------------- forced range-pool dispatch
+
+SF = "/root/testdata/sf0.001"
+
+
+def _bm25_search_after(idx, _tmp):
+    from noise_ray.ops.bm25 import bm25_topk
+
+    first = bm25_topk(SF, k=5, index_dir=idx)
+    cursor = (first.column("score")[-1].as_py(),
+              first.column("doc_id")[-1].as_py())
+    return bm25_topk(SF, k=10, index_dir=idx, search_after=cursor)
+
+
+def _federated_one_big_shard(_idx, _tmp):
+    """Disjoint shards of 250 (docs 0..249) and 166 (docs 334..499)
+    docs; a 250-doc threshold sends only the first down the per-range
+    ``bm25_score_range`` branch, the other through ``fed_topk_shard``."""
+    from noise_ray.ops.federated import (federated_bm25,
+                                         shard_documents_indexes)
+
+    shards = [shard_documents_indexes(SF, 2)[0],
+              shard_documents_indexes(SF, 3)[2]]
+    return federated_bm25(shards)
+
+
+def _delete_by_query(idx, tmp):
+    import os
+    import shutil
+
+    from noise_ray.build import delete_by_query
+
+    d = str(tmp / f"copy-{os.environ.get('NOISE_RAY_DIST_MIN_DOCS', 'local')}")
+    shutil.copytree(idx, d)
+    assert delete_by_query(d, 'find {text: ~="merge"} ;') > 0
+    return IndexReader(d).tombstones.tolist()
+
+
+def _op(module, fn, **kw):
+    def run(idx, _tmp):
+        import importlib
+
+        op = getattr(importlib.import_module(f"noise_ray.{module}"), fn)
+        return op(SF, index_dir=idx, **kw)
+    return run
+
+
+FORCED = {
+    "bm25_topk": (_op("ops.bm25", "bm25_topk"), "1"),
+    "bm25_topk_filter": (_op("ops.bm25", "bm25_topk",
+                             filter_query='find {lang: =="en"} ;'), "1"),
+    "bm25_topk_search_after": (_bm25_search_after, "1"),
+    "bm25_fields_topk": (_op("ops.bm25", "bm25_fields_topk"), "1"),
+    "bm25_phrase_topk": (_op("ops.bm25", "bm25_phrase_topk"), "1"),
+    "bm25_spannear_topk": (_op("ops.bm25", "bm25_spannear_topk"), "1"),
+    "bm25_span_first_topk": (_op("ops.bm25", "bm25_span_first_topk"), "1"),
+    "bm25_boosting_topk": (_op("ops.bm25_ext", "bm25_boosting_topk"), "1"),
+    "bm25_value_boost": (_op("ops.bm25_ext", "bm25_value_boost"), "1"),
+    "bm25_decay": (_op("ops.bm25_ext", "bm25_decay"), "1"),
+    "bm25_dismax_topk": (_op("ops.bm25_ext", "bm25_dismax_topk"), "1"),
+    "collapse_topk": (_op("ops.aggs", "collapse_topk"), "1"),
+    "top_hits": (_op("ops.aggs", "top_hits"), "1"),
+    "federated_bm25": (_federated_one_big_shard, "250"),
+    "delete_by_query": (_delete_by_query, "1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED))
+def test_forced_pool_dispatch_identical(ray_session, monkeypatch, tmp_path,
+                                        case):
+    """Lowering NOISE_RAY_DIST_MIN_DOCS sends each op through the
+    range-actor pool; every result equals the in-process one."""
+    from noise_ray.pipelines import documents_index
+
+    run, threshold = FORCED[case]
+    idx = documents_index(SF).index_dir
+    local = run(idx, tmp_path)
+    monkeypatch.setenv("NOISE_RAY_DIST_MIN_DOCS", threshold)
+    dist = run(idx, tmp_path)
+    if isinstance(local, list):
+        assert local and dist == local
+    else:
+        assert local.num_rows and dist.equals(local)
