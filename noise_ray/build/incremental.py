@@ -33,12 +33,6 @@ from .pipeline import MANIFEST_NAME, build_index
 _EPOCH_RE = re.compile(r"^epoch-(\d{4})(?:-(\d{4}))?$")
 
 
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
-
-
 def _epoch_span(name: str) -> tuple[int, int] | None:
     """(first, last) epoch numbers a directory covers — a plain
     ``epoch-0007`` covers (7, 7); a merged ``epoch-0001-0006`` covers
@@ -394,8 +388,10 @@ def delete_by_query(index_dir: str, query: str,
     the tombstoned docs and clears the sidecar, restoring O(live) state.
     """
     from ..query import IndexReader
-    from ..query.parser import parse_query, ret_leaves
     from ..query import ast as qast
+    from ..query.distributed import (dist_min_docs, doc_ranges,
+                                     pool_batched, worker_pool)
+    from ..query.parser import parse_query, ret_leaves
 
     q = parse_query(query, params)
     if q.order or q.limit is not None:
@@ -409,19 +405,11 @@ def delete_by_query(index_dir: str, query: str,
                              "(no aggregate return clause)")
 
     reader = IndexReader(index_dir)
-    if reader.num_docs >= _dist_min_docs():
-        import ray
-
-        from ..query.distributed import pool_batched, worker_pool
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-        span = max(1, -(-reader.num_docs // n))
-        pool = worker_pool()
-        parts = pool_batched(pool, [
-            ("flat_eval", (index_dir, query, params, lo,
-                           min(lo + span, reader.num_docs), None))
-            for lo in range(0, reader.num_docs, span)])
+    if reader.num_docs >= dist_min_docs():
+        parts = pool_batched(worker_pool(), [
+            ("ops_call", (".query.distributed", "_eval_range_impl",
+                          (index_dir, query, params, lo, hi, None)))
+            for lo, hi in doc_ranges(reader.num_docs)])
         import numpy as np
 
         docs = (np.concatenate([d for d, _ in parts]) if parts

@@ -36,7 +36,7 @@ terms facet (matched-doc counts per keyword value), exact cardinality
 (distinct stored values over the matched set), and exact percentiles
 (see their docstrings).  Every aggregation fans out per doc range above
 5M docs through the shared range-actor pool
-(query/distributed.worker_pool via ``ops_call``);
+(query/distributed.worker_pool, one ``ops_call`` per range);
 determinism contract as ops/bm25.py: f64 in fixed operand order,
 rounded once (4dp scores / 6dp significance), total tiebreak orders.
 """
@@ -46,12 +46,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..query.distributed import dist_min_docs, doc_ranges
 from .bm25 import _field_total_tokens, _fold_scores
-
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
 
 
 def _reader_for(sf_dir: str, index_dir: str | None):
@@ -143,7 +139,7 @@ def collapse_topk(sf_dir: str, terms=("merge", "scan"),
     avgdl = _field_total_tokens(reader, fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _collapse_distributed(index_dir, reader, stemmed, field,
                                      collapse_field, k, k1, b, n_docs,
                                      avgdl)
@@ -167,24 +163,20 @@ def collapse_range(index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b,
 
 def _collapse_distributed(index_dir, reader, stemmed, field,
                           collapse_field, k, k1, b, n_docs, avgdl):
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    from .bm25_ext import _doc_ranges
-
-    ranges = _doc_ranges(reader)
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     df_parts = pool_batched(pool, [
-                   ("bm25_df", (index_dir, field, stemmed,
-                                           lo, hi))
-                   for (lo, hi) in ranges])
+        ("ops_call", ("bm25", "bm25_df_range",
+                      (index_dir, field, stemmed, lo, hi)))
+        for (lo, hi) in ranges])
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
     parts = pool_batched(pool, [
-                ("ops_call", ("aggs", "collapse_range",
-            (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b,
-             collapse_field, lo, hi)))
-                for (lo, hi) in ranges])
+        ("ops_call", ("aggs", "collapse_range",
+                      (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b,
+                       collapse_field, lo, hi)))
+        for (lo, hi) in ranges])
     return _collapse_merge(parts, k)
 
 
@@ -215,20 +207,16 @@ def histogram_facet(sf_dir: str, terms=("merge",),
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "hist_range",
-                (index_dir, field, stemmed, value_column, interval,
-                 lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "hist_range",
+                          (index_dir, field, stemmed, value_column, interval,
+                           lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [_hist_fold(reader, fid, stemmed, value_column, interval,
                             None)]
@@ -338,26 +326,22 @@ def top_hits(sf_dir: str, terms=("merge", "scan"),
     avgdl = _field_total_tokens(reader, fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         df_parts = pool_batched(pool, [
-                       ("bm25_df", (index_dir, field, stemmed,
-                                               lo, hi))
-                       for (lo, hi) in ranges])
+            ("ops_call", ("bm25", "bm25_df_range",
+                          (index_dir, field, stemmed, lo, hi)))
+            for (lo, hi) in ranges])
         dfs = [float(sum(p[j] for p in df_parts))
                for j in range(len(stemmed))]
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "tophits_range",
-                (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b,
-                 group_field, per, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "tophits_range",
+                          (index_dir, field, stemmed, dfs, n_docs, avgdl, k1,
+                           b, group_field, per, lo, hi)))
+            for (lo, hi) in ranges])
         keys = np.asarray(sum((p[0] for p in parts), []), dtype=object)
         docs = np.concatenate([p[1] for p in parts])
         r4 = np.concatenate([p[2] for p in parts])
@@ -420,19 +404,16 @@ def percentiles_agg(sf_dir: str, terms=("merge",),
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "hist_range",
-                (index_dir, field, stemmed, value_column, 1, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "hist_range",
+                          (index_dir, field, stemmed, value_column, 1, lo,
+                           hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [_hist_fold(reader, fid, stemmed, value_column, 1, None)]
     vals = np.concatenate([p[0] for p in parts])
@@ -642,14 +623,10 @@ def significant_terms(sf_dir: str, terms=("merge",), top_n: int = 10,
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
             ("ops_call", ("aggs", "sig_fg_range",
@@ -666,7 +643,7 @@ def significant_terms(sf_dir: str, terms=("merge",), top_n: int = 10,
     bg_df = _bg_df_for_terms(
         reader, fid, vocab,
         distributed=(index_dir is not None
-                     and reader.num_docs >= _dist_min_docs()))
+                     and reader.num_docs >= dist_min_docs()))
     score = np.round((fg_df / fg_n)
                      * np.log((fg_df / fg_n) / (bg_df / n_docs)), 6)
     # surface naming BEFORE the sort: ties break on the reported name
@@ -728,19 +705,15 @@ def terms_facet(sf_dir: str, terms=("merge",),
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "terms_facet_range",
-                (index_dir, field, stemmed, group_field, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "terms_facet_range",
+                          (index_dir, field, stemmed, group_field, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [_terms_facet_fold(reader, fid, stemmed, group_field,
                                    None)]
@@ -780,19 +753,15 @@ def cardinality_agg(sf_dir: str, terms=("merge",),
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "card_range",
-                (index_dir, field, stemmed, value_field, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "card_range",
+                          (index_dir, field, stemmed, value_field, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         keys, _ = _terms_facet_fold(reader, fid, stemmed, value_field,
                                     None)
@@ -831,19 +800,15 @@ def filters_agg(sf_dir: str,
     named = [(name, tuple(dict.fromkeys(_stem_one(t) for t in terms)))
              for name, terms in filters]
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "filters_agg_range",
-                (index_dir, field, named, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "filters_agg_range",
+                          (index_dir, field, named, lo, hi)))
+            for (lo, hi) in ranges])
         counts = [sum(p[j] for p in parts) for j in range(len(named))]
     else:
         counts = [int(_matched_union(reader, fid, list(st), None).size)
@@ -900,19 +865,15 @@ def adjacency_matrix(sf_dir: str,
         f"{named[i][0]}&{named[j][0]}"
         for i in range(len(named)) for j in range(i + 1, len(named))]
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "adjacency_matrix_range",
-                (index_dir, field, named, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "adjacency_matrix_range",
+                          (index_dir, field, named, lo, hi)))
+            for (lo, hi) in ranges])
         counts = [sum(p[j] for p in parts) for j in range(len(keys))]
     else:
         sets = [set(_matched_union(reader, fid, list(st), None).tolist())
@@ -987,20 +948,16 @@ def composite_agg(sf_dir: str, terms=("merge",),
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "composite_range",
-                (index_dir, field, stemmed, group_field, value_column,
-                 interval, after, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "composite_range",
+                          (index_dir, field, stemmed, group_field,
+                           value_column, interval, after, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [_composite_fold(reader, fid, stemmed, group_field,
                                  value_column, interval, after, None)]
@@ -1057,19 +1014,15 @@ def extended_stats(sf_dir: str, terms=("merge",),
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "extended_stats_range",
-                (index_dir, field, stemmed, value_column, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "extended_stats_range",
+                          (index_dir, field, stemmed, value_column, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [_extended_stats_fold(reader, fid, stemmed, value_column,
                                       None)]
@@ -1129,19 +1082,15 @@ def rare_terms(sf_dir: str, terms=("merge",), max_doc_count: int = 100,
     fid = reader.field_id[field]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("ops_call", ("aggs", "sig_fg_range",
-                (index_dir, field, stemmed, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("aggs", "sig_fg_range",
+                          (index_dir, field, stemmed, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [sig_fg_range_local(reader, fid, stemmed)]
     _, vocab, fg_f64 = _merge_fg_parts(parts)

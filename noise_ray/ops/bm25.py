@@ -46,15 +46,11 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..query.distributed import dist_min_docs, doc_ranges
+
 DEFAULT_TERMS = ("merge", "scan")
 
 _EMPTY_TOPK = None
-
-
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
 
 
 def _empty_topk() -> pa.Table:
@@ -63,6 +59,17 @@ def _empty_topk() -> pa.Table:
         _EMPTY_TOPK = pa.table({"doc_id": pa.array([], pa.int64()),
                                 "score": pa.array([], pa.float64())})
     return _EMPTY_TOPK
+
+
+def _merge_topk(parts, k: int) -> pa.Table:
+    """Driver-side merge of per-range local top-k partials ``[(docs,
+    r4), ...]``: the global top ``k`` by (rounded score desc, doc_id
+    asc) as a (doc_id, score) table."""
+    docs = np.concatenate([p[0] for p in parts])
+    r4 = np.concatenate([p[1] for p in parts])
+    top = np.lexsort((docs, -r4))[:k]
+    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
+                     "score": pa.array(r4[top], pa.float64())})
 
 
 def _field_total_tokens(reader, fid: int) -> float:
@@ -149,7 +156,7 @@ def bm25_topk(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     # both boolean modes reduce to a matched-term-count floor
     m_req = len(stemmed) if mode == "and" else max(1, min_match or 1)
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _bm25_distributed(index_dir, reader, stemmed, field,
                                  k, k1, b, n_docs, avgdl, filter_query,
                                  min_match=m_req, search_after=search_after)
@@ -451,7 +458,7 @@ def bm25_fields_topk(sf_dir: str,
     n_docs = float(reader.num_docs)
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _bm25_fields_distributed(index_dir, reader, stemmed,
                                         weights, k, k1, b, n_docs)
 
@@ -566,36 +573,28 @@ def _bm25_fields_distributed(index_dir: str, reader, stemmed: list[str],
     """Two-phase range fan-out for multi-field BM25: per-(field, term)
     df partials per range, then per-range weighted scoring with local
     top-k.  avgdls come off the stats sidecar (one read, not a pass)."""
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
     fields = [f for f, _ in weights if f in reader.field_id]
     avgdls = {f: _field_total_tokens(reader, reader.field_id[f]) / n_docs
               for f in fields}
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // n))
-    ranges = [(lo, min(lo + span, reader.num_docs))
-              for lo in range(0, reader.num_docs, span)]
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     fr = [(f, lo, hi) for f in fields for (lo, hi) in ranges]
     flat_parts = pool_batched(pool, [
-        ("bm25_df", (index_dir, f, stemmed, lo, hi)) for f, lo, hi in fr])
+        ("ops_call", ("bm25", "bm25_df_range",
+                      (index_dir, f, stemmed, lo, hi)))
+        for f, lo, hi in fr])
     dfs = {}
     for f in fields:
         parts = [p for (pf, _l, _h), p in zip(fr, flat_parts) if pf == f]
         for j, t in enumerate(stemmed):
             dfs[(f, t)] = float(sum(p[j] for p in parts))
-    parts = pool_batched(pool, [
-                ("bm25_fields_score", (index_dir, tuple(weights), stemmed, dfs, avgdls, n_docs,
-            k1, b, k, lo, hi))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25", "bm25_fields_score_range",
+                      (index_dir, tuple(weights), stemmed, dfs, avgdls, n_docs,
+                       k1, b, k, lo, hi)))
+        for (lo, hi) in ranges]), k)
 
 
 # --------------------------------------------------------- phrase BM25
@@ -756,7 +755,7 @@ def bm25_phrase_topk(sf_dir: str, phrase: tuple[str, ...] = ("row", "scan"),
     avgdl = _field_total_tokens(reader, fid) / n_docs
     stemmed = [_stem_one(w) for w in phrase]
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _bm25_phrase_distributed(index_dir, reader, stemmed, field,
                                         k, k1, b, n_docs, avgdl)
 
@@ -799,7 +798,7 @@ def bm25_msearch(sf_dir: str, queries=DEFAULT_MSEARCH, k: int = 10,
     qlists = [list(dict.fromkeys(_stem_one(t) for t in q))
               for q in queries]
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         n_docs = float(reader.num_docs)
         fid = reader.field_id[field]
         avgdl = _field_total_tokens(reader, fid) / n_docs
@@ -807,17 +806,14 @@ def bm25_msearch(sf_dir: str, queries=DEFAULT_MSEARCH, k: int = 10,
                                          field, k, k1, b, n_docs, avgdl,
                                          replica_group)
     else:
-        per_query = []
-        for q in queries:
-            t = bm25_topk(sf_dir, tuple(q), k=k, k1=k1, b=b, field=field,
-                          index_dir=index_dir)
-            per_query.append((t.column("doc_id").to_numpy(),
-                              t.column("score").to_numpy()))
+        per_query = [bm25_topk(sf_dir, tuple(q), k=k, k1=k1, b=b,
+                               field=field, index_dir=index_dir)
+                     for q in queries]
     out_q, out_d, out_s = [], [], []
-    for qid, (docs, r4) in enumerate(per_query):
-        out_q.extend([qid] * len(docs))
-        out_d.extend(docs.tolist())
-        out_s.extend(r4.tolist())
+    for qid, t in enumerate(per_query):
+        out_q.extend([qid] * t.num_rows)
+        out_d.extend(t.column("doc_id").to_pylist())
+        out_s.extend(t.column("score").to_pylist())
     return pa.table({"query_id": pa.array(out_q, pa.int64()),
                      "doc_id": pa.array(out_d, pa.int64()),
                      "score": pa.array(out_s, pa.float64())})
@@ -850,40 +846,30 @@ def _msearch_distributed(index_dir: str, reader, qlists, field: str,
     slice of the pool — per-query cost stays constant as the cluster
     grows, and disjoint groups serve rounds concurrently (see
     query/distributed.replica_slice)."""
-    import ray
-
     from ..query.distributed import (pool_batched, replica_slice,
                                      serve_partitions, worker_pool)
 
     pool = worker_pool()
+    n = None
     if replica_group is not None:
         n = max(1, min(serve_partitions(), len(pool),
                        reader.num_docs // 10_000 + 1))
         pool = replica_slice(pool, n, replica_group)
-    else:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // n))
-    ranges = [(lo, min(lo + span, reader.num_docs))
-              for lo in range(0, reader.num_docs, span)]
+    ranges = doc_ranges(reader.num_docs, n)
     df_parts = pool_batched(pool, [
-                   ("ops_call", ("bm25", "msearch_df_range", (index_dir, field, qlists, lo, hi)))
-                   for (lo, hi) in ranges])
+        ("ops_call", ("bm25", "msearch_df_range",
+                      (index_dir, field, qlists, lo, hi)))
+        for (lo, hi) in ranges])
     dfs_list = [[float(sum(p[qi][j] for p in df_parts))
                  for j in range(len(q))]
                 for qi, q in enumerate(qlists)]
     parts = pool_batched(pool, [
-                ("ops_call", ("bm25", "msearch_score_range",
-            (index_dir, field, qlists, dfs_list, n_docs, avgdl, k1, b,
-             k, lo, hi)))
-                for (lo, hi) in ranges])
-    out = []
-    for qi in range(len(qlists)):
-        docs = np.concatenate([p[qi][0] for p in parts])
-        r4 = np.concatenate([p[qi][1] for p in parts])
-        top = np.lexsort((docs, -r4))[:k]
-        out.append((docs[top], r4[top]))
-    return out
+        ("ops_call", ("bm25", "msearch_score_range",
+                      (index_dir, field, qlists, dfs_list, n_docs, avgdl, k1,
+                       b, k, lo, hi)))
+        for (lo, hi) in ranges])
+    return [_merge_topk([p[qi] for p in parts], k)
+            for qi in range(len(qlists))]
 
 
 def _spannear_occurrences(reader, fid: int, stemmed: list[str], slop: int,
@@ -956,7 +942,7 @@ def bm25_spannear_topk(sf_dir: str, phrase: tuple[str, ...] = ("row", "scan"),
     avgdl = _field_total_tokens(reader, fid) / n_docs
     stemmed = [_stem_one(w) for w in phrase]
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _bm25_spannear_distributed(index_dir, reader, stemmed, slop,
                                           field, k, k1, b, n_docs, avgdl)
 
@@ -973,7 +959,7 @@ def bm25_spannear_topk(sf_dir: str, phrase: tuple[str, ...] = ("row", "scan"),
 
 def spannear_df_range(index_dir: str, field: str, stemmed: list[str],
                       slop: int, lo: int, hi: int) -> int:
-    """Phase-1 range-worker body (via _RangeWorker.ops_call): span-near
+    """Phase-1 range-worker body (an ``ops_call`` on the pool): span-near
     df in [lo, hi); occurrences memoized on the cached reader for
     phase 2, keyed like the phrase memo plus slop."""
     from ..query.distributed import _cached_reader
@@ -1021,35 +1007,23 @@ def _bm25_spannear_distributed(index_dir: str, reader, stemmed: list[str],
                                b: float, n_docs: float,
                                avgdl: float) -> pa.Table:
     """Two-phase range fan-out for span-near BM25 (mirrors
-    ``_bm25_phrase_distributed``), dispatched through the generic
-    ``_RangeWorker.ops_call`` so the pool class stays untouched."""
-    import ray
-
+    ``_bm25_phrase_distributed``): both phases are ``ops_call`` bodies
+    of this module."""
     from ..query.distributed import pool_batched, worker_pool
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // n))
-    ranges = [(lo, min(lo + span, reader.num_docs))
-              for lo in range(0, reader.num_docs, span)]
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
-    df_parts = pool_batched(pool, [
-                   ("ops_call", ("bm25", "spannear_df_range",
-            (index_dir, field, stemmed, slop, lo, hi)))
-                   for (lo, hi) in ranges])
-    df = float(sum(df_parts))
+    df = float(sum(pool_batched(pool, [
+        ("ops_call", ("bm25", "spannear_df_range",
+                      (index_dir, field, stemmed, slop, lo, hi)))
+        for (lo, hi) in ranges])))
     if not df:
         return _empty_topk()
-    parts = pool_batched(pool, [
-                ("ops_call", ("bm25", "spannear_score_range",
-            (index_dir, field, stemmed, slop, df, n_docs, avgdl, k1, b,
-             k, lo, hi)))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25", "spannear_score_range",
+                      (index_dir, field, stemmed, slop, df, n_docs, avgdl, k1,
+                       b, k, lo, hi)))
+        for (lo, hi) in ranges]), k)
 
 
 # --------------------------------------------------- distributed fan-out
@@ -1193,32 +1167,21 @@ def _bm25_phrase_distributed(index_dir: str, reader, stemmed: list[str],
     local top-k.  The hot word's positional postings are decoded inside
     the range workers (block-bound pushdown), never corpus-wide on the
     driver."""
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // n))
-    ranges = [(lo, min(lo + span, reader.num_docs))
-              for lo in range(0, reader.num_docs, span)]
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
-    df_parts = pool_batched(pool, [
-                   ("bm25_phrase_df", (index_dir, field,
-                                                  stemmed, lo, hi))
-                   for (lo, hi) in ranges])
-    df = float(sum(df_parts))
+    df = float(sum(pool_batched(pool, [
+        ("ops_call", ("bm25", "bm25_phrase_df_range",
+                      (index_dir, field, stemmed, lo, hi)))
+        for (lo, hi) in ranges])))
     if not df:
         return _empty_topk()
-    parts = pool_batched(pool, [
-                ("bm25_phrase_score", (index_dir, field, stemmed, df, n_docs, avgdl, k1, b, k,
-            lo, hi))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25", "bm25_phrase_score_range",
+                      (index_dir, field, stemmed, df, n_docs, avgdl, k1, b, k,
+                       lo, hi)))
+        for (lo, hi) in ranges]), k)
 
 
 def _bm25_distributed(index_dir: str, reader, stemmed: list[str],
@@ -1228,15 +1191,9 @@ def _bm25_distributed(index_dir: str, reader, stemmed: list[str],
                       min_match: int = 1,
                       search_after: tuple[float, int] | None = None
                       ) -> pa.Table:
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // n))
-    ranges = [(lo, min(lo + span, reader.num_docs))
-              for lo in range(0, reader.num_docs, span)]
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     # term dfs are static per index version: cache them on the driver's
     # version-keyed cached reader, so WARM repeated queries (and paging
@@ -1248,23 +1205,19 @@ def _bm25_distributed(index_dir: str, reader, stemmed: list[str],
     fresh: dict = {}
     if missing:
         df_parts = pool_batched(pool, [
-                       ("bm25_df", (index_dir, field, missing,
-                                               lo, hi))
-                       for (lo, hi) in ranges])
+            ("ops_call", ("bm25", "bm25_df_range",
+                          (index_dir, field, missing, lo, hi)))
+            for (lo, hi) in ranges])
         for j, t in enumerate(missing):
             fresh[t] = float(sum(p[j] for p in df_parts))
             if len(cache) < 65536:
                 cache[(field, t)] = fresh[t]
     dfs = [cache.get((field, t), fresh.get(t, 0.0)) for t in stemmed]
-    parts = pool_batched(pool, [
-                ("bm25_score", (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b, k,
-            lo, hi, filter_query, min_match, search_after))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25", "bm25_score_range",
+                      (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b, k,
+                       lo, hi, filter_query, min_match, search_after)))
+        for (lo, hi) in ranges]), k)
 
 
 def _span_first_occ(reader, fid: int, stem: str, end: int,
@@ -1316,7 +1269,7 @@ def bm25_span_first_topk(sf_dir: str, term: str = "merge",
     avgdl = _field_total_tokens(reader, fid) / n_docs
     stem = _stem_one(term)
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _span_first_distributed(index_dir, reader, stem, end,
                                        field, k, k1, b, n_docs, avgdl)
 
@@ -1361,25 +1314,16 @@ def span_first_score_range(index_dir, field, stem, end, df, n_docs,
 
 def _span_first_distributed(index_dir, reader, stem, end, field, k, k1,
                             b, n_docs, avgdl) -> pa.Table:
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    from .bm25_ext import _doc_ranges
-
-    ranges = _doc_ranges(reader)
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     df = float(sum(pool_batched(pool, [
-                       ("ops_call", ("bm25", "span_first_df_range",
-            (index_dir, field, stem, end, lo, hi)))
-                       for (lo, hi) in ranges])))
-    parts = pool_batched(pool, [
-                ("ops_call", ("bm25", "span_first_score_range",
-            (index_dir, field, stem, end, df, n_docs, avgdl, k1, b, k,
-             lo, hi)))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+        ("ops_call", ("bm25", "span_first_df_range",
+                      (index_dir, field, stem, end, lo, hi)))
+        for (lo, hi) in ranges])))
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25", "span_first_score_range",
+                      (index_dir, field, stem, end, df, n_docs, avgdl, k1, b,
+                       k, lo, hi)))
+        for (lo, hi) in ranges]), k)

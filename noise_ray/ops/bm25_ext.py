@@ -22,8 +22,8 @@ computed straight off the index artifacts like ops/bm25.py:
   argument carries over unchanged.
 
 Both fan out per doc range above 5M docs through the shared range-actor
-pool (query/distributed.worker_pool, via the generic ``ops_call``
-dispatch): phase 1 folds per-range statistic partials (group union dfs
+pool (query/distributed.worker_pool, one ``ops_call`` per range):
+phase 1 folds per-range statistic partials (group union dfs
 are disjoint-range sums, exactly like term dfs), phase 2 scores each
 range with the GLOBAL stats and returns a local top-k.
 
@@ -39,17 +39,13 @@ import math
 import numpy as np
 import pyarrow as pa
 
+from ..query.distributed import dist_min_docs, doc_ranges
 from .bm25 import (
     _empty_topk,
     _field_total_tokens,
     _fold_scores_raw,
+    _merge_topk,
 )
-
-
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
 
 
 def _stem_groups(groups) -> list[list[str]]:
@@ -145,7 +141,7 @@ def bm25_synonyms_topk(sf_dir: str,
     avgdl = _field_total_tokens(reader, fid) / n_docs
     sgroups = _stem_groups(groups)
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _synonyms_distributed(index_dir, reader, sgroups, field,
                                      k, k1, b, n_docs, avgdl)
 
@@ -195,27 +191,20 @@ def syn_score_range(index_dir: str, field: str, sgroups, dfs,
 def _synonyms_distributed(index_dir: str, reader, sgroups, field: str,
                           k: int, k1: float, b: float, n_docs: float,
                           avgdl: float) -> pa.Table:
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    ranges = _doc_ranges(reader)
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     df_parts = pool_batched(pool, [
-                   ("ops_call", ("bm25_ext", "syn_df_range",
-            (index_dir, field, sgroups, lo, hi)))
-                   for (lo, hi) in ranges])
+        ("ops_call", ("bm25_ext", "syn_df_range",
+                      (index_dir, field, sgroups, lo, hi)))
+        for (lo, hi) in ranges])
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(sgroups))]
-    parts = pool_batched(pool, [
-                ("ops_call", ("bm25_ext", "syn_score_range",
-            (index_dir, field, sgroups, dfs, n_docs, avgdl, k1, b, k,
-             lo, hi)))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25_ext", "syn_score_range",
+                      (index_dir, field, sgroups, dfs, n_docs, avgdl, k1, b, k,
+                       lo, hi)))
+        for (lo, hi) in ranges]), k)
 
 
 # ----------------------------------------------------- boosting query
@@ -249,7 +238,7 @@ def bm25_boosting_topk(sf_dir: str, terms=("merge", "scan"),
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     neg = list(dict.fromkeys(_stem_one(t) for t in negative))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _boosting_distributed(index_dir, reader, stemmed, neg,
                                      negative_boost, field, k, k1, b,
                                      n_docs, avgdl)
@@ -318,37 +307,20 @@ def boosting_score_range(index_dir, field, stemmed, neg, nb, dfs,
 
 def _boosting_distributed(index_dir, reader, stemmed, neg, nb, field,
                           k, k1, b, n_docs, avgdl) -> pa.Table:
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    ranges = _doc_ranges(reader)
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     df_parts = pool_batched(pool, [
-                   ("bm25_df", (index_dir, field, stemmed,
-                                           lo, hi))
-                   for (lo, hi) in ranges])
+        ("ops_call", ("bm25", "bm25_df_range",
+                      (index_dir, field, stemmed, lo, hi)))
+        for (lo, hi) in ranges])
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
-    parts = pool_batched(pool, [
-                ("ops_call", ("bm25_ext", "boosting_score_range",
-            (index_dir, field, stemmed, neg, nb, dfs, n_docs, avgdl,
-             k1, b, k, lo, hi)))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
-
-
-def _doc_ranges(reader) -> list[tuple[int, int]]:
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    n = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // n))
-    return [(lo, min(lo + span, reader.num_docs))
-            for lo in range(0, reader.num_docs, span)]
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25_ext", "boosting_score_range",
+                      (index_dir, field, stemmed, neg, nb, dfs, n_docs, avgdl,
+                       k1, b, k, lo, hi)))
+        for (lo, hi) in ranges]), k)
 
 
 # -------------------------------------------------------- value boost
@@ -379,7 +351,7 @@ def bm25_value_boost(sf_dir: str, terms=("merge", "scan"),
     avgdl = _field_total_tokens(reader, fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _boost_distributed(index_dir, reader, stemmed, field, k,
                                   k1, b, n_docs, avgdl, value_column,
                                   ("recip", lam))
@@ -421,7 +393,7 @@ def bm25_decay(sf_dir: str, terms=("merge", "scan"), k: int = 20,
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     spec = ("gauss", origin, offset, scale)
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         return _boost_distributed(index_dir, reader, stemmed, field, k,
                                   k1, b, n_docs, avgdl, value_column,
                                   spec)
@@ -502,27 +474,20 @@ def _boost_distributed(index_dir: str, reader, stemmed, field: str,
                        spec) -> pa.Table:
     """Two-phase fan-out: global term dfs (phase 1 reuses bm25_df),
     then per-range boosted scoring with local top-k."""
-    import ray
-
     from ..query.distributed import pool_batched, worker_pool
 
-    ranges = _doc_ranges(reader)
+    ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
     df_parts = pool_batched(pool, [
-                   ("bm25_df", (index_dir, field, stemmed,
-                                           lo, hi))
-                   for (lo, hi) in ranges])
+        ("ops_call", ("bm25", "bm25_df_range",
+                      (index_dir, field, stemmed, lo, hi)))
+        for (lo, hi) in ranges])
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
-    parts = pool_batched(pool, [
-                ("ops_call", ("bm25_ext", "boost_score_range",
-            (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b,
-             value_column, spec, k, lo, hi)))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([p[0] for p in parts])
-    r4 = np.concatenate([p[1] for p in parts])
-    top = np.lexsort((docs, -r4))[:k]
-    return pa.table({"doc_id": pa.array(docs[top], pa.int64()),
-                     "score": pa.array(r4[top], pa.float64())})
+    return _merge_topk(pool_batched(pool, [
+        ("ops_call", ("bm25_ext", "boost_score_range",
+                      (index_dir, field, stemmed, dfs, n_docs, avgdl, k1, b,
+                       value_column, spec, k, lo, hi)))
+        for (lo, hi) in ranges]), k)
 
 
 # ------------------------------------------------------------ dis_max
@@ -647,30 +612,28 @@ def bm25_dismax_topk(sf_dir: str,
     n_docs = float(reader.num_docs)
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
-    if index_dir is not None and reader.num_docs >= _dist_min_docs():
-        import ray
-
+    if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
         avgdls = {f: _field_total_tokens(reader, reader.field_id[f])
                   / n_docs
                   for f, _ in fields if f in reader.field_id}
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         df_parts = pool_batched(pool, [
-                       ("ops_call", ("bm25_ext", "dismax_df_range",
-                (index_dir, fields, stemmed, lo, hi)))
-                       for (lo, hi) in ranges])
+            ("ops_call", ("bm25_ext", "dismax_df_range",
+                          (index_dir, fields, stemmed, lo, hi)))
+            for (lo, hi) in ranges])
         dfs_flat: dict = {}
         for p in df_parts:
             for key, v in p.items():
                 dfs_flat[key] = dfs_flat.get(key, 0) + v
         dfs_flat = {key: float(v) for key, v in dfs_flat.items()}
         parts = pool_batched(pool, [
-                    ("ops_call", ("bm25_ext", "dismax_score_range",
-                (index_dir, fields, stemmed, dfs_flat, avgdls, n_docs,
-                 k1, b, tie_breaker, k, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("bm25_ext", "dismax_score_range",
+                          (index_dir, fields, stemmed, dfs_flat, avgdls,
+                           n_docs, k1, b, tie_breaker, k, lo, hi)))
+            for (lo, hi) in ranges])
         uniq = np.concatenate([p[0] for p in parts])
         r4 = np.concatenate([p[1] for p in parts])
     else:

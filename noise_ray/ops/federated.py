@@ -52,12 +52,6 @@ _CACHE_ROOT = os.environ.get("NOISE_RAY_CACHE", "/tmp/noise_ray_cache")
 _LOCK = threading.Lock()
 
 
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
-
-
 def shard_documents_indexes(sf_dir: str, n_shards: int = 2) -> list[str]:
     """Split the documents table into ``n_shards`` contiguous row
     slices and build one INDEPENDENT index per slice (own doc-id space
@@ -111,13 +105,9 @@ def federated_bm25(index_dirs: list[str], terms=("merge", "scan"),
     slowest shard, not the sum, matching the one-node-per-shard
     deployment this models.  Doc counts and token totals come from the
     driver-side readers' manifest/stats metadata (no payload read)."""
-    import ray
-
-    from ..query.distributed import (_cached_reader, pool_batched,
-                                     worker_pool)
+    from ..query.distributed import (_cached_reader, dist_min_docs,
+                                     doc_ranges, pool_batched, worker_pool)
     from ..query.engine import _stem_one
-
-    from .bm25_ext import _doc_ranges
 
     readers = [_cached_reader(d) for d in index_dirs]
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
@@ -128,8 +118,8 @@ def federated_bm25(index_dirs: list[str], terms=("merge", "scan"),
                     for r in readers)
     avgdl = tok_total / n_docs
     pool = worker_pool()
-    big = [r.num_docs >= _dist_min_docs() for r in readers]
-    shard_ranges = [_doc_ranges(r) if bg else [(0, r.num_docs)]
+    big = [r.num_docs >= dist_min_docs() for r in readers]
+    shard_ranges = [doc_ranges(r.num_docs) if bg else [(0, r.num_docs)]
                     for r, bg in zip(readers, big)]
 
     # ---- phase 1: per-shard df partials, all (shard, range) pairs in
@@ -137,7 +127,8 @@ def federated_bm25(index_dirs: list[str], terms=("merge", "scan"),
     dr = [(d, lo, hi) for d, ranges in zip(index_dirs, shard_ranges)
           for lo, hi in ranges]
     df_parts = pool_batched(pool, [
-        ("bm25_df", (d, field, stemmed, lo, hi)) for d, lo, hi in dr])
+        ("ops_call", ("bm25", "bm25_df_range", (d, field, stemmed, lo, hi)))
+        for d, lo, hi in dr])
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
 
     # ---- phase 2: per-shard local top-k with the GLOBAL stats, again
@@ -147,9 +138,10 @@ def federated_bm25(index_dirs: list[str], terms=("merge", "scan"),
                                              big)):
         if bg:
             for lo, hi in ranges:
-                calls.append(("bm25_score",
-                              (d, field, stemmed, dfs, n_docs, avgdl,
-                               k1, b, k, lo, hi)))
+                calls.append(("ops_call",
+                              ("bm25", "bm25_score_range",
+                               (d, field, stemmed, dfs, n_docs, avgdl,
+                                k1, b, k, lo, hi))))
                 owners.append(si)
         else:
             calls.append(("ops_call",

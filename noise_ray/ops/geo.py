@@ -113,18 +113,6 @@ def geo_bbox(sf_dir: str, west: float = -60.0, east: float = 40.0,
     return pa.table({"_id": pa.array([r for r in rows], pa.string())})
 
 
-def _geo_ranges(num_docs: int) -> list:
-    """Doc ranges for the geo per-range folds — same shape as
-    query/distributed.run_query_distributed's partitioning."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    parts = max(1, min(cpus, num_docs // 10_000 + 1))
-    span = max(1, -(-num_docs // parts))
-    return [(lo, min(lo + span, num_docs))
-            for lo in range(0, num_docs, span)]
-
-
 def geo_distance_range(idx: str, lon0: float, lat0: float,
                        radius: float, k: int, lo: int, hi: int):
     """One doc range's top-``k`` partial for geo_distance: grid-pruned
@@ -180,21 +168,18 @@ def geo_distance(sf_dir: str, lon0: float = 10.0, lat0: float = 5.0,
     array ever materializes in one process (a continent-sized box at
     100 TB stays sharded).  Fan-out through the range-actor pool above
     ``dist_min_docs`` documents, in-process per-range folds below."""
-    import ray
-
-    from ..query.distributed import (dist_min_docs, pool_batched,
-                                     worker_pool)
+    from ..query.distributed import (dist_min_docs, doc_ranges,
+                                     pool_batched, worker_pool)
     from ..query.json_reader import JsonIndexReader
 
     idx = geo_corpus(sf_dir)
     num_docs = JsonIndexReader(idx).num_docs
-    ranges = _geo_ranges(num_docs)
+    ranges = doc_ranges(num_docs)
     if num_docs >= dist_min_docs():
-        pool = worker_pool()
-        parts = pool_batched(pool, [
-                    ("ops_call", ("geo", "geo_distance_range",
-                (idx, lon0, lat0, radius, k, lo, hi)))
-                    for (lo, hi) in ranges])
+        parts = pool_batched(worker_pool(), [
+            ("ops_call", ("geo", "geo_distance_range",
+                          (idx, lon0, lat0, radius, k, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [geo_distance_range(idx, lon0, lat0, radius, k, lo, hi)
                  for lo, hi in ranges]
@@ -271,21 +256,18 @@ def geo_centroid(sf_dir: str, west: float = -60.0, east: float = 40.0,
     and the mean divides once at the end (both sides of the oracle
     compute the identical f64 division).  Same per-range pool dispatch
     as geo_distance above ``dist_min_docs``."""
-    import ray
-
-    from ..query.distributed import (dist_min_docs, pool_batched,
-                                     worker_pool)
+    from ..query.distributed import (dist_min_docs, doc_ranges,
+                                     pool_batched, worker_pool)
     from ..query.json_reader import JsonIndexReader
 
     idx = geo_corpus(sf_dir)
     num_docs = JsonIndexReader(idx).num_docs
-    ranges = _geo_ranges(num_docs)
+    ranges = doc_ranges(num_docs)
     if num_docs >= dist_min_docs():
-        pool = worker_pool()
-        parts = pool_batched(pool, [
-                    ("ops_call", ("geo", "geo_centroid_range",
-                (idx, west, east, south, north, lo, hi)))
-                    for (lo, hi) in ranges])
+        parts = pool_batched(worker_pool(), [
+            ("ops_call", ("geo", "geo_centroid_range",
+                          (idx, west, east, south, north, lo, hi)))
+            for (lo, hi) in ranges])
     else:
         parts = [geo_centroid_range(idx, west, east, south, north, lo, hi)
                  for lo, hi in ranges]

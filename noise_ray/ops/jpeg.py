@@ -559,6 +559,8 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
                             raise JpegError("invalid DC Huffman code")
                         br.skip(ln)
                         t = int(dsym[p])
+                        if t > 11:  # 8-bit baseline max (T.81 Table F.1)
+                            raise JpegError(f"invalid DC category {t}")
                         diff = _extend(br.receive(t), t)
                         preds[oi] += diff
                         blk[0] = preds[oi]

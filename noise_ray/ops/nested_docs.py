@@ -25,13 +25,9 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from ..query.distributed import dist_min_docs, doc_ranges
+
 _CACHE = "/tmp/noise_ray_cache"
-
-
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
 
 
 def _orders_index(sf_dir: str) -> str:
@@ -410,27 +406,23 @@ def nested_kp_bm25(sf_dir: str, terms=("quick", "brown"), k: int = 20,
                          "score": pa.array([], pa.float64())})
     avgdl = tok_total / n_inst
 
-    if n_inst >= _dist_min_docs():  # instances (turns) are the scoring unit
-        import ray
-
+    if n_inst >= dist_min_docs():  # instances (turns) are the scoring unit
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
         index_dir = reader.index_dir
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         df_parts = pool_batched(pool, [
-                       ("ops_call", ("nested_docs", "kp_bm25_df_range",
-                (index_dir, kp, stemmed, lo, hi)))
-                       for (lo, hi) in ranges])
+            ("ops_call", ("nested_docs", "kp_bm25_df_range",
+                          (index_dir, kp, stemmed, lo, hi)))
+            for (lo, hi) in ranges])
         dfs = [float(sum(p[j] for p in df_parts))
                for j in range(len(stemmed))]
         parts = pool_batched(pool, [
-                    ("ops_call", ("nested_docs", "kp_bm25_score_range",
-                (index_dir, kp, stemmed, dfs, n_inst, avgdl, k1, b, k,
-                 lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("nested_docs", "kp_bm25_score_range",
+                          (index_dir, kp, stemmed, dfs, n_inst, avgdl, k1, b,
+                           k, lo, hi)))
+            for (lo, hi) in ranges])
         docs = np.concatenate([p[0] for p in parts])
         aps = np.vstack([p[1] for p in parts])
         r4 = np.concatenate([p[2] for p in parts])
@@ -553,27 +545,23 @@ def nested_kp_bm25_filtered(sf_dir: str, terms=("quick", "brown"),
                          "score": pa.array([], pa.float64())})
     avgdl = tok_total / n_inst
 
-    if n_inst >= _dist_min_docs():  # instances (turns) are the scoring unit
-        import ray
-
+    if n_inst >= dist_min_docs():  # instances (turns) are the scoring unit
         from ..query.distributed import pool_batched, worker_pool
 
-        from .bm25_ext import _doc_ranges
-
         index_dir = reader.index_dir
-        ranges = _doc_ranges(reader)
+        ranges = doc_ranges(reader.num_docs)
         pool = worker_pool()
         df_parts = pool_batched(pool, [
-                       ("ops_call", ("nested_docs", "kp_bm25_df_range",
-                (index_dir, kp, stemmed, lo, hi)))
-                       for (lo, hi) in ranges])
+            ("ops_call", ("nested_docs", "kp_bm25_df_range",
+                          (index_dir, kp, stemmed, lo, hi)))
+            for (lo, hi) in ranges])
         dfs = [float(sum(p[j] for p in df_parts))
                for j in range(len(stemmed))]
         parts = pool_batched(pool, [
-                    ("ops_call", ("nested_docs", "kp_bm25_filtered_range",
-                (index_dir, kp, stemmed, dfs, n_inst, avgdl, k1, b, k,
-                 filter_kp, value, lo, hi)))
-                    for (lo, hi) in ranges])
+            ("ops_call", ("nested_docs", "kp_bm25_filtered_range",
+                          (index_dir, kp, stemmed, dfs, n_inst, avgdl, k1, b,
+                           k, filter_kp, value, lo, hi)))
+            for (lo, hi) in ranges])
         docs = np.concatenate([p[0] for p in parts])
         aps = np.vstack([p[1] for p in parts])
         r4 = np.concatenate([p[2] for p in parts])

@@ -29,13 +29,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ..query.distributed import dist_min_docs, doc_ranges
 from .aggs import _reader_for
-
-
-def _dist_min_docs() -> int:
-    from ..query.distributed import dist_min_docs
-
-    return dist_min_docs()
 
 
 def _rel_docs(reader, fid, stemmed) -> np.ndarray:
@@ -107,19 +102,15 @@ def rank_eval(sf_dir: str,
         top = bm25_topk(sf_dir, terms=tuple(terms), k=k,
                         k1=k1, b=b, field=field, index_dir=index_dir)
         docs = top.column("doc_id").to_numpy()
-        if index_dir is not None and reader.num_docs >= _dist_min_docs():
-            import ray
-
+        if index_dir is not None and reader.num_docs >= dist_min_docs():
             from ..query.distributed import pool_batched, worker_pool
 
-            from .bm25_ext import _doc_ranges
-
-            ranges = _doc_ranges(reader)
+            ranges = doc_ranges(reader.num_docs)
             pool = worker_pool()
             parts = pool_batched(pool, [
-                        ("ops_call", ("rank_eval", "rank_eval_range",
-                    (index_dir, field, stemmed, docs, lo, hi)))
-                        for (lo, hi) in ranges])
+                ("ops_call", ("rank_eval", "rank_eval_range",
+                              (index_dir, field, stemmed, docs, lo, hi)))
+                for (lo, hi) in ranges])
             n_rel = int(sum(p[0] for p in parts))
             hit = np.zeros(docs.size, bool)
             for p in parts:

@@ -1,8 +1,9 @@
 """Distributed query execution: range-partitioned scoring fan-out.
 
 The SURVEY §3.2 query path for cluster scale: the doc space is split into
-contiguous doc_id ranges; one Ray task per range evaluates the query
-restricted to its range (``CompiledQuery(doc_range=...)``) and returns its
+contiguous doc_id ranges (``doc_ranges``); one call per range on a
+long-lived pool actor (``_RangeWorker``) evaluates the query restricted
+to its range (``CompiledQuery(doc_range=...)``) and returns its
 local candidates — for scored top-k queries only the local top k plus every
 tie at the local k-th score (a doc outside its range's top k is beaten by
 >= k docs of that range alone, so it can never reach the global top k; ties
@@ -29,6 +30,8 @@ reproduce.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pyarrow as pa
@@ -196,10 +199,18 @@ def _eval_range_impl(index_dir: str, qtext: str, params: dict | None,
     return docs, scores.astype(F32)
 
 
+def _resolve(module: str, fn: str):
+    """The pool's one dispatch resolver: ``fn`` of the module named
+    relative to ``noise_ray.ops`` — ``"bm25"`` is ``noise_ray.ops.bm25``,
+    ``".query.distributed"`` is ``noise_ray.query.distributed``."""
+    return getattr(importlib.import_module("." + module, "noise_ray.ops"),
+                   fn)
+
+
 @ray.remote
 class _RangeWorker:
-    """Long-lived range worker shared by the flat and nested distributed
-    fan-outs.
+    """Long-lived range worker shared by every distributed fan-out (flat
+    and nested queries, ops, builds).
 
     Plain ``ray.remote`` tasks land on arbitrary worker processes, so the
     per-process reader cache (``_cached_reader``) only helped when Ray
@@ -214,77 +225,22 @@ class _RangeWorker:
     (builds, compactions) into deadlock.  Parallelism is bounded by the
     actor count instead."""
 
-    def flat_eval(self, index_dir, qtext, params, lo, hi, keep_topk):
-        return _eval_range_impl(index_dir, qtext, params, lo, hi, keep_topk)
-
-    def flat_agg(self, index_dir, qtext, params, lo, hi):
-        return _agg_range_impl(index_dir, qtext, params, lo, hi)
-
-    def json_eval(self, index_dir, filter_node, lo, hi, keep):
-        from .json_executor import _json_eval_range_impl
-
-        return _json_eval_range_impl(index_dir, filter_node, lo, hi, keep)
-
-    def json_agg(self, index_dir, q, lo, hi):
-        from .json_executor import _json_agg_range_impl
-
-        return _json_agg_range_impl(index_dir, q, lo, hi)
-
-    def bm25_df(self, index_dir, field, stemmed, lo, hi):
-        from ..ops.bm25 import bm25_df_range
-
-        return bm25_df_range(index_dir, field, stemmed, lo, hi)
-
-    def bm25_score(self, index_dir, field, stemmed, dfs, n_docs, avgdl,
-                   k1, b, k, lo, hi, filter_query=None, min_match=1,
-                   search_after=None):
-        from ..ops.bm25 import bm25_score_range
-
-        return bm25_score_range(index_dir, field, stemmed, dfs, n_docs,
-                                avgdl, k1, b, k, lo, hi, filter_query,
-                                min_match, search_after)
-
-    def ops_call(self, module, fn, args):
-        """Generic range-worker dispatch: run ``noise_ray.ops.<module>.
-        <fn>(*args)`` on this actor — new per-range operator bodies
-        (synonym df/score, value boost, …) reuse the pool and its cached
-        readers without growing this class per feature."""
-        import importlib
-
-        m = importlib.import_module(f"noise_ray.ops.{module}")
-        return getattr(m, fn)(*args)
-
-    def bm25_fields_score(self, index_dir, weights, stemmed, dfs, avgdls,
-                          n_docs, k1, b, k, lo, hi):
-        from ..ops.bm25 import bm25_fields_score_range
-
-        return bm25_fields_score_range(index_dir, weights, stemmed, dfs,
-                                       avgdls, n_docs, k1, b, k, lo, hi)
-
-    def bm25_phrase_df(self, index_dir, field, stemmed, lo, hi):
-        from ..ops.bm25 import bm25_phrase_df_range
-
-        return bm25_phrase_df_range(index_dir, field, stemmed, lo, hi)
-
-    def bm25_phrase_score(self, index_dir, field, stemmed, df, n_docs,
-                          avgdl, k1, b, k, lo, hi):
-        from ..ops.bm25 import bm25_phrase_score_range
-
-        return bm25_phrase_score_range(index_dir, field, stemmed, df,
-                                       n_docs, avgdl, k1, b, k, lo, hi)
-
     def call_batch(self, calls):
-        """Run ``[(method_name, args_tuple), ...]`` sequentially on this
-        actor and return their results as a list — the per-WORKER
-        coalesced form of the per-range dispatch (see pool_batched)."""
-        return [getattr(self, m)(*a) for m, a in calls]
+        """Run ``[("ops_call", (module, fn, args)), ...]`` sequentially
+        on this actor and return their results as a list — the
+        per-WORKER coalesced form of the per-range dispatch (see
+        pool_batched)."""
+        return [_resolve(module, fn)(*args)
+                for _tag, (module, fn, args) in calls]
 
 
 _pool: list = []
 
 
 def pool_batched(pool: list, calls: list) -> list:
-    """Dispatch ``calls[i] = (method_name, args_tuple)`` with ONE remote
+    """Dispatch ``calls[i] = ("ops_call", (module, fn, args))`` — run
+    ``fn(*args)`` of ``module`` (named relative to ``noise_ray.ops``, see
+    ``_resolve``) on a pool actor — with ONE remote
     round-trip per WORKER instead of one per range: call ``i`` keeps its
     deterministic home ``pool[i % len(pool)]`` (so per-actor reader
     caches stay warm across this change), but each actor receives a
@@ -294,7 +250,13 @@ def pool_batched(pool: list, calls: list) -> list:
     it cuts the per-query latency floor from ~rtt × ranges to
     ~rtt × workers — never the results, and shared per-call args (df
     tables, vocab dicts) serialize once per worker, not once per range.
-    Results return in the original call order."""
+    Results return in the original call order.
+
+    Every call keeps the one tagged shape, ``"ops_call"`` tag and
+    ``noise_ray.ops``-relative module names included, even though the
+    worker has a single entry point: the benchmark tracer
+    (perfbench/spans.py) wraps this function, replays each recorded round
+    by that shape and sorts rounds into df and score rounds by ``fn``."""
     if not calls:
         return []
     n = len(pool)
@@ -309,6 +271,22 @@ def pool_batched(pool: list, calls: list) -> list:
         for i, r in zip(groups[w], res):
             out[i] = r
     return out
+
+
+def doc_ranges(num_docs: int,
+               parts: int | None = None) -> list[tuple[int, int]]:
+    """Split ``[0, num_docs)`` into at most ``parts`` contiguous,
+    ascending doc ranges of ``ceil(num_docs / parts)`` docs (the last
+    may be shorter); an empty index has no ranges.  ``parts`` defaults
+    to one range per 10k docs, capped at the cluster's CPU count.  The
+    boundaries fix the order in which per-range sum/avg partials
+    reassociate, so they are part of every distributed result."""
+    if parts is None:
+        cpus = int(ray.cluster_resources().get("CPU", 8))
+        parts = max(1, min(cpus, num_docs // 10_000 + 1))
+    span = max(1, -(-num_docs // parts))
+    return [(lo, min(lo + span, num_docs))
+            for lo in range(0, num_docs, span)]
 
 
 def serve_partitions() -> int:
@@ -367,19 +345,26 @@ def worker_pool() -> list:
 def run_query_distributed(index_dir: str, query: str,
                           params: dict | None = None,
                           num_partitions: int | None = None) -> pa.Table:
-    """Evaluate ``query`` with one Ray task per doc range; results are
-    identical to ``run_query`` on a local reader."""
+    """Evaluate ``query`` with one pool-actor call per doc range; results
+    are identical to ``run_query`` on a local reader."""
     from . import executor as ex
 
     reader = _cached_reader(index_dir)
     q = parse_query(query, params)
+    ranges = doc_ranges(reader.num_docs, num_partitions)
+    pool = worker_pool()
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(1, min(cpus, reader.num_docs // 10_000 + 1))
-    span = max(1, -(-reader.num_docs // num_partitions))
-    ranges = [(lo, min(lo + span, reader.num_docs))
-              for lo in range(0, reader.num_docs, span)]
+    def eval_ranges(keep_topk):
+        parts = pool_batched(pool, [
+            ("ops_call", (".query.distributed", "_eval_range_impl",
+                          (index_dir, query, params, lo, hi, keep_topk)))
+            for (lo, hi) in ranges])
+        # ranges are disjoint and ascending → already doc-ordered
+        docs = (np.concatenate([d for d, _ in parts])
+                if parts else np.zeros(0, np.int64))
+        scores = (np.concatenate([s for _, s in parts]).astype(F32)
+                  if parts else np.zeros(0, F32))
+        return docs, scores
 
     agg_leaves = None
     if isinstance(q.returns, ex._TREE_TYPES):
@@ -391,19 +376,12 @@ def run_query_distributed(index_dir: str, query: str,
             # limit + aggregates: the reference's buffered early-cut is
             # order-sensitive mid-merge — stream matches back and fold on
             # the driver so results stay bit-identical to run_query
-            pool = worker_pool()
-            parts = pool_batched(pool, [
-                        ("flat_eval", (index_dir, query, params, lo, hi, None))
-                        for (lo, hi) in ranges])
-            docs = (np.concatenate([d for d, _ in parts])
-                    if parts else np.zeros(0, np.int64))
-            scores = (np.concatenate([s for _, s in parts]).astype(F32)
-                      if parts else np.zeros(0, F32))
+            docs, scores = eval_ranges(None)
             return ex._run_aggregates(reader, q, docs, scores, agg_leaves)
-        pool = worker_pool()
         parts = pool_batched(pool, [
-                    ("flat_agg", (index_dir, query, params, lo, hi))
-                    for (lo, hi) in ranges])
+            ("ops_call", (".query.distributed", "_agg_range_impl",
+                          (index_dir, query, params, lo, hi)))
+            for (lo, hi) in ranges])
         return _merge_agg_partials(q, agg_leaves, parts)
 
     # scored-top-k queries prune to local top-k in the workers
@@ -411,20 +389,10 @@ def run_query_distributed(index_dir: str, query: str,
     if (q.limit and q.order and len(q.order) == 1 and q.order[0].score
             and q.order[0].desc):
         keep_topk = q.limit
-
-    pool = worker_pool()
-    parts = pool_batched(pool, [
-                ("flat_eval", (index_dir, query, params, lo, hi, keep_topk))
-                for (lo, hi) in ranges])
-    docs = np.concatenate([d for d, _ in parts]) if parts else np.zeros(0, np.int64)
-    scores = (np.concatenate([s for _, s in parts]).astype(F32)
-              if parts else np.zeros(0, F32))
-    # ranges are disjoint and ascending → already doc-ordered
-
-    if isinstance(q.returns, ex._TREE_TYPES):
-        docs, scores = ex._apply_order_limit(reader, q, docs, scores)
-        return ex._render_tree_table(reader, q.returns, leaves, docs, scores)
+    docs, scores = eval_ranges(keep_topk)
     docs, scores = ex._apply_order_limit(reader, q, docs, scores)
+    if isinstance(q.returns, ex._TREE_TYPES):
+        return ex._render_tree_table(reader, q.returns, leaves, docs, scores)
     return ex._materialize(reader, docs, scores, q.returns)
 
 

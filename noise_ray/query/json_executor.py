@@ -21,7 +21,6 @@ import json
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from ..build.shred import escape_key, parse_kp, unescape_segment
 from . import ast
@@ -214,12 +213,14 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
             # string-seq row order isn't range-reconstructible, and
             # limited aggregates keep the reference's order-sensitive
             # buffered early-cut on the driver)
-            from .distributed import merge_agg_rows, pool_batched
+            from .distributed import (doc_ranges, merge_agg_rows,
+                                      pool_batched, worker_pool)
 
-            pool = _worker_pool()
-            parts = pool_batched(pool, [
-                        ("json_agg", (reader.index_dir, q, lo, hi))
-                        for (lo, hi) in _task_ranges(reader.num_docs)])
+            n = reader.num_docs
+            parts = pool_batched(worker_pool(), [
+                ("ops_call", (".query.json_executor", "_json_agg_range_impl",
+                              (reader.index_dir, q, lo, hi)))
+                for (lo, hi) in doc_ranges(n, min(32, max(1, n // 250_000)))])
             out_rows = merge_agg_rows(q, leaves, parts)
             return [_render_tree(q.returns, iter(r)) for r in out_rows]
         keep = None
@@ -324,13 +325,6 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
     return out
 
 
-def _task_ranges(num_docs: int) -> list[tuple[int, int]]:
-    n_tasks = min(32, max(1, num_docs // 250_000))
-    span = -(-num_docs // n_tasks)
-    return [(lo, min(lo + span, num_docs))
-            for lo in range(0, num_docs, span)]
-
-
 def _range_eval(index_dir: str, filter_node, lo: int, hi: int):
     """One range's (docs, scores, binds) through the per-worker cached
     reader (distributed.py:_cached_reader — one open per worker per index
@@ -381,14 +375,6 @@ def _json_agg_range_impl(index_dir: str, q, lo: int, hi: int):
     return _partial_fold(leaves, rows)
 
 
-def _worker_pool() -> list:
-    """The shared flat/nested range-worker actor pool — see
-    ``distributed._RangeWorker`` for the stable-assignment rationale."""
-    from .distributed import pool_batched, worker_pool
-
-    return worker_pool()
-
-
 def _evaluate_distributed(reader: JsonIndexReader, filter_node, keep=None):
     """Range-partitioned filter evaluation: one actor call per doc range,
     each evaluating the compiled query restricted to its range (slot
@@ -400,12 +386,15 @@ def _evaluate_distributed(reader: JsonIndexReader, filter_node, keep=None):
     contiguous and ordered, so concatenation preserves global doc order.
     The proximity filter keeps the reference's sequential iterator inside
     each range (same caveat as the flat distributed path)."""
-    pool = _worker_pool()
-    from .distributed import pool_batched
+    from .distributed import doc_ranges, pool_batched, worker_pool
 
-    parts = pool_batched(pool, [
-        ("json_eval", (reader.index_dir, filter_node, lo, hi, keep))
-        for (lo, hi) in _task_ranges(reader.num_docs)])
+    n = reader.num_docs
+    parts = pool_batched(worker_pool(), [
+        ("ops_call", (".query.json_executor", "_json_eval_range_impl",
+                      (reader.index_dir, filter_node, lo, hi, keep)))
+        for (lo, hi) in doc_ranges(n, min(32, max(1, n // 250_000)))])
+    if not parts:  # empty index: no ranges
+        return np.zeros(0, np.int64), np.zeros(0, np.float32), None
     docs = np.concatenate([p[0] for p in parts])
     scores = np.concatenate([p[1] for p in parts])
     binds = None

@@ -255,22 +255,21 @@ def test_federated_local_stats_would_differ(ray_session):
 
 
 def test_ops_call_actor_dispatch(ray_session):
-    """The generic _RangeWorker.ops_call dispatch (the hook the >=5M
+    """An ``ops_call`` through pool_batched (the hook the >=5M
     synonym/boost fan-outs ride) runs a worker body on a pool actor and
     returns the same partial as the in-process call."""
-    import ray
-
     from noise_ray.ops.bm25_ext import _stem_groups, syn_df_range
     from noise_ray.pipelines import documents_index
-    from noise_ray.query.distributed import worker_pool
+    from noise_ray.query.distributed import pool_batched, worker_pool
 
     reader = documents_index(SF)
     idx = reader.index_dir
     groups = _stem_groups([["merge", "join"], ["scan"]])
     n = reader.num_docs
     want = syn_df_range(idx, "text", groups, 0, n)
-    got = ray.get(worker_pool()[0].ops_call.remote(
-        "bm25_ext", "syn_df_range", (idx, "text", groups, 0, n)))
+    [got] = pool_batched(worker_pool()[:1], [
+        ("ops_call", ("bm25_ext", "syn_df_range",
+                      (idx, "text", groups, 0, n)))])
     assert got == want and sum(want) > 0
 
 

@@ -168,3 +168,109 @@ def test_forced_pool_dispatch_identical(ray_session, monkeypatch, tmp_path,
         assert local and dist == local
     else:
         assert local.num_rows and dist.equals(local)
+
+
+# ------------------------------------------------ one dispatch primitive
+
+def _ops_call_literals():
+    """Every ``("ops_call", (module, fn, args))`` tuple in noise_ray/,
+    as (file:line, module, fn); module/fn None when not a literal."""
+    import ast
+    import pathlib
+
+    import noise_ray
+
+    root = pathlib.Path(noise_ray.__file__).parent
+    out = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                    and isinstance(node.elts[0], ast.Constant)
+                    and node.elts[0].value == "ops_call"):
+                continue
+            inner = node.elts[1]
+            names = [None, None]
+            if isinstance(inner, ast.Tuple) and len(inner.elts) == 3:
+                names = [e.value if isinstance(e, ast.Constant)
+                         and isinstance(e.value, str) else None
+                         for e in inner.elts[:2]]
+            out.append((f"{path.relative_to(root)}:{node.lineno}", *names))
+    return out
+
+
+def test_ops_call_names_resolve():
+    """Pool calls name their body by string, so a typo would only fail
+    on an index large enough to dispatch; resolve every literal here
+    through the worker's own resolver."""
+    from noise_ray.query.distributed import _resolve
+
+    calls = _ops_call_literals()
+    assert len(calls) > 40
+    for where, module, fn in calls:
+        assert module is not None and fn is not None, \
+            f"{where}: non-literal ops_call target"
+        assert callable(_resolve(module, fn)), f"{where}: {module}.{fn}"
+
+
+# Split formulas the range fan-outs used before doc_ranges: the default
+# per-10k-docs rule (ops modules, delete_by_query), an explicit count
+# (run_query_distributed's num_partitions, msearch's serve partitions)
+# and the nested engine's per-250k-docs rule.
+def _old_default(n, cpus):
+    parts = max(1, min(cpus, n // 10_000 + 1))
+    span = max(1, -(-n // parts))
+    return [(lo, min(lo + span, n)) for lo in range(0, n, span)]
+
+
+def _old_count(n, parts):
+    span = max(1, -(-n // parts))
+    return [(lo, min(lo + span, n)) for lo in range(0, n, span)]
+
+
+def _old_nested(n):
+    n_tasks = min(32, max(1, n // 250_000))
+    span = -(-n // n_tasks)
+    return [(lo, min(lo + span, n)) for lo in range(0, n, span)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 9_999, 10_000, 123_457, 2_000_001])
+@pytest.mark.parametrize("cpus", [1, 4, 8, 32])
+def test_doc_ranges_match_old_splits(monkeypatch, n, cpus):
+    from noise_ray.query import distributed
+
+    monkeypatch.setattr(distributed.ray, "cluster_resources",
+                        lambda: {"CPU": float(cpus)})
+    got = distributed.doc_ranges(n)
+    assert got == _old_default(n, cpus)
+    for parts in (1, 3, 7, cpus):
+        assert distributed.doc_ranges(n, parts) == _old_count(n, parts)
+    for serve in (2, 8):  # msearch: min(serve, pool, n // 10_000 + 1)
+        parts = max(1, min(serve, cpus, n // 10_000 + 1))
+        assert distributed.doc_ranges(n, parts) == _old_count(n, parts)
+    nested = distributed.doc_ranges(n, min(32, max(1, n // 250_000)))
+    if n:
+        assert nested == _old_nested(n)
+    else:  # the old nested split raised on an empty index
+        with pytest.raises(ValueError):
+            _old_nested(n)
+        assert nested == [] and got == []
+    if got:
+        assert got[0][0] == 0 and got[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+
+
+def test_nested_distributed_empty_index(ray_session, tmp_path):
+    """A zero-doc nested index answers through the range fan-out (no
+    ranges, no pool call) exactly as in-process."""
+    from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
+    from noise_ray.query import JsonIndexReader, run_json_query
+
+    p = docs_to_parquet([], str(tmp_path / "in.parquet"), docid_base=0)
+    build_json_index([p], str(tmp_path / "idx"), num_buckets=2)
+    r = JsonIndexReader(str(tmp_path / "idx"))
+    assert r.num_docs == 0
+    for q in ['find {n: >= 1} return ._id ;',
+              'find {n: >= 1} order score() desc return ._id limit 3 ;',
+              'find {msgs: [{t: ~="fox"}]} return {n: count()} ;']:
+        assert run_json_query(r, q, distributed_threshold=0) == \
+            run_json_query(r, q)

@@ -206,6 +206,19 @@ def test_malformed_inputs_raise():
         decode_jpeg(bytes(prog))
 
 
+def test_dc_category_above_baseline_max_raises():
+    """A DHT whose DC symbols exceed the 8-bit baseline maximum category
+    (11, T.81 Table F.1) raises JpegError, not a raw shift-count
+    ValueError from the bit reader."""
+    bad = bytearray(encode_jpeg(synth_image(1)))
+    i = bad.find(b"\xFF\xC4")
+    assert bad[i + 4] == 0x00  # Tc=0 (DC), Th=0
+    n = sum(bad[i + 5:i + 21])
+    bad[i + 21:i + 21 + n] = bytes(range(20, 20 + n))  # categories 20+
+    with pytest.raises(JpegError, match="DC category"):
+        decode_jpeg(bytes(bad))
+
+
 def test_synth_image_matches_closed_form():
     img = synth_image(17)
     h, w, _ = img.shape
