@@ -472,7 +472,7 @@ def _boost_distributed(index_dir: str, reader, stemmed, field: str,
                        k: int, k1: float, b: float, n_docs: float,
                        avgdl: float, value_column: str,
                        spec) -> pa.Table:
-    """Two-phase fan-out: global term dfs (phase 1 reuses bm25_df),
+    """Two-phase fan-out: global term dfs (phase 1 reuses bm25_df_range),
     then per-range boosted scoring with local top-k."""
     from ..query.distributed import pool_batched, worker_pool
 

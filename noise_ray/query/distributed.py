@@ -256,7 +256,9 @@ def pool_batched(pool: list, calls: list) -> list:
     ``noise_ray.ops``-relative module names included, even though the
     worker has a single entry point: the benchmark tracer
     (perfbench/spans.py) wraps this function, replays each recorded round
-    by that shape and sorts rounds into df and score rounds by ``fn``."""
+    by that shape and sorts rounds into df and score rounds by ``fn``.
+    Callers therefore import this name at call time, not at module
+    import, so a wrapper installed later still sees every round."""
     if not calls:
         return []
     n = len(pool)

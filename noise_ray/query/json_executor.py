@@ -186,9 +186,9 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
     as Python values.
 
     Above ``distributed_threshold`` docs, matching+scoring fan out as one
-    Ray task per doc range (exact under range partitioning: every filter,
-    bind collection and score is per-doc independent; idf/stats are
-    global reads, identical in every task).  Fetch/order/limit/aggregate
+    range-pool call per doc range (exact under range partitioning: every
+    filter, bind collection and score is per-doc independent; idf/stats
+    are global reads, identical in every call).  Fetch/order/limit/aggregate
     stay on the driver — the result set is already per-doc."""
     if isinstance(q, str):
         q = parse_noise_query(q, params)
@@ -348,7 +348,7 @@ def _json_eval_range_impl(index_dir: str, filter_node, lo: int, hi: int,
             # local top-k + ties at the k-th score: a doc outside its
             # range's top k is beaten by >= k docs of that range alone
             # (same exactness argument as the flat path,
-            # distributed.py:_eval_range_task)
+            # distributed.py:_eval_range_impl)
             kth = np.partition(scores, docs.size - k)[docs.size - k]
             m = scores >= kth
             docs, scores = docs[m], scores[m]
@@ -365,7 +365,7 @@ def _json_agg_range_impl(index_dir: str, q, lo: int, hi: int):
     """Evaluate + leaf-fetch + partial-aggregate one doc range: docmap
     json reads and the per-row fold never leave the worker; only one
     state row per (range, group) reaches the driver (nested analogue of
-    distributed.py:_agg_range_task)."""
+    distributed.py:_agg_range_impl)."""
     from .distributed import _partial_fold
 
     r, docs, scores, binds = _range_eval(index_dir, q.filter, lo, hi)
