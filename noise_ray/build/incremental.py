@@ -391,18 +391,15 @@ def delete_by_query(index_dir: str, query: str,
     from ..query import ast as qast
     from ..query.distributed import (dist_min_docs, doc_ranges,
                                      pool_batched, worker_pool)
-    from ..query.parser import parse_query, ret_leaves
+    from ..query.noise_parser import parse_query, ret_leaves
 
     q = parse_query(query, params)
     if q.order or q.limit is not None:
         raise ValueError("delete_by_query takes a filter-only query "
                          "(no order/limit)")
-    from ..query import executor as _ex
-
-    if isinstance(q.returns, _ex._TREE_TYPES):
-        if any(isinstance(l, qast.RetAgg) for l in ret_leaves(q.returns)):
-            raise ValueError("delete_by_query takes a filter-only query "
-                             "(no aggregate return clause)")
+    if any(isinstance(l, qast.RetAgg) for l in ret_leaves(q.returns)):
+        raise ValueError("delete_by_query takes a filter-only query "
+                         "(no aggregate return clause)")
 
     reader = IndexReader(index_dir)
     if reader.num_docs >= dist_min_docs():

@@ -212,8 +212,7 @@ def delete_json_by_query(index_dir: str, query: str,
     makes the union over disjoint ranges exact)."""
     from ..query import ast as qast
     from ..query.json_reader import JsonIndexReader
-    from ..query.noise_parser import parse_noise_query
-    from ..query.parser import ret_leaves
+    from ..query.noise_parser import parse_noise_query, ret_leaves
 
     q = parse_noise_query(query, params)
     if q.order or q.limit is not None:

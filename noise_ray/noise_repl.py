@@ -239,7 +239,6 @@ class NoiseRepl:
         from .query.json_executor import (
             PrettyPrint, render_json, run_json_query,
         )
-        from .query.parser import ParseError
 
         params = None
         if self.params is not None:
@@ -257,9 +256,6 @@ class NoiseRepl:
         r = self.index.reader()
         try:
             rows = run_json_query(r, cmd, params)
-        except ParseError as e:
-            self._p(f"Parse error: {e}")
-            return
         except ValueError as e:
             self._p(f"Parse error: {e}")
             return

@@ -202,7 +202,7 @@ def _allowed_docs(reader, filter_query: str, doc_range):
     """Matched doc set of a filter-only noise query (the engine's own
     filter machinery: postings, zone maps, tombstones)."""
     from ..query.engine import CompiledQuery
-    from ..query.parser import parse_query
+    from ..query.noise_parser import parse_query
 
     q = parse_query(filter_query)
     if q.order or q.limit is not None:

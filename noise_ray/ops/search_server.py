@@ -22,6 +22,11 @@ server executes a lone query immediately).  Exactness: msearch results
 are identical to individual ``bm25_topk`` calls
 (test_msearch_matches_individual_queries), so batching changes
 throughput, never answers.
+
+``close()`` serves every request queued before it, then stops the
+collector; a ``search()`` on a closed batcher raises
+:class:`BatcherClosed` at once instead of waiting on a collector that
+is gone.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+
+class BatcherClosed(RuntimeError):
+    """``search()`` was called after ``close()``."""
 
 
 class SearchBatcher:
@@ -43,6 +52,9 @@ class SearchBatcher:
         self._field = field
         self._max_batch = max_batch
         self._q: queue.Queue = queue.Queue()
+        # guards _closed and every put, so nothing is queued behind the
+        # close sentinel (the collector stops at the sentinel)
+        self._lock = threading.Lock()
         self._closed = False
         self._round = 0  # replica-group rotation counter
         if inflight is None:
@@ -68,15 +80,20 @@ class SearchBatcher:
         """Blocking: returns this query's (doc_id, score) Table slice."""
         ev = threading.Event()
         box: list = [None, None]
-        self._q.put((terms, ev, box))
+        with self._lock:
+            if self._closed:
+                raise BatcherClosed("search() on a closed SearchBatcher")
+            self._q.put((terms, ev, box))
         ev.wait()
         if box[1] is not None:
             raise box[1]
         return box[0]
 
     def close(self):
-        self._closed = True
-        self._q.put(None)
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self._q.put(None)
         self._thread.join()
         self._pool.shutdown(wait=True)
 
@@ -88,13 +105,14 @@ class SearchBatcher:
             if first is None:
                 return
             batch = [first]
+            last = False
             while len(batch) < self._max_batch:
                 try:
                     item = self._q.get_nowait()
                 except queue.Empty:
                     break
                 if item is None:
-                    self._closed = True
+                    last = True
                     break
                 batch.append(item)
             # backpressure: at most ``inflight`` rounds in the air —
@@ -103,7 +121,7 @@ class SearchBatcher:
             group = self._round
             self._round += 1
             self._pool.submit(self._run_round, batch, group)
-            if self._closed:
+            if last:
                 return
 
     def _run_round(self, batch, group):

@@ -5,8 +5,7 @@ from .executor import run_query
 from .json_engine import CompiledJsonQuery
 from .json_executor import run_json_query
 from .json_reader import JsonIndexReader
-from .noise_parser import parse_noise_query
-from .parser import parse_query
+from .noise_parser import parse_noise_query, parse_query
 from .reader import IndexReader
 from .scan import export_matches, index_scan, json_index_scan
 

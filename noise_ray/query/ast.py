@@ -1,10 +1,16 @@
-"""Query AST for the reduced noise query surface.
+"""Query AST for the noise query language.
 
 Mirrors the filter tree the reference parser instantiates directly
 (/root/reference/src/parser.rs:665-995): term / phrase / proximity / exact /
 range comparisons composed with and/or/not and per-clause boosts.  The AST is
 the public programmatic query API (the reference has none beyond the textual
 language).
+
+Flat vs nested: one parser (noise_parser.py) builds every tree.  Nested
+queries keep its keypath strings (``.msgs$.text``), path tuples and
+array-context depths; flat queries are lowered to the flat schema, where
+every ``field`` is a plain column name, depths are 0 and keypath contexts
+are empty.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ class Exact:
     equality, binary score (ExactMatchFilter, src/filters.rs:274-377)."""
     field: str
     literal: str
-    boost: float = 1.0  # parsed but ignored for scoring, like the reference
 
 
 @dataclass
@@ -134,23 +139,23 @@ Node = Union[Term, Phrase, Proximity, Exact, RangeQ, BboxQ, AllDocs, And,
 
 @dataclass
 class OrderKey:
-    """One order-by key: score() or a field path, asc/desc."""
+    """One order-by key: score() or a field, asc/desc.  ``field`` is a
+    column name in flat queries, a path tuple (see RetPath) in nested ones."""
     score: bool = False
-    field: Optional[str] = None
+    field: object = None
     desc: bool = False
     default: object = None
 
 
 # ------------------------------------------------------- return clause tree
-# Mirrors the reference's Returnable family (/root/reference/src/returnable.rs)
-# reduced to the flat transcript schema: paths are single fields.
+# Mirrors the reference's Returnable family (src/returnable.rs).
 
 @dataclass
 class RetPath:
     """`.field [default=json]` — fetch a doc field
     (src/returnable.rs:295-343).
 
-    ``field`` is a plain column name in flat queries; in nested queries it
+    ``field`` is a column name in flat queries; in nested queries it
     is a PATH: a tuple of segments ``('k', key)`` / ``('i', index)`` /
     ``('*',)`` mirroring the reference's ReturnPath
     (src/returnable.rs:10-72), the empty tuple meaning the whole doc."""
@@ -214,7 +219,7 @@ class Query:
     filter: Node
     order: list[OrderKey] = dc_field(default_factory=list)
     limit: Optional[int] = None
-    # columns to return; None = default (_id columns + score); a list of
-    # plain column specs for the legacy comma form, or a RetExpr tree for
-    # object/array/aggregate returns
+    # a RetExpr tree; flat queries lower a bare ``return .field`` /
+    # ``score()`` / ``.`` (and the implicit ``return ._id``) to a
+    # one-element column list such as ``["_id"]``; None = ``["_id"]``
     returns: object = None

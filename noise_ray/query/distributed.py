@@ -39,7 +39,7 @@ import ray
 
 from . import ast
 from .engine import F32, CompiledQuery
-from .parser import parse_query, ret_leaves
+from .noise_parser import parse_query, ret_leaves
 from .reader import IndexReader
 
 _READER_CACHE: dict[tuple, object] = {}

@@ -14,7 +14,7 @@ import pyarrow as pa
 from . import ast
 from .aggregates import AGG_FINALS, AGG_IMPLS, aggregate_order_limit
 from .engine import CompiledQuery, F32
-from .parser import parse_query, ret_leaves
+from .noise_parser import parse_query, ret_leaves
 from .reader import IndexReader
 from .results import order_and_limit
 from .wand import wand_topk

@@ -27,8 +27,7 @@ from . import ast
 from .aggregates import AGG_FINALS, AGG_IMPLS, aggregate_order_limit
 from .json_engine import CompiledJsonQuery
 from .json_reader import JsonIndexReader
-from .noise_parser import parse_noise_query
-from .parser import ret_leaves
+from .noise_parser import parse_noise_query, ret_leaves
 from .results import order_and_limit
 
 _MISSING = object()

@@ -1,27 +1,39 @@
-"""Full noise query-language parser for NESTED indexes.
+"""The noise query language: one grammar for flat and nested indexes.
 
-The flat parser (parser.py) covers the transcript-schema subset; this one
-mirrors the reference grammar completely
+:class:`NoiseParser` mirrors the reference grammar completely
 (/root/reference/src/parser.rs:665-1307): keypaths built from nested
 object/array contexts, array contexts ``[...]`` (each tracking its array
 depth into the boolean operators), bind variables ``name::[...]``, the
 full return grammar (keypaths ``.a.b[0]``, array fan-out ``[]``, quoted
 keys ``.["a key"]``, bind returns, aggregates over keypaths or binds,
 literals), order clauses on keypaths, ``default=``, boosts, parameters.
+Boolean operators are right-associative with equal precedence, like the
+reference's ``obool`` (src/parser.rs:733-746): ``a || b && c`` parses as
+``Or(a, And(b, c))``.
 
-The produced AST uses keypath STRINGS for leaf fields (reference key
-shapes, e.g. ``.msgs$.text``) and carries the array-context depth on
-And/Or/Not/Bind nodes — see json_engine.py for how that drives
-(seq, arraypath)-granular evaluation.
+:func:`parse_noise_query` returns that AST as is, for nested indexes:
+leaf fields are keypath STRINGS (reference key shapes, e.g.
+``.msgs$.text``) and And/Or/Not/Bind carry the array-context depth — see
+json_engine.py for how that drives (seq, arraypath)-granular evaluation.
+
+:func:`parse_query` is the flat-index front end: the same parse, lowered
+to the flat schema (one column per top-level field).  Keypaths become
+column names, a bare ``return .field`` / ``score()`` / ``.`` becomes a
+one-element column list, and nested-only constructs (array contexts,
+binds, bounding boxes, multi-segment or indexed paths) raise
+:class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import json as _json
 
-from ..build.shred import escape_key
+from ..build.shred import escape_key, parse_kp, unescape_segment
 from . import ast
-from .parser import ParseError
+
+
+class ParseError(ValueError):
+    pass
 
 
 def seg_to_key(segs: tuple) -> str:
@@ -725,9 +737,24 @@ class NoiseParser:
         return None
 
 
-def _validate(q: ast.Query):
-    from .parser import ret_leaves
+def ret_leaves(expr) -> list:
+    """Flatten a RetExpr tree to its leaf slots, left to right."""
+    if isinstance(expr, ast.RetObject):
+        out = []
+        for _name, e in expr.items:
+            out.extend(ret_leaves(e))
+        return out
+    if isinstance(expr, ast.RetArray):
+        out = []
+        for e in expr.items:
+            out.extend(ret_leaves(e))
+        return out
+    return [expr]
 
+
+def _validate(q: ast.Query):
+    """src/query.rs:242-290: aggregates exclude ordering, and when any
+    aggregate is present every fetched leaf must be aggregated/grouped."""
     leaves = ret_leaves(q.returns)
     has_ags = any(isinstance(l, ast.RetAgg) for l in leaves)
     if not has_ags:
@@ -745,3 +772,83 @@ def _validate(q: ast.Query):
 
 def parse_noise_query(text: str, params: dict | None = None) -> ast.Query:
     return NoiseParser(text, params).parse()
+
+
+# ------------------------------------------------- flat-schema lowering
+
+_LEAVES = (ast.Term, ast.Phrase, ast.Proximity, ast.Exact, ast.RangeQ)
+
+
+def _flat_only(what: str) -> ParseError:
+    return ParseError(f"{what} not supported on a flat index (flat schema: "
+                      "one column per top-level field)")
+
+
+def _kp_column(kp: str) -> str:
+    segs = parse_kp(kp)
+    if len(segs) == 1 and segs[0][0] == ".":
+        return unescape_segment(segs[0])
+    if "$" in segs:
+        raise _flat_only("Array contexts [...] are")
+    raise _flat_only(f"Nested keypath {kp} is")
+
+
+def _path_column(segs: tuple) -> str:
+    if len(segs) == 1 and segs[0][0] == "k":
+        return segs[0][1]
+    text = "".join(f".{s[1]}" if s[0] == "k" else f"[{s[1]}]" if s[0] == "i"
+                   else "[]" for s in segs)
+    raise _flat_only(f"Path {text or '.'} is")
+
+
+def _flat_filter(node: ast.Node):
+    """Lower a freshly parsed filter tree to column names, in place."""
+    if isinstance(node, _LEAVES):
+        node.field = _kp_column(node.field)
+    elif isinstance(node, (ast.And, ast.Or, ast.Not)):
+        if node.depth:
+            raise _flat_only("Array contexts [...] are")
+        if isinstance(node, ast.And):
+            for c in node.clauses:
+                _flat_filter(c)
+        elif isinstance(node, ast.Or):
+            _flat_filter(node.left)
+            _flat_filter(node.right)
+        else:
+            node.kp = ""
+            _flat_filter(node.inner)
+    elif isinstance(node, ast.Boost):
+        _flat_filter(node.inner)
+    elif isinstance(node, ast.Bind):
+        raise _flat_only("Bind variables name::[...] are")
+    elif isinstance(node, ast.BboxQ):
+        raise _flat_only("Bounding-box && [west, south, east, north] is")
+
+
+def _flat_returns(r):
+    """A bare path or ``score()`` becomes the executor's one-element column
+    list; any other return tree keeps its shape with column-name leaves."""
+    if isinstance(r, ast.RetScore):
+        return ["score()"]
+    if isinstance(r, ast.RetPath) and r.default is None:
+        return [_path_column(r.field) if r.field else "."]
+    for leaf in ret_leaves(r):
+        if isinstance(leaf, ast.RetBind) or (isinstance(leaf, ast.RetAgg)
+                                             and leaf.bind):
+            raise _flat_only("Bind variable returns are")
+        if isinstance(leaf, (ast.RetPath, ast.RetAgg)) and \
+                leaf.field is not None:
+            leaf.field = _path_column(leaf.field)
+    return r
+
+
+def parse_query(text: str, params: dict | None = None) -> ast.Query:
+    """Parse a query for a flat index: the full grammar, lowered to
+    column names (see the module docstring)."""
+    q = NoiseParser(text, params).parse()
+    _flat_filter(q.filter)
+    for k in q.order:
+        if not k.score:
+            k.field = _path_column(k.field)
+    q.returns = _flat_returns(q.returns)
+    return q

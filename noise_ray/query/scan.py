@@ -32,7 +32,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .parser import parse_query, ret_leaves
+from .noise_parser import parse_query, ret_leaves
 from .reader import IndexReader
 from . import ast
 
@@ -51,13 +51,10 @@ def _validate_scan_query(q) -> None:
             "run_query/run_query_distributed for ordered top-k queries")
     if q.limit is not None:
         raise ValueError("index_scan has no limit; it exports every match")
-    from . import executor as ex
-
-    if isinstance(q.returns, ex._TREE_TYPES):
-        if any(isinstance(l, ast.RetAgg) for l in ret_leaves(q.returns)):
-            raise ValueError(
-                "index_scan exports stored doc fields; aggregate return "
-                "clauses go through run_query_distributed's partial folds")
+    if any(isinstance(l, ast.RetAgg) for l in ret_leaves(q.returns)):
+        raise ValueError(
+            "index_scan exports stored doc fields; aggregate return "
+            "clauses go through run_query_distributed's partial folds")
 
 
 def _docmap_schema(reader: IndexReader, columns: list[str] | None):
@@ -225,7 +222,6 @@ def json_index_scan(index_dir: str, query: str,
 
     from .json_reader import JsonIndexReader
     from .noise_parser import parse_noise_query
-    from .parser import ret_leaves
 
     q = parse_noise_query(query, params)
     if q.order or q.limit is not None:

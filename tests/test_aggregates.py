@@ -16,7 +16,7 @@ import pytest
 
 from noise_ray.build import build_index
 from noise_ray.query import IndexReader, run_query
-from noise_ray.query.parser import ParseError
+from noise_ray.query.noise_parser import ParseError
 
 
 @pytest.fixture(scope="module")

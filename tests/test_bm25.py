@@ -919,6 +919,57 @@ def test_search_batcher_propagates_errors(ray_session):
     b.close()
 
 
+def test_search_batcher_close_serves_queue_then_refuses(ray_session):
+    """close() answers every request queued before it, even when they
+    need several rounds; a later search() raises BatcherClosed at once
+    instead of blocking on the exited collector."""
+    import threading
+    import time
+
+    import pytest
+
+    from noise_ray.ops.search_server import BatcherClosed, SearchBatcher
+
+    def wait_for(cond):
+        deadline = time.monotonic() + 10
+        while not cond():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    b = SearchBatcher("/nonexistent/idx", k=5, max_batch=1, inflight=1)
+    b._sem.acquire()  # hold the only round slot: requests pile up
+    errors: list = []
+
+    def call():
+        try:
+            b.search(("merge",))
+        except Exception as e:
+            errors.append(e)
+
+    callers = [threading.Thread(target=call, daemon=True) for _ in range(4)]
+    callers[0].start()
+    # the collector took the first request and waits for the slot
+    wait_for(lambda: b._q.unfinished_tasks == 1 and b._q.qsize() == 0)
+    for t in callers[1:]:
+        t.start()
+    wait_for(lambda: b._q.qsize() == 3)
+    closer = threading.Thread(target=b.close, daemon=True)
+    closer.start()
+    wait_for(lambda: b._closed)
+    b._sem.release()
+    for t in [closer, *callers]:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(errors) == 4  # the missing index fails every round
+
+    done: list = []
+    late = threading.Thread(daemon=True, target=lambda: done.append(
+        pytest.raises(BatcherClosed, b.search, ("merge",))))
+    late.start()
+    late.join(timeout=3)
+    assert not late.is_alive() and done
+
+
 def test_msearch_replica_groups_bit_identical(ray_session, monkeypatch):
     """Serving-path replica routing (fixed fan-out width + replica
     group slices of the pool) only relocates which actor evaluates a

@@ -86,7 +86,7 @@ def test_fast_path_engages(tie_index):
     """The encoder must actually handle the common column types (no
     silent fallback): spy that a selection list is returned."""
     import noise_ray.query.executor as ex
-    from noise_ray.query.parser import parse_query
+    from noise_ray.query.noise_parser import parse_query
 
     q = parse_query('find {text: ~="common"} order .role, .ts limit 5 ;')
     compiled_docs = run_query(tie_index,

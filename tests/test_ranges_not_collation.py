@@ -117,14 +117,15 @@ def test_not_forms_agree(not_index):
 
 def test_all_not_rejected(not_index):
     """src/query.rs:222-228: a query of only negations is an error."""
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one full match"):
         run_query(not_index, 'find {text: !~="quick"};')
 
 
 def test_double_not_rejected(not_index):
-    """src/filters.rs:1051-1061."""
-    with pytest.raises(ValueError):
-        run_query(not_index, 'find {text: ~="fox"} && !(!{text: ~="quick"});')
+    """src/filters.rs:1051-1061: the query parses, the engine refuses a
+    ``!`` nested inside another ``!``."""
+    with pytest.raises(ValueError, match="nested inside of another"):
+        run_query(not_index, 'find {text: ~="fox"} && !({text: !~="quick"});')
 
 
 # ---- collation.noise: the cross-type total order ---------------------------

@@ -138,10 +138,11 @@ def test_not_flat(reader):
 
 
 def test_all_not_rejected(reader):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one full match"):
         run_query(reader, 'find {text: !~="quick"} return ._id ;')
 
 
 def test_double_not_rejected(reader):
-    with pytest.raises(ValueError):
-        run_query(reader, 'find !{text: !~="quick"} return ._id ;')
+    with pytest.raises(ValueError, match="nested inside of another"):
+        run_query(reader,
+                  'find {text: ~="quick"} && !{text: !~="brown"} return ._id ;')

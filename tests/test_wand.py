@@ -11,7 +11,7 @@ import pytest
 
 from noise_ray.query import IndexReader, run_query
 from noise_ray.query import executor as ex
-from noise_ray.query.parser import parse_query
+from noise_ray.query.noise_parser import parse_query
 
 
 @pytest.fixture(scope="module")
