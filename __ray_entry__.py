@@ -1611,7 +1611,7 @@ def oracle_sql() -> dict[str, str]:
             WITH dims AS (
                 SELECT doc_id,
                        8 * (1 + doc_id % 3) AS width,
-                       8 * (1 + (doc_id * 7) % 3) AS height
+                       8 * (1 + (doc_id * 5 + 1) % 3) AS height
                 FROM documents),
             blk AS (
                 SELECT d.doc_id, d.width, d.height,

@@ -17,6 +17,20 @@ Word-boundary segmentation here is a close UAX#29 approximation built on the
 Single_Quote characters when (and only when) followed by another letter or
 digit.  This matches the reference on every tokenizer test in
 /root/reference/src/stems.rs:66-233 (see tests/test_tokenizer.py).
+
+Three segmenters implement that one rule, and tests pin them equal:
+
+- ``_SEG_RE`` (``regex`` module, Unicode classes): any text.
+- ``_ASCII_SEG_RE`` (stdlib ``re``): the per-text fast path for ASCII
+  text; equal to ``_SEG_RE`` on every ASCII string
+  (``test_ascii_fast_path_equals_unicode_engine``).
+- ``ascii_word_tokens`` (Arrow compute, RE2): the ASCII rows of a whole
+  string column at once, as the index build runs it; returns exactly
+  ``_ASCII_SEG_RE``'s kept word runs with their row indices
+  (``test_batch_ascii_splitter_equals_per_text_segmenter``).  The build's
+  output with it equals the per-text path's
+  (``tests/test_build_invariants.py::
+  test_tokenize_batch_matches_per_term_reference``).
 """
 
 from __future__ import annotations
@@ -24,6 +38,9 @@ from __future__ import annotations
 import unicodedata
 from functools import lru_cache
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import regex as _re
 
 from .porter2 import stem as _porter2_stem
@@ -43,13 +60,41 @@ _SEG_RE = _re.compile(
 # ASCII fast path: for pure-ASCII text the Unicode classes collapse to
 # [A-Za-z0-9_] / [:'.,;] and the stdlib ``re`` engine scans ~2× faster
 # than the ``regex`` module.  Equality with _SEG_RE on every ASCII
-# string is asserted by tests/test_tokenizer.py::test_ascii_fast_path.
+# string is asserted by tests/test_tokenizer.py::
+# test_ascii_fast_path_equals_unicode_engine.
 import re as _stdre
 
 _ASCII_SEG_RE = _stdre.compile(
     r"[A-Za-z0-9_](?:[A-Za-z0-9_]|[:'.,;](?=[A-Za-z0-9_]))*|.",
     _stdre.DOTALL,
 )
+
+
+# Batch ASCII segmenter: the same kept word runs as _ASCII_SEG_RE, found
+# by RE2 over a whole Arrow string column.  Splitting on everything outside
+# [A-Za-z0-9_:'.,;] and then on runs of 2+ glue characters leaves pieces of
+# word characters joined by single glue characters; trimming glue off both
+# ends turns each piece into exactly one word run.
+_ASCII_GLUE = ":'.,;"
+
+
+def ascii_word_tokens(texts: pa.Array) -> tuple[pa.StringArray, np.ndarray]:
+    """Kept tokens of the ASCII strings in ``texts``, before normalizing.
+
+    Returns ``(tokens, rows)``: every ``_ASCII_SEG_RE`` word run that
+    passes :func:`tokenize`'s first-char-alphabetic gate, in text order,
+    and the index in ``texts`` of the row each came from.  NFKC is the
+    identity on ASCII, so ``_norm_lower_stem(tok)`` is the indexed term.
+    Every row of ``texts`` must be a non-null ASCII string.
+    """
+    pieces = pc.split_pattern_regex(texts, f"[^A-Za-z0-9_{_ASCII_GLUE}]+")
+    rows = pc.list_parent_indices(pieces)
+    pieces = pc.split_pattern_regex(pc.list_flatten(pieces),
+                                    f"[{_ASCII_GLUE}]{{2,}}")
+    rows = rows.take(pc.list_parent_indices(pieces))
+    toks = pc.utf8_trim(pc.list_flatten(pieces), characters=_ASCII_GLUE)
+    keep = pc.match_substring_regex(toks, "^[A-Za-z]")
+    return toks.filter(keep), rows.filter(keep).to_numpy()
 
 
 def word_segments(text: str):

@@ -11,9 +11,16 @@ re-expressed as ONE streaming Ray Data execution:
                            effect, and EMIT the sorted (doc_id, fields…)
                            table downstream — no write+read-back round trip.
                            Idempotent (tmp+rename), resumable per file.
-  stage 2  tokenize        actor-pool ``map_batches`` over zero-copy Arrow
+  stage 2  tokenize        task ``map_batches`` over zero-copy Arrow
                            batches → per-(field, term) PRE-COMBINED posting
-                           runs, cut into finished blocks and already
+                           runs, built as Arrow/numpy arrays end to end:
+                           ASCII rows are segmented for the whole column
+                           by RE2 (``ascii_word_tokens``) and stemmed once
+                           per distinct token; only non-ASCII rows and
+                           rows with no kept token go through the per-text
+                           ``tokenize_grouped``.  One lexsort lays the
+                           tokens out posting by posting.  The runs are
+                           cut into finished blocks and already
                            delta+varint ENCODED (ascending doc order) with
                            a shuffle key `gkey` = (term bucket, doc range).
                            Replicates src/json_shred.rs:148-203 with a
@@ -68,11 +75,13 @@ from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..analysis.tokenizer import tokenize_grouped
+from ..analysis.tokenizer import (_norm_lower_stem, ascii_word_tokens,
+                                  tokenize_grouped)
 from .codec import (encode_deltas, encode_position_lists, encode_varint,
                     varint_ends)
 from .docids import FilePlan, plan_doc_ids, sorted_key_indices
@@ -130,9 +139,6 @@ def _ingest_emit(batch: pa.Table, key_columns, docmap_dir: str,
 
 # ----------------------------------------------------------------- stage 2
 
-_BUCKET_CACHE: dict[tuple[int, str], int] = {}
-
-
 def tokenize_batch(batch: pa.Table, *, fields: tuple, num_buckets: int,
                    num_ranges: int, range_span: int,
                    range_base: int = 0, block_size: int = 4096) -> pa.Table:
@@ -156,6 +162,49 @@ def _BUCKET_CACHE_FOR(num_buckets: int) -> dict:
     return c
 
 
+def _field_tokens(col: pa.ChunkedArray, num_rows: int,
+                  term_id: dict[str, int]):
+    """One field's tokens as arrays: (row, pos, term id) per token plus the
+    field length of every row (0 for null rows).  ``term_id`` maps each
+    indexed term to its id and grows as new terms appear.
+
+    ASCII rows are segmented for the whole column at once
+    (``ascii_word_tokens``) and stemmed once per distinct token.  The other
+    rows go through the per-text ``tokenize_grouped``: non-ASCII texts,
+    and ASCII texts with no kept token (the whole-text fallback term)."""
+    col = col.combine_chunks()
+    flen = np.zeros(num_rows, np.int64)
+    if pa.types.is_null(col.type):  # all-null field: no postings
+        empty = np.zeros(0, np.int64)
+        return empty, empty, empty, flen
+    is_ascii = pc.fill_null(pc.string_is_ascii(col), False).to_numpy(
+        zero_copy_only=False)
+    ascii_rows = np.flatnonzero(is_ascii)
+    toks, rel = ascii_word_tokens(
+        col if ascii_rows.size == num_rows else col.take(ascii_rows))
+    row = ascii_rows[rel]
+    flen += np.bincount(row, minlength=num_rows)
+    pos = np.arange(row.size) - (np.cumsum(flen) - flen)[row]
+    enc = pc.dictionary_encode(toks)
+    code_tid = np.fromiter(
+        (term_id.setdefault(_norm_lower_stem(t), len(term_id))
+         for t in enc.dictionary.to_pylist()), np.int64, len(enc.dictionary))
+    tid = code_tid[enc.indices.to_numpy()]
+
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    rest = np.flatnonzero(valid & (flen == 0))
+    r_row, r_pos, r_tid = [], [], []
+    for i, text in zip(rest.tolist(), col.take(rest).to_pylist()):
+        terms, positions, flen[i] = tokenize_grouped(text)
+        for t, p in zip(terms, positions):
+            r_row.extend([i] * len(p))
+            r_pos.extend(p)
+            r_tid.extend([term_id.setdefault(t, len(term_id))] * len(p))
+    return (np.concatenate((row, np.array(r_row, np.int64))),
+            np.concatenate((pos, np.array(r_pos, np.int64))),
+            np.concatenate((tid, np.array(r_tid, np.int64))), flen)
+
+
 class TokenizeBatch:
     """Batch tokenizer with a map-side combiner.
 
@@ -169,6 +218,13 @@ class TokenizeBatch:
     segment writer can merge them by simple min_doc-ordered concatenation.
     This shrinks the wide shuffle from one row per posting to one row per
     (task, field, term) — the partial-aggregation-before-groupby pattern.
+
+    The combiner works on token arrays, never on per-posting Python
+    objects: each field yields (row, pos, term id) per token
+    (``_field_tokens``); one lexsort by (field, term), row, pos lays the
+    tokens out posting by posting; and the (field, term) runs are then
+    ordered by first occurrence — field-major, then by row and position —
+    so block rows come out in the order a per-text pass would emit them.
     """
 
     def __init__(self, fields: tuple, num_buckets: int, num_ranges: int,
@@ -192,36 +248,55 @@ class TokenizeBatch:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch.column("doc_id").to_numpy()
-        # (field, term) -> [docs, tfs, lens, flat positions]
-        acc: dict[tuple[int, str], list] = {}
-        for fi, fname in enumerate(self.fields):
-            col = batch.column(fname)
-            for i, v in enumerate(col.to_pylist()):
-                if v is None:
-                    continue  # absent field: no postings, no K/L entries
-                terms, positions, field_len = tokenize_grouped(v)
-                doc = int(doc_ids[i])
-                for t, p in zip(terms, positions):
-                    e = acc.get((fi, t))
-                    if e is None:
-                        acc[(fi, t)] = e = ([], [], [], [])
-                    e[0].append(doc)
-                    e[1].append(len(p))
-                    e[2].append(field_len)
-                    e[3].extend(p)
-        key, (docs, tfs, lens, pos) = flatten_runs(acc.values(), 4)
-        key_field = np.fromiter((fi for fi, _ in acc), np.int32, len(acc))
-        key_term = pa.array([t for _, t in acc], pa.string())
-        bucket = np.fromiter((self._bucket(t) for _, t in acc), np.int64,
-                             len(acc))
-        del acc  # free the per-key lists before the encode temporaries
+        nf = len(self.fields)
+        term_id: dict[str, int] = {}
+        parts = [_field_tokens(batch.column(f), batch.num_rows, term_id)
+                 for f in self.fields]
+        row, pos, tid = (np.concatenate([p[j] for p in parts])
+                         for j in range(3))
+        field = np.repeat(np.arange(nf), [p[0].size for p in parts])
+        field_len = np.stack([p[3] for p in parts])
+        del parts
+
+        # group tokens by (field, term), each group in (row, pos) order
+        ft = tid * nf + field
+        order = np.lexsort((pos, row, ft))
+        n = order.size
+        s_key = ft[order]
+        g_cut = np.ones(n, dtype=bool)
+        g_cut[1:] = s_key[1:] != s_key[:-1]
+        g_start = np.flatnonzero(g_cut)
+        g_len = np.diff(np.append(g_start, n))
+        # key ids = groups ranked by first occurrence: field, row, pos
+        first = order[g_start]
+        rank = np.lexsort((pos[first], row[first], field[first]))
+        g_len = g_len[rank]
+        out_start = np.cumsum(g_len) - g_len
+        order = order[np.repeat(g_start[rank] - out_start, g_len)
+                      + np.arange(n)]
+        first = first[rank]
+        key = np.repeat(np.arange(rank.size), g_len)
+
+        # one posting per (key, row): tf = its token count
+        s_row = row[order]
+        p_cut = np.ones(n, dtype=bool)
+        p_cut[1:] = (key[1:] != key[:-1]) | (s_row[1:] != s_row[:-1])
+        p_start = np.flatnonzero(p_cut)
+        p_key, p_row = key[p_start], s_row[p_start]
+        docs = doc_ids[p_row].astype(np.int64, copy=False)
+        tfs = np.diff(np.append(p_start, n))
+        lens = field_len[field[order[p_start]], p_row]
+        terms = list(term_id)
+        key_terms = [terms[t] for t in tid[first].tolist()]
+        bucket = np.fromiter((self._bucket(t) for t in key_terms), np.int64,
+                             len(key_terms))
         bounds, cols = encode_posting_blocks(
-            key, docs, tfs, lens, pos, bucket, num_ranges=self.num_ranges,
-            range_span=self.range_span, range_base=self.range_base,
-            block_size=self.block_size)
-        row_key = key[bounds[:-1]]
-        cols["field"] = pa.array(key_field[row_key])
-        cols["term"] = key_term.take(row_key)
+            p_key, docs, tfs, lens, pos[order], bucket,
+            num_ranges=self.num_ranges, range_span=self.range_span,
+            range_base=self.range_base, block_size=self.block_size)
+        row_key = p_key[bounds[:-1]]
+        cols["field"] = pa.array(field[first].astype(np.int32)[row_key])
+        cols["term"] = pa.array(key_terms, pa.string()).take(row_key)
         return pa.table({c: cols[c] for c in (
             "gkey", "field", "term", "min_doc", "max_doc", "cnt", "c_block",
             "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens", "pos")})

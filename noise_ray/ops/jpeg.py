@@ -620,12 +620,12 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
 
 def synth_image(doc_id: int) -> np.ndarray:
     """Deterministic 8x8-block-constant RGB image for doc_id: dims
-    8*(1 + doc_id % 3) x 8*(1 + (doc_id * 7) % 3) (w x h), block
+    8*(1 + doc_id % 3) x 8*(1 + (doc_id * 5 + 1) % 3) (w x h), block
     (bx, by) colored r = (doc_id*31 + by*17 + bx*5) % 256, g = r+11
     mod 256, b = r+22 mod 256 — closed-form for the SQL oracle, and
     exactly round-trippable through the unit-quant codec."""
     w = 8 * (1 + doc_id % 3)
-    h = 8 * (1 + (doc_id * 7) % 3)
+    h = 8 * (1 + (doc_id * 5 + 1) % 3)
     by, bx = np.meshgrid(np.arange(h // 8), np.arange(w // 8),
                          indexing="ij")
     r = (doc_id * 31 + by * 17 + bx * 5) % 256

@@ -230,13 +230,30 @@ def test_tokenize_batch_matches_per_term_reference(
     batch = pa.table({
         "doc_id": pa.array(np.arange(range_base, range_base + n), pa.int64()),
         "role": roles, "text": texts, "tool": tools})
-    kw = dict(fields=("role", "text", "tool"), num_buckets=8,
-              num_ranges=num_ranges, range_span=range_span,
-              range_base=range_base, block_size=block_size)
-    got = tokenize_batch(batch, **kw)
-    want = _reference_posting_blocks(batch, kw["fields"], 8, num_ranges,
-                                     range_span, range_base, block_size)
-    assert got.num_rows == want.num_rows > 0
-    assert got.equals(want)
-    empty = tokenize_batch(batch.slice(0, 0), **kw)
-    assert empty.equals(want.slice(0, 0))
+
+    # segmentation edge cases for the batch ASCII splitter, ASCII and
+    # non-ASCII rows interleaved, an all-null (null-typed) field, and a
+    # field whose every row takes the whole-text fallback
+    edge = ["a..b", "'tis", "9abc _x x9", "a.;b", "dog.", "tab\tdog\tcat",
+            "two\nlines dog.\r\n", "naïve cafés", "dog’s bone", "ﬁne dog",
+            "™ mark", None, "cat, dog; x:y", "日本語 dog", ""]
+    fallback = ["", "42", "!!", "...", "9_9", "½", None, "١٢٣", " \t"]
+    m = 2 * len(edge)
+    edge_batch = pa.table({
+        "doc_id": pa.array(np.arange(range_base, range_base + m), pa.int64()),
+        "text": [edge[i % len(edge)] for i in range(m)],
+        "none": pa.nulls(m),
+        "fallback": [fallback[i % len(fallback)] for i in range(m)]})
+
+    for b, fields in ((batch, ("role", "text", "tool")),
+                      (edge_batch, ("text", "none", "fallback"))):
+        kw = dict(fields=fields, num_buckets=8, num_ranges=num_ranges,
+                  range_span=range_span, range_base=range_base,
+                  block_size=block_size)
+        got = tokenize_batch(b, **kw)
+        want = _reference_posting_blocks(b, fields, 8, num_ranges,
+                                         range_span, range_base, block_size)
+        assert got.num_rows == want.num_rows > 0
+        assert got.equals(want)
+        empty = tokenize_batch(b.slice(0, 0), **kw)
+        assert empty.equals(want.slice(0, 0))

@@ -222,7 +222,10 @@ def test_dc_category_above_baseline_max_raises():
 def test_synth_image_matches_closed_form():
     img = synth_image(17)
     h, w, _ = img.shape
-    assert (w, h) == (8 * (1 + 17 % 3), 8 * (1 + (17 * 7) % 3))
+    assert (w, h) == (8 * (1 + 17 % 3), 8 * (1 + (17 * 5 + 1) % 3))
+    # the two dims vary independently: non-square images occur
+    assert any(synth_image(d).shape[0] != synth_image(d).shape[1]
+               for d in range(9))
     # pixel (y=9, x=2) lives in block (by=1, bx=0)
     assert img[9, 2, 0] == (17 * 31 + 1 * 17 + 0 * 5) % 256
     assert img[9, 2, 1] == (17 * 31 + 1 * 17 + 0 * 5 + 11) % 256

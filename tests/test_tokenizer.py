@@ -93,20 +93,42 @@ def test_porter2_known_stems():
         assert stem(word) == expected, f"{word} -> {stem(word)} != {expected}"
 
 
-def test_ascii_fast_path_equals_unicode_engine():
-    # the stdlib-re ASCII segmenter must match the regex-module Unicode
-    # segmenter on every ASCII string (tokenize dispatches on isascii())
+def _ascii_samples():
     import random
     import string
 
-    from noise_ray.analysis.tokenizer import _ASCII_SEG_RE, _SEG_RE
-
     rng = random.Random(42)
     pool = string.printable
-    samples = ["", "a", "don't", "a.b,c;d:e", "x_1.y'z", "...", "a..b",
-               "hello world", "3.14 and 2,718"] + [
+    return ["", "a", "don't", "a.b,c;d:e", "x_1.y'z", "...", "a..b",
+            "hello world", "3.14 and 2,718", "'tis", "9abc _x x9", "a.;b",
+            "dog.", "tab\tsep\tx", "two\nlines\r\n", " \t\n"] + [
         "".join(rng.choice(pool) for _ in range(rng.randint(0, 80)))
         for _ in range(5000)
     ]
-    for s in samples:
+
+
+def test_ascii_fast_path_equals_unicode_engine():
+    # the stdlib-re ASCII segmenter must match the regex-module Unicode
+    # segmenter on every ASCII string (tokenize dispatches on isascii())
+    from noise_ray.analysis.tokenizer import _ASCII_SEG_RE, _SEG_RE
+
+    for s in _ascii_samples():
         assert _ASCII_SEG_RE.findall(s) == _SEG_RE.findall(s), repr(s)
+
+
+def test_batch_ascii_splitter_equals_per_text_segmenter():
+    # the RE2 batch splitter the build runs over ASCII rows must keep
+    # exactly tokenize's kept word runs, each tagged with its row
+    import pyarrow as pa
+
+    from noise_ray.analysis.tokenizer import (_ASCII_SEG_RE,
+                                              ascii_word_tokens)
+
+    samples = _ascii_samples()
+    toks, rows = ascii_word_tokens(pa.array(samples, pa.string()))
+    assert isinstance(toks, pa.StringArray)
+    want = [(i, seg) for i, s in enumerate(samples)
+            for seg in _ASCII_SEG_RE.findall(s) if seg[0].isalpha()]
+    assert list(zip(rows.tolist(), toks.to_pylist())) == want
+    empty_toks, empty_rows = ascii_word_tokens(pa.array([], pa.string()))
+    assert len(empty_toks) == 0 and empty_rows.size == 0
