@@ -150,9 +150,12 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     equivalent epoch WITHOUT re-tokenizing anything.
 
     Epoch doc ids are append-ordered and never change, so a term's
-    merged posting rows are exactly the source epochs' rows re-sorted by
-    (field, term, min_doc) — encoded payload bytes untouched; per-bucket
-    stats fold by (field, term) sums; docmap partitions are copied.
+    merged posting rows are exactly the source epochs' rows: each
+    bucket's rows go through the build's segment writer
+    (``pipeline.write_segment_group``), which re-sorts them by (field,
+    term, min_doc) with encoded payload bytes untouched and recomputes
+    the bucket's stats (and its segment / stats metadata) from the block
+    rows — no stats file is read.  Docmap partitions are copied.
     Query results are bit-identical before/after (the reader sees the
     same postings, stats totals, ids and tombstones; only the number of
     per-term segment lookups shrinks from k epochs to one).
@@ -167,16 +170,17 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     merge leaves an invisible unpublished dir that the next call wipes.
 
     Scale shape: one Ray Data fan-out with a task per bucket (each task
-    reads only its bucket's segment/stats files across the source epochs
-    and writes the merged pair); the driver handles only manifests and
-    the docmap file copies.  Returns the merged manifest, or None when
+    reads only its bucket's segment files across the source epochs and
+    writes the merged pair); the calling process handles only manifests
+    and the docmap file copies.  Returns the merged manifest, or None when
     fewer than two epochs would merge."""
     import shutil
     import uuid
 
     import ray.data as rd
 
-    from .pipeline import _atomic_write_table
+    from .pipeline import (FLAT_ROW_GROUP, NESTED_ROW_GROUP,
+                           write_segment_group)
 
     edir = os.path.join(index_dir, "epochs")
     # GC superseded dirs a crashed earlier merge left behind
@@ -214,16 +218,12 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     num_buckets = int(m0["num_buckets"])
+    row_group_size = NESTED_ROW_GROUP if m0.get("nested") else FLAT_ROW_GROUP
     seg_by_bucket: dict[int, list[str]] = {b: [] for b in range(num_buckets)}
-    stats_by_bucket: dict[int, list[str]] = {b: []
-                                             for b in range(num_buckets)}
     for ed, m in zip(eds, manifests):
         nr = int(m["num_ranges"])
         for s in m["segments"]:
             seg_by_bucket[int(s["gkey"]) // nr].append(
-                os.path.join(ed, s["path"]))
-        for s in m["stats"]:
-            stats_by_bucket[int(s["bucket"])].append(
                 os.path.join(ed, s["path"]))
 
     def merge_bucket(batch: pa.Table) -> pa.Table:
@@ -232,27 +232,14 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
             segs = seg_by_bucket[bucket]
             if not segs:
                 continue
-            merged = pa.concat_tables([pq.read_table(p) for p in segs])
-            merged = merged.sort_by([("field", "ascending"),
-                                     ("term", "ascending"),
-                                     ("min_doc", "ascending")])
             seg_rel = f"segments/seg-{bucket:08d}.parquet"
             stats_rel = f"stats/stats-{bucket:08d}.parquet"
-            st = pa.concat_tables(
-                [pq.read_table(p) for p in stats_by_bucket[bucket]])
-            st = (st.group_by(["field", "term"])
-                  .aggregate([("c", "sum"), ("k", "sum")])
-                  .rename_columns(["field", "term", "c", "k"])
-                  .sort_by([("field", "ascending"), ("term", "ascending")]))
-            # commit order mirrors the build: stats first, segment last
-            _atomic_write_table(st, os.path.join(out_dir, stats_rel),
-                                row_group_size=8192)
-            _atomic_write_table(merged, os.path.join(out_dir, seg_rel),
-                                row_group_size=64)
+            postings, _ = write_segment_group(
+                pa.concat_tables([pq.read_table(p) for p in segs]), bucket,
+                os.path.join(out_dir, seg_rel),
+                os.path.join(out_dir, stats_rel), row_group_size)
             outs.append({"bucket": bucket, "seg": seg_rel,
-                         "stats": stats_rel,
-                         "postings": int(merged.column("cnt")
-                                         .to_numpy().sum())})
+                         "stats": stats_rel, "postings": postings})
         return pa.Table.from_pylist(outs) if outs else pa.table(
             {"bucket": pa.array([], pa.int64()),
              "seg": pa.array([], pa.string()),

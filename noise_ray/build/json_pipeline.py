@@ -29,13 +29,21 @@ the reference's monotonically increasing seq on add — there is no sort
 key for arbitrary JSON.  The pipeline is one streaming execution with
 the same map-side combiner, gkey = (hash(kp, term) bucket × doc range)
 shuffle, idempotent tmp+rename writes and committed-group resume as the
-flat build.
+flat build.  Only stages 1+2 (``ShredTokenize``) are nested-specific:
+stage 3 and the build's closing steps (committed-group scan, ack
+assembly, manifest publish) are the flat build's own, and segment groups go
+through the one writer ``pipeline.write_segment_group`` with the nested
+row-group size — its keypath ``field`` strings and the extra ``aps`` /
+``depth`` columns pass through it like any other payload column.  The
+``local`` build sorts the block rows by gkey once and writes the groups
+in-process.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 import zlib
 from itertools import chain
 from typing import Any
@@ -50,8 +58,9 @@ from ..analysis.tokenizer import tokenize_grouped
 from .arrow_shred import accumulate_postings, shred_table_fast
 from .codec import encode_varint
 from .pipeline import (
-    MANIFEST_NAME, _ack, _atomic_write_table, _binary_rows, _seg_path,
-    _stats_path, encode_posting_blocks, flatten_runs, read_group_meta,
+    NESTED_ROW_GROUP, _atomic_write_table, _binary_rows, _committed_gkeys,
+    _group_entries, _one_row_blocks, _publish_manifest, _write_groups,
+    encode_posting_blocks, flatten_runs,
 )
 from .shred import shred
 
@@ -433,77 +442,6 @@ class ShredTokenize:
             "c_block", "max_tf_norm", "docs", "aps", "tfs", "lens", "pos")})
 
 
-# ----------------------------------------------------------------- stage 3
-
-def _write_segment_group_json(group: pa.Table, seg_dir: str,
-                              stats_dir: str) -> pa.Table:
-    """Nested-mode segment writer: identical passthrough design to the
-    flat ``_write_segment_group`` but ``field`` is a keypath string and
-    blocks carry ``aps``/``depth``."""
-    gkey = int(group.column("gkey")[0].as_py())
-    out_path = _seg_path(seg_dir, gkey)
-    stats_path = _stats_path(stats_dir, gkey)
-    if os.path.exists(out_path) and os.path.exists(stats_path):
-        meta = read_group_meta(stats_path)
-        return _ack(gkey, out_path, stats_path, meta["postings"],
-                    meta["field_k"])
-
-    r_field = group.column("field").to_numpy(zero_copy_only=False)
-    r_term = group.column("term").to_numpy(zero_copy_only=False)
-    r_min = group.column("min_doc").to_numpy()
-    _, f_codes = np.unique(r_field, return_inverse=True)
-    _, t_codes = np.unique(r_term, return_inverse=True)
-    order = np.lexsort((r_min, t_codes, f_codes))
-    ordered = group.take(pa.array(order))
-
-    s_field = r_field[order]
-    s_term = r_term[order]
-    s_cnt = group.column("cnt").to_numpy()[order].astype(np.int64)
-    s_cblk = group.column("c_block").to_numpy()[order]
-    n = len(order)
-    if n:
-        new_term = np.empty(n, dtype=bool)
-        new_term[0] = True
-        new_term[1:] = (s_field[1:] != s_field[:-1]) | (s_term[1:] != s_term[:-1])
-        t_starts = np.flatnonzero(new_term)
-        stat_c = np.add.reduceat(s_cblk, t_starts)
-        stat_k = np.add.reduceat(s_cnt, t_starts)
-        field_k: dict[str, int] = {}
-        for kp in np.unique(s_field):
-            field_k[str(kp)] = int(s_cnt[s_field == kp].sum())
-        stats = pa.table({
-            "field": pa.array(s_field[t_starts].tolist(), pa.string()),
-            "term": pa.array(s_term[t_starts].tolist(), pa.string()),
-            "c": pa.array(stat_c.astype(np.int64)),
-            "k": pa.array(stat_k.astype(np.int64)),
-        })
-        postings_total = int(s_cnt.sum())
-    else:
-        field_k = {}
-        stats = pa.table({
-            "field": pa.array([], pa.string()),
-            "term": pa.array([], pa.string()),
-            "c": pa.array([], pa.int64()),
-            "k": pa.array([], pa.int64()),
-        })
-        postings_total = 0
-    stats = stats.replace_schema_metadata({
-        "noise_gkey": str(gkey),
-        "noise_postings": str(postings_total),
-        "noise_field_k": json.dumps(field_k, sort_keys=True),
-    })
-    seg = ordered.select(["field", "term", "depth", "min_doc", "max_doc",
-                          "cnt", "c_block", "max_tf_norm", "docs", "aps",
-                          "tfs", "lens", "pos"]).rename_columns(
-        ["field", "term", "depth", "min_doc", "max_doc", "cnt", "c_block",
-         "max_tf_norm", "docs", "aps", "tfs", "lens", "positions"])
-    seg = seg.replace_schema_metadata(
-        {"noise_gkey": str(gkey), "noise_postings": str(postings_total)})
-    _atomic_write_table(stats, stats_path, row_group_size=8192)
-    _atomic_write_table(seg, out_path)
-    return _ack(gkey, out_path, stats_path, postings_total, field_k)
-
-
 # ------------------------------------------------------------------ driver
 
 def build_json_index(
@@ -527,9 +465,7 @@ def build_json_index(
     the REPL path, where a transcript re-indexes a handful of documents
     between statements and a distributed execution would be all overhead.
     Defaults to local under 5_000 docs."""
-    import time as _time
-
-    t_build_start = _time.time()
+    t_build_start = time.time()
     docmap_dir = os.path.join(index_dir, "docmap")
     values_dir = os.path.join(index_dir, "values")
     seg_dir = os.path.join(index_dir, "segments")
@@ -566,15 +502,7 @@ def build_json_index(
     if num_buckets is None:
         num_buckets = max(32, min(4096, -(-max(num_docs, 1) // 200_000)))
 
-    done_gkeys = frozenset(
-        g for g in (
-            int(f.split("-")[1].split(".")[0])
-            for f in os.listdir(seg_dir)
-            if f.startswith("seg-") and f.endswith(".parquet")
-        )
-        if os.path.exists(_stats_path(stats_dir, g))
-    )
-
+    done_gkeys = _committed_gkeys(seg_dir, stats_dir)
     num_tasks = max(1, min(len(input_paths),
                            -(-max(num_docs, 1) // docs_per_ingest_task)))
     plan_rows = [
@@ -586,66 +514,15 @@ def build_json_index(
                              block_size, fast=fast)
     if local is None:
         local = num_docs < 5_000
-    if local:
-        plan = pa.table({
-            "path": pa.array([r["path"] for r in plan_rows]),
-            "offset": pa.array([r["offset"] for r in plan_rows], pa.int64()),
-            "rows": pa.array([r["rows"] for r in plan_rows], pa.int64()),
-            "seq": pa.array([r["seq"] for r in plan_rows], pa.int64()),
-        })
-        blocks = shredder(plan)
-        gkeys = blocks.column("gkey").to_numpy()
-        acks = []
-        for g in np.unique(gkeys):
-            if int(g) in done_gkeys:
-                continue
-            grp = blocks.filter(pa.array(gkeys == g))
-            ack = _write_segment_group_json(grp, seg_dir, stats_dir)
-            acks.append(ack.to_pylist()[0])
-    else:
-        ctx = ray.data.DataContext.get_current()
-        prev_min_block = ctx.target_min_block_size
-        ctx.target_min_block_size = 1
-        postings = (
-            ray.data.from_items(plan_rows, override_num_blocks=num_tasks)
-            .map_batches(shredder, batch_format="pyarrow")
-        )
-        if done_gkeys:
-
-            def _drop_done(batch: pa.Table) -> pa.Table:
-                mask = np.isin(batch.column("gkey").to_numpy(),
-                               np.fromiter(done_gkeys, dtype=np.int64),
-                               invert=True)
-                return batch.filter(pa.array(mask))
-
-            postings = postings.map_batches(_drop_done,
-                                            batch_format="pyarrow")
-
-        try:
-            acks = (
-                postings.groupby("gkey")
-                .map_groups(_write_segment_group_json,
-                            batch_format="pyarrow",
-                            fn_kwargs={"seg_dir": seg_dir,
-                                       "stats_dir": stats_dir})
-                .take_all()
-            )
-        finally:
-            ctx.target_min_block_size = prev_min_block
-
-    by_gkey = {int(a["gkey"]): a for a in acks}
-    for g in done_gkeys:
-        if g not in by_gkey:
-            meta = read_group_meta(_stats_path(stats_dir, g))
-            by_gkey[g] = {"gkey": g, "path": _seg_path(seg_dir, g),
-                          "stats_path": _stats_path(stats_dir, g),
-                          "postings": meta["postings"],
-                          "field_k": json.dumps(meta["field_k"])}
-
-    field_k: dict[str, int] = {}
-    for a in by_gkey.values():
-        for f, k in json.loads(a["field_k"]).items():
-            field_k[f] = field_k.get(f, 0) + int(k)
+    with _one_row_blocks():
+        blocks = (shredder(pa.Table.from_pylist(plan_rows)) if local
+                  else ray.data.from_items(plan_rows,
+                                           override_num_blocks=num_tasks)
+                  .map_batches(shredder, batch_format="pyarrow"))
+        acks = _write_groups(blocks, seg_dir, stats_dir, NESTED_ROW_GROUP,
+                             done_gkeys)
+    field_k, segments, stats = _group_entries(acks, done_gkeys, seg_dir,
+                                              stats_dir, num_ranges, str)
 
     manifest = {
         "version": 1,
@@ -659,7 +536,7 @@ def build_json_index(
         "num_ranges": num_ranges,
         "range_span": range_span,
         "block_size": block_size,
-        "field_k": {k: v for k, v in sorted(field_k.items())},
+        "field_k": field_k,
         "docmap": [
             {"path": os.path.join(docmap_dir, f"docmap-{i:05d}.parquet"),
              "rows": r, "min_doc": o, "max_doc": o + r - 1}
@@ -670,37 +547,20 @@ def build_json_index(
              "min_doc": o, "max_doc": o + r - 1}
             for i, (o, r) in enumerate(zip(offsets, rows_per))
         ],
-        "segments": [
-            {"gkey": g, "path": a["path"], "postings": int(a["postings"])}
-            for g, a in sorted(by_gkey.items())
-        ],
-        "stats": [
-            {"gkey": g, "bucket": g // num_ranges, "path": a["stats_path"]}
-            for g, a in sorted(by_gkey.items())
-        ],
+        "segments": segments,
+        "stats": stats,
         # build metrics next to the lineage (north-rule: resumable from
         # checkpoint with per-partition lineage + metrics)
         "metrics": {
-            "build_wall_sec": round(_time.time() - t_build_start, 3),
+            "build_wall_sec": round(time.time() - t_build_start, 3),
             "docs_per_sec": round(
-                num_docs / max(_time.time() - t_build_start, 1e-9), 1),
+                num_docs / max(time.time() - t_build_start, 1e-9), 1),
             "ingest_tasks": len(input_paths),
-            "segment_groups": len(by_gkey),
+            "segment_groups": len(segments),
             "resumed_groups": len(done_gkeys),
-            "total_postings": int(sum(int(a["postings"])
-                                      for a in by_gkey.values())),
+            "total_postings": sum(e["postings"] for e in segments),
             "local": bool(local),
         },
     }
-    disk = json.loads(json.dumps(manifest))
-    for part in ("docmap", "values", "segments", "stats"):
-        for e in disk[part]:
-            e["path"] = os.path.relpath(e["path"], index_dir)
-    import uuid as _uuid
-
-    tmp = os.path.join(index_dir,
-                       f".{MANIFEST_NAME}.tmp-{_uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        json.dump(disk, f, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
+    _publish_manifest(manifest, index_dir)
     return manifest

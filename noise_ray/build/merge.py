@@ -37,6 +37,16 @@ re-running a crashed merge resumes), and the manifest commits atomically
 last, the same checkpoint discipline as build_index.  Sources must be
 epoch-free (compact first; epochs are a *mutation* log, merge is for
 sealed indexes).
+
+The inverse, ``split_index`` / ``split_json_index``, is one function
+(``_split``) for both engines: one task per (bucket, split) decodes the
+bucket's blocks masked to the split's doc range (nested blocks also mask
+their arraypath stream), rebases and re-encodes them — cut points land
+inside blocks — and hands the rows, in the source segment schema, to the
+build's one segment writer (``pipeline.write_segment_group``), which
+recomputes the term stats and writes the engine's row-group size.  Docmap
+and values partitions filter + rebase; resumes read the committed
+group's ``read_group_meta``.
 """
 
 from __future__ import annotations
@@ -49,8 +59,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .codec import decode_varint, encode_varint
-from .pipeline import MANIFEST_NAME
+from .codec import (decode_position_lists, decode_varint, encode_deltas,
+                    encode_position_lists, encode_varint)
+from .pipeline import (FLAT_ROW_GROUP, MANIFEST_NAME, NESTED_ROW_GROUP,
+                       read_group_meta, write_segment_group)
 
 
 def _shift_first_varint(buf, offset: int) -> bytes:
@@ -247,392 +259,85 @@ def _merge(src_dirs: list[str], out_dir: str, nested: bool) -> dict:
 
 
 def _split_bucket(src_dir: str, man: dict, bucket: int, lo: int, hi: int,
-                  out_seg: str, out_stats: str) -> dict:
+                  out_seg: str, out_stats: str) -> tuple[int, dict]:
     """One (bucket, split) task: decode the bucket's posting blocks
-    masked to [lo, hi), rebase doc ids to 0, re-encode, and recompute
-    block metadata + the bucket's term stats from the kept entries.
-    Returns {"postings": int, "field_k": {fid: Σcnt}} (empty files are
-    not written)."""
-    from .codec import (decode_position_lists, decode_varint,
-                        encode_deltas, encode_position_lists,
-                        encode_varint)
-
+    masked to [lo, hi), rebase doc ids to 0, re-encode, recompute the
+    block metadata from the kept entries and hand the rows, in the source
+    schema, to the build's segment writer (which recomputes the term
+    stats).  Nested blocks also mask their arraypath stream (cnt × depth
+    plain varints, no doc dependency).  Returns (postings, field_k);
+    empty splits write no files."""
+    nested = bool(man.get("nested"))
     nr = int(man["num_ranges"])
     seg_by_gkey = {s["gkey"]: s["path"] for s in man["segments"]}
-    cols = ["field", "term", "cnt", "docs", "tfs", "lens", "positions"]
-    rows: dict[str, list] = {c: [] for c in (
-        "field", "term", "min_doc", "max_doc", "cnt", "c_block",
-        "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens",
-        "positions")}
     filters = [("max_doc", ">=", lo), ("min_doc", "<", hi)]
-    for rng in range(nr):
-        path = seg_by_gkey.get(bucket * nr + rng)
-        if path is None:
+    parts = [pq.read_table(os.path.join(src_dir, seg_by_gkey[g]),
+                           filters=filters)
+             for g in range(bucket * nr, (bucket + 1) * nr)
+             if g in seg_by_gkey]
+    if not parts:
+        return 0, {}
+    t = pa.concat_tables(parts)
+    cols: dict[str, list] = {c: [] for c in (
+        "min_doc", "max_doc", "cnt", "c_block", "max_tf_norm", "max_tf",
+        "min_len", "docs", "aps", "tfs", "lens", "positions")}
+    kept = []
+    for i, r in enumerate(t.select(
+            ["cnt", "docs", "tfs", "lens", "positions"]
+            + (["depth", "aps"] if nested else [])).to_pylist()):
+        cnt = r["cnt"]
+        docs = np.cumsum(decode_varint(r["docs"], cnt).astype(np.int64))
+        keep = (docs >= lo) & (docs < hi)
+        if not keep.any():
             continue
-        t = pq.read_table(os.path.join(src_dir, path), columns=cols,
-                          filters=filters)
-        for i in range(t.num_rows):
-            cnt = int(t.column("cnt")[i].as_py())
-            docs = np.cumsum(decode_varint(
-                t.column("docs")[i].as_py(), cnt).astype(np.int64))
-            keep = (docs >= lo) & (docs < hi)
-            if not keep.any():
-                continue
-            tfs = decode_varint(t.column("tfs")[i].as_py(),
-                                cnt).astype(np.int64)
-            lens = decode_varint(t.column("lens")[i].as_py(),
-                                 cnt).astype(np.int64)
-            pos = decode_position_lists(t.column("positions")[i].as_py(),
-                                        tfs)
-            pos_ends = np.cumsum(tfs)
-            pkeep = np.zeros(pos.size, bool)
-            for j in np.flatnonzero(keep):
-                pkeep[(pos_ends[j] - tfs[j]):pos_ends[j]] = True
-            docs, tfs, lens = docs[keep] - lo, tfs[keep], lens[keep]
-            rows["field"].append(int(t.column("field")[i].as_py()))
-            rows["term"].append(t.column("term")[i].as_py())
-            rows["min_doc"].append(int(docs[0]))
-            rows["max_doc"].append(int(docs[-1]))
-            rows["cnt"].append(int(docs.size))
-            rows["c_block"].append(int(tfs.sum()))
-            tf_norm = (np.sqrt(tfs.astype(np.float32))
-                       / np.sqrt(lens.astype(np.float32)))
-            rows["max_tf_norm"].append(float(tf_norm.max()))
-            rows["max_tf"].append(int(tfs.max()))
-            rows["min_len"].append(int(lens.min()))
-            rows["docs"].append(encode_deltas(docs))
-            rows["tfs"].append(encode_varint(tfs))
-            rows["lens"].append(encode_varint(lens))
-            rows["positions"].append(
-                encode_position_lists(pos[pkeep], tfs))
-    if not rows["field"]:
-        return {"postings": 0, "field_k": {}}
-    fld = np.asarray(rows["field"], np.int64)
-    trm = np.asarray(rows["term"], object)
-    mnd = np.asarray(rows["min_doc"], np.int64)
-    order = np.lexsort((mnd, trm, fld))
-    seg = pa.table({
-        "field": pa.array(fld[order].astype(np.int32)),
-        "term": pa.array(trm[order].tolist(), pa.string()),
-        "min_doc": pa.array(mnd[order], pa.int64()),
-        "max_doc": pa.array(np.asarray(rows["max_doc"])[order], pa.int64()),
-        "cnt": pa.array(np.asarray(rows["cnt"])[order].astype(np.int32)),
-        "c_block": pa.array(np.asarray(rows["c_block"])[order], pa.int64()),
-        "max_tf_norm": pa.array(
-            np.asarray(rows["max_tf_norm"], np.float32)[order]),
-        "max_tf": pa.array(np.asarray(rows["max_tf"])[order], pa.int64()),
-        "min_len": pa.array(np.asarray(rows["min_len"])[order], pa.int64()),
-        "docs": pa.array(np.asarray(rows["docs"], object)[order].tolist(),
-                         pa.binary()),
-        "tfs": pa.array(np.asarray(rows["tfs"], object)[order].tolist(),
-                        pa.binary()),
-        "lens": pa.array(np.asarray(rows["lens"], object)[order].tolist(),
-                         pa.binary()),
-        "positions": pa.array(
-            np.asarray(rows["positions"], object)[order].tolist(),
-            pa.binary()),
-    })
-    # term stats from the kept entries: c = Σ tf, k = Σ postings
-    sf, st_ = fld[order], trm[order]
-    new = np.ones(sf.size, bool)
-    new[1:] = (sf[1:] != sf[:-1]) | (st_[1:] != st_[:-1])
-    starts = np.flatnonzero(new)
-    c_arr = np.add.reduceat(np.asarray(rows["c_block"])[order], starts)
-    k_arr = np.add.reduceat(np.asarray(rows["cnt"])[order], starts)
-    stats = pa.table({
-        "field": pa.array(sf[starts].astype(np.int32)),
-        "term": pa.array(st_[starts].tolist(), pa.string()),
-        "c": pa.array(c_arr.astype(np.int64)),
-        "k": pa.array(k_arr.astype(np.int64)),
-    })
-    field_k = {str(int(fi)): int(np.asarray(rows["cnt"])[fld == fi].sum())
-               for fi in np.unique(fld)}
-    stats = stats.replace_schema_metadata(
-        {"noise_gkey": str(bucket), "noise_postings": str(int(k_arr.sum())),
-         "noise_field_k": json.dumps(field_k, sort_keys=True)})
-    pq.write_table(seg, out_seg + ".tmp")
-    os.replace(out_seg + ".tmp", out_seg)
-    pq.write_table(stats, out_stats + ".tmp")
-    os.replace(out_stats + ".tmp", out_stats)
-    return {"postings": int(k_arr.sum()), "field_k": field_k}
+        kept.append(i)
+        tfs = decode_varint(r["tfs"], cnt).astype(np.int64)
+        lens = decode_varint(r["lens"], cnt).astype(np.int64)
+        pos = decode_position_lists(r["positions"], tfs)[np.repeat(keep, tfs)]
+        docs, tfs, lens = docs[keep] - lo, tfs[keep], lens[keep]
+        tf_norm = (np.sqrt(tfs.astype(np.float32))
+                   / np.sqrt(lens.astype(np.float32)))
+        for c, v in (("min_doc", docs[0]), ("max_doc", docs[-1]),
+                     ("cnt", docs.size), ("c_block", tfs.sum()),
+                     ("max_tf_norm", tf_norm.max()), ("max_tf", tfs.max()),
+                     ("min_len", lens.min()), ("docs", encode_deltas(docs)),
+                     ("tfs", encode_varint(tfs)),
+                     ("lens", encode_varint(lens)),
+                     ("positions", encode_position_lists(pos, tfs))):
+            cols[c].append(v)
+        if nested:
+            aps = decode_varint(r["aps"], cnt * r["depth"]).astype(np.int64)
+            cols["aps"].append(
+                encode_varint(aps.reshape(cnt, r["depth"])[keep].ravel()))
+    if not kept:
+        return 0, {}
+    t = t.take(pa.array(kept))
+    for c, v in cols.items():
+        if c in t.column_names:
+            f = t.schema.field(c)
+            t = t.set_column(t.schema.get_field_index(c), f,
+                             pa.array(v, f.type))
+    return write_segment_group(
+        t, bucket, out_seg, out_stats,
+        NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP)
 
 
-def split_index(src_dir: str, out_dirs: list[str],
-                cuts: list[int] | None = None) -> list[dict]:
-    """The merge's inverse: physically repartition a sealed FLAT index
-    into ``len(out_dirs)`` doc-range splits, each a standalone index
-    rebased to doc ids 0..nⱼ — WITHOUT re-tokenizing.  Posting blocks
-    decode→mask→re-encode (the only op that must re-encode: cut points
-    land inside blocks), block WAND metadata (max_tf_norm/max_tf/
-    min_len, corpus-independent) and the term stats (c = Σ tf,
-    k = Σ postings, field_k) recompute EXACTLY from the kept entries,
-    and docmap partitions rewrite filtered + rebased.  merge + split =
-    shard rebalancing for sealed indexes at any layout.  One Ray task
-    per (bucket, split) and per docmap slice; resumable (skip-if-
-    present, manifests commit last).  Returns the split manifests."""
-    import ray.data
-
-    from .incremental import _epoch_dirs
-
-    if _epoch_dirs(src_dir):
-        raise ValueError("compact before split")
-    with open(os.path.join(src_dir, MANIFEST_NAME)) as f:
-        man = json.load(f)
-    if man.get("nested"):
-        raise ValueError("split_index is flat-only")
-    n_docs = int(man.get("doc_id_offset", 0)) + int(man["num_docs"])
-    n = len(out_dirs)
-    if cuts is None:
-        cuts = [round(j * n_docs / n) for j in range(n + 1)]
-    if len(cuts) != n + 1 or cuts[0] != 0 or cuts[-1] != n_docs:
-        raise ValueError("cuts must be [0, ..., num_docs]")
-
-    for d in out_dirs:
-        for part in ("docmap", "segments", "stats"):
-            os.makedirs(os.path.join(d, part), exist_ok=True)
-
-    nb = int(man["num_buckets"])
-    items = [{"kind": "bucket", "bucket": b, "j": j, "src": "",
-              "name": ""}
-             for b in range(nb) for j in range(n)]  # key order == dm_items
-    dm_items = []
-    for j in range(n):
-        lo, hi = cuts[j], cuts[j + 1]
-        for e in man["docmap"]:
-            if e["max_doc"] < lo or e["min_doc"] >= hi:
-                continue
-            dm_items.append({"kind": "docmap", "bucket": -1, "j": j,
-                             "src": e["path"],
-                             "name": os.path.basename(e["path"])})
-    src_abs = os.path.abspath(src_dir)
-    outs_abs = [os.path.abspath(d) for d in out_dirs]
-    cuts_t = list(cuts)
-
-    def work(row: dict) -> list[dict]:
-        j = row["j"]
-        lo, hi = cuts_t[j], cuts_t[j + 1]
-        if row["kind"] == "bucket":
-            b = row["bucket"]
-            seg = os.path.join(outs_abs[j], "segments",
-                               f"seg-{b:08d}.parquet")
-            stp = os.path.join(outs_abs[j], "stats",
-                               f"stats-{b:08d}.parquet")
-            if os.path.exists(seg) and os.path.exists(stp):
-                t = pq.read_table(stp, columns=["k"])
-                import pyarrow.compute as pc
-
-                fk = json.loads((pq.read_metadata(stp).metadata or {})
-                                .get(b"noise_field_k", b"{}"))
-                return [{"j": j, "kind": "bucket", "bucket": b,
-                         "postings": int(pc.sum(t.column("k")).as_py()
-                                         or 0),
-                         "field_k": json.dumps(fk), "rows": 0,
-                         "min_doc": 0, "max_doc": 0, "name": ""}]
-            r = _split_bucket(src_abs, man, b, lo, hi, seg, stp)
-            return [{"j": j, "kind": "bucket", "bucket": b,
-                     "postings": r["postings"],
-                     "field_k": json.dumps(r["field_k"]), "rows": 0,
-                     "min_doc": 0, "max_doc": 0, "name": ""}]
-        dst = os.path.join(outs_abs[j], "docmap", row["name"])
-        t = pq.read_table(os.path.join(src_abs, row["src"]),
-                          filters=[("doc_id", ">=", lo),
-                                   ("doc_id", "<", hi)])
-        if t.num_rows and not os.path.exists(dst):
-            i = t.schema.get_field_index("doc_id")
-            t = t.set_column(i, "doc_id",
-                             pa.compute.subtract(t.column("doc_id"), lo))
-            pq.write_table(t, dst + ".tmp")
-            os.replace(dst + ".tmp", dst)
-        elif os.path.exists(dst):
-            t = pq.read_table(dst, columns=["doc_id"])
-        if not t.num_rows:
-            return []
-        dmin = int(pa.compute.min(t.column("doc_id")).as_py())
-        dmax = int(pa.compute.max(t.column("doc_id")).as_py())
-        return [{"j": j, "kind": "docmap", "bucket": -1, "postings": 0,
-                 "field_k": "{}", "rows": t.num_rows, "min_doc": dmin,
-                 "max_doc": dmax, "name": row["name"]}]
-
-    acks = (ray.data.from_items(items + dm_items,
-                                override_num_blocks=max(
-                                    1, len(items) + len(dm_items)))
-            .flat_map(work).take_all())
-
-    tombs = []
-    tp = os.path.join(src_dir, "tombstones.json")
-    if os.path.exists(tp):
-        with open(tp) as f:
-            tombs = json.load(f)
-
-    mans = []
-    for j, d in enumerate(out_dirs):
-        lo, hi = cuts[j], cuts[j + 1]
-        field_k: dict[str, int] = {}
-        segs, stats, dms = [], [], []
-        for a in sorted((a for a in acks if a["j"] == j),
-                        key=lambda a: (a["kind"], a["bucket"], a["name"])):
-            if a["kind"] == "bucket":
-                if a["postings"]:
-                    segs.append({"gkey": a["bucket"],
-                                 "path": f"segments/seg-{a['bucket']:08d}"
-                                         ".parquet",
-                                 "postings": a["postings"]})
-                    stats.append({"bucket": a["bucket"],
-                                  "path": f"stats/stats-{a['bucket']:08d}"
-                                          ".parquet"})
-                for k, v in json.loads(a["field_k"]).items():
-                    field_k[k] = field_k.get(k, 0) + int(v)
-            else:
-                dms.append({"path": f"docmap/{a['name']}",
-                            "rows": a["rows"], "min_doc": a["min_doc"],
-                            "max_doc": a["max_doc"]})
-        out_man = dict(man)
-        out_man.update({
-            "num_docs": hi - lo, "doc_id_offset": 0, "num_ranges": 1,
-            "range_span": hi - lo, "field_k": field_k,
-            "docmap": sorted(dms, key=lambda e: e["min_doc"]),
-            "segments": segs, "stats": stats,
-            "metrics": {"split_from": src_abs, "doc_range": [lo, hi]},
-        })
-        st = [t - lo for t in tombs if lo <= t < hi]
-        if st:
-            with open(os.path.join(d, "tombstones.json"), "w") as f:
-                json.dump(st, f)
-        tmp = os.path.join(d, MANIFEST_NAME + ".tmp")
-        with open(tmp, "w") as f:
-            json.dump(out_man, f)
-        os.replace(tmp, os.path.join(d, MANIFEST_NAME))
-        mans.append(out_man)
-    return mans
-
-
-def _split_json_bucket(src_dir: str, man: dict, bucket: int, lo: int,
-                       hi: int, out_seg: str, out_stats: str) -> dict:
-    """Nested twin of _split_bucket: posting entries carry arraypath
-    streams (plain varints, cnt × depth per block) that mask row-wise
-    with the docs; stats rows are (kp, term, c, k) with string kps."""
-    from .codec import (decode_position_lists, decode_varint,
-                        encode_deltas, encode_position_lists,
-                        encode_varint)
-
-    nr = int(man["num_ranges"])
-    seg_by_gkey = {s["gkey"]: s["path"] for s in man["segments"]}
-    cols = ["field", "term", "depth", "cnt", "docs", "aps", "tfs",
-            "lens", "positions"]
-    rows: dict[str, list] = {c: [] for c in (
-        "field", "term", "depth", "min_doc", "max_doc", "cnt", "c_block",
-        "max_tf_norm", "docs", "aps", "tfs", "lens", "positions")}
-    filters = [("max_doc", ">=", lo), ("min_doc", "<", hi)]
-    for rng in range(nr):
-        path = seg_by_gkey.get(bucket * nr + rng)
-        if path is None:
-            continue
-        t = pq.read_table(os.path.join(src_dir, path), columns=cols,
-                          filters=filters)
-        for i in range(t.num_rows):
-            cnt = int(t.column("cnt")[i].as_py())
-            depth = int(t.column("depth")[i].as_py())
-            docs = np.cumsum(decode_varint(
-                t.column("docs")[i].as_py(), cnt).astype(np.int64))
-            keep = (docs >= lo) & (docs < hi)
-            if not keep.any():
-                continue
-            aps = decode_varint(t.column("aps")[i].as_py(),
-                                cnt * depth).astype(np.int64)
-            aps = aps.reshape(cnt, depth)[keep]
-            tfs = decode_varint(t.column("tfs")[i].as_py(),
-                                cnt).astype(np.int64)
-            lens = decode_varint(t.column("lens")[i].as_py(),
-                                 cnt).astype(np.int64)
-            pos = decode_position_lists(t.column("positions")[i].as_py(),
-                                        tfs)
-            pos_ends = np.cumsum(tfs)
-            pkeep = np.zeros(pos.size, bool)
-            for j in np.flatnonzero(keep):
-                pkeep[(pos_ends[j] - tfs[j]):pos_ends[j]] = True
-            docs, tfs, lens = docs[keep] - lo, tfs[keep], lens[keep]
-            rows["field"].append(t.column("field")[i].as_py())
-            rows["term"].append(t.column("term")[i].as_py())
-            rows["depth"].append(depth)
-            rows["min_doc"].append(int(docs[0]))
-            rows["max_doc"].append(int(docs[-1]))
-            rows["cnt"].append(int(docs.size))
-            rows["c_block"].append(int(tfs.sum()))
-            tf_norm = (np.sqrt(tfs.astype(np.float32))
-                       / np.sqrt(lens.astype(np.float32)))
-            rows["max_tf_norm"].append(float(tf_norm.max()))
-            rows["docs"].append(encode_deltas(docs))
-            rows["aps"].append(encode_varint(aps.ravel()))
-            rows["tfs"].append(encode_varint(tfs))
-            rows["lens"].append(encode_varint(lens))
-            rows["positions"].append(
-                encode_position_lists(pos[pkeep], tfs))
-    if not rows["field"]:
-        return {"postings": 0, "field_k": {}}
-    fld = np.asarray(rows["field"], object)
-    trm = np.asarray(rows["term"], object)
-    mnd = np.asarray(rows["min_doc"], np.int64)
-    order = np.lexsort((mnd, trm, fld))
-    seg = pa.table({
-        "field": pa.array(fld[order].tolist(), pa.string()),
-        "term": pa.array(trm[order].tolist(), pa.string()),
-        "depth": pa.array(
-            np.asarray(rows["depth"])[order].astype(np.int64)),
-        "min_doc": pa.array(mnd[order], pa.int64()),
-        "max_doc": pa.array(np.asarray(rows["max_doc"])[order],
-                            pa.int64()),
-        "cnt": pa.array(np.asarray(rows["cnt"])[order].astype(np.int32)),
-        "c_block": pa.array(np.asarray(rows["c_block"])[order],
-                            pa.int64()),
-        "max_tf_norm": pa.array(
-            np.asarray(rows["max_tf_norm"], np.float32)[order]),
-        "docs": pa.array(np.asarray(rows["docs"], object)[order].tolist(),
-                         pa.binary()),
-        "aps": pa.array(np.asarray(rows["aps"], object)[order].tolist(),
-                        pa.binary()),
-        "tfs": pa.array(np.asarray(rows["tfs"], object)[order].tolist(),
-                        pa.binary()),
-        "lens": pa.array(np.asarray(rows["lens"], object)[order].tolist(),
-                         pa.binary()),
-        "positions": pa.array(
-            np.asarray(rows["positions"], object)[order].tolist(),
-            pa.binary()),
-    })
-    sf, st_ = fld[order], trm[order]
-    new = np.ones(sf.size, bool)
-    new[1:] = (sf[1:] != sf[:-1]) | (st_[1:] != st_[:-1])
-    starts = np.flatnonzero(new)
-    c_arr = np.add.reduceat(np.asarray(rows["c_block"])[order], starts)
-    k_arr = np.add.reduceat(np.asarray(rows["cnt"])[order], starts)
-    stats = pa.table({
-        "field": pa.array(sf[starts].tolist(), pa.string()),
-        "term": pa.array(st_[starts].tolist(), pa.string()),
-        "c": pa.array(c_arr.astype(np.int64)),
-        "k": pa.array(k_arr.astype(np.int64)),
-    })
-    field_k = {str(kp): int(np.asarray(rows["cnt"])[fld == kp].sum())
-               for kp in np.unique(fld)}
-    stats = stats.replace_schema_metadata(
-        {"noise_gkey": str(bucket), "noise_postings": str(int(k_arr.sum())),
-         "noise_field_k": json.dumps(field_k, sort_keys=True)})
-    pq.write_table(seg, out_seg + ".tmp")
-    os.replace(out_seg + ".tmp", out_seg)
-    pq.write_table(stats, out_stats + ".tmp")
-    os.replace(out_stats + ".tmp", out_stats)
-    return {"postings": int(k_arr.sum()), "field_k": field_k}
-
-
-def _split_values_part(src: str, dst: str, lo: int, hi: int) -> int:
-    """Filter one values partition to [lo, hi), rebase doc_id, and
-    recompute the per-kp zone maps from the kept rows (same format the
-    build writes: n / sorted codes / fmin / fmax when numeric)."""
+def _split_part(src: str, dst: str, lo: int, hi: int, values: bool) -> None:
+    """Filter one docmap or values partition to [lo, hi) and rebase
+    doc_id; a values partition also recomputes its per-kp zone maps from
+    the kept rows (same format the build writes: n / sorted codes / fmin
+    / fmax when numeric).  Empty slices write no file."""
     t = pq.read_table(src, filters=[("doc_id", ">=", lo),
                                     ("doc_id", "<", hi)])
     if not t.num_rows:
-        return 0
+        return
     i = t.schema.get_field_index("doc_id")
     t = t.set_column(i, "doc_id",
                      pa.compute.subtract(t.column("doc_id"), lo))
+    if not values:
+        pq.write_table(t, dst + ".tmp")
+        os.replace(dst + ".tmp", dst)
+        return
     kps = t.column("kp").to_pylist()
     codes = t.column("code").to_pylist()
     nums = t.column("num").to_pylist()
@@ -653,7 +358,22 @@ def _split_values_part(src: str, dst: str, lo: int, hi: int) -> int:
         {"noise_kp_zones": json.dumps(zmeta, sort_keys=True)})
     pq.write_table(t, dst + ".tmp", row_group_size=16384)
     os.replace(dst + ".tmp", dst)
-    return t.num_rows
+
+
+def split_index(src_dir: str, out_dirs: list[str],
+                cuts: list[int] | None = None) -> list[dict]:
+    """The merge's inverse: physically repartition a sealed FLAT index
+    into ``len(out_dirs)`` doc-range splits, each a standalone index
+    rebased to doc ids 0..nⱼ — WITHOUT re-tokenizing.  Posting blocks
+    decode→mask→re-encode (the only op that must re-encode: cut points
+    land inside blocks), block WAND metadata (max_tf_norm/max_tf/
+    min_len, corpus-independent) and the term stats (c = Σ tf,
+    k = Σ postings, field_k) recompute EXACTLY from the kept entries,
+    and docmap partitions rewrite filtered + rebased.  merge + split =
+    shard rebalancing for sealed indexes at any layout.  One Ray task
+    per (bucket, split) and per docmap slice; resumable (skip-if-
+    present, manifests commit last).  Returns the split manifests."""
+    return _split(src_dir, out_dirs, cuts, nested=False)
 
 
 def split_json_index(src_dir: str, out_dirs: list[str],
@@ -662,6 +382,11 @@ def split_json_index(src_dir: str, out_dirs: list[str],
     partitions, which filter + rebase and recompute their per-kp zone
     maps (spatial sidecars are NOT carried — the bbox reader's
     per-partition fallback scan covers sidecar-less partitions)."""
+    return _split(src_dir, out_dirs, cuts, nested=True)
+
+
+def _split(src_dir: str, out_dirs: list[str], cuts: list[int] | None,
+           nested: bool) -> list[dict]:
     import ray.data
 
     from .incremental import _epoch_dirs
@@ -670,8 +395,9 @@ def split_json_index(src_dir: str, out_dirs: list[str],
         raise ValueError("compact before split")
     with open(os.path.join(src_dir, MANIFEST_NAME)) as f:
         man = json.load(f)
-    if not man.get("nested"):
-        raise ValueError("split_json_index is nested-only")
+    if bool(man.get("nested")) != nested:
+        raise ValueError("split_json_index is nested-only" if nested
+                         else "split_index is flat-only")
     n_docs = int(man.get("doc_id_offset", 0)) + int(man["num_docs"])
     n = len(out_dirs)
     if cuts is None:
@@ -679,17 +405,17 @@ def split_json_index(src_dir: str, out_dirs: list[str],
     if len(cuts) != n + 1 or cuts[0] != 0 or cuts[-1] != n_docs:
         raise ValueError("cuts must be [0, ..., num_docs]")
 
+    doc_parts = ("docmap", "values") if nested else ("docmap",)
     for d in out_dirs:
-        for part in ("docmap", "segments", "stats", "values"):
+        for part in ("segments", "stats", *doc_parts):
             os.makedirs(os.path.join(d, part), exist_ok=True)
 
     nb = int(man["num_buckets"])
-    items = [{"kind": "bucket", "bucket": b, "j": j, "src": "",
-              "name": ""}
+    items = [{"kind": "bucket", "bucket": b, "j": j, "src": "", "name": ""}
              for b in range(nb) for j in range(n)]
     for j in range(n):
         lo, hi = cuts[j], cuts[j + 1]
-        for part in ("docmap", "values"):
+        for part in doc_parts:
             for e in man[part]:
                 if e["max_doc"] < lo or e["min_doc"] >= hi:
                     continue
@@ -703,52 +429,30 @@ def split_json_index(src_dir: str, out_dirs: list[str],
     def work(row: dict) -> list[dict]:
         j = row["j"]
         lo, hi = cuts_t[j], cuts_t[j + 1]
+        ack = {"j": j, "kind": row["kind"], "bucket": row["bucket"],
+               "postings": 0, "field_k": "{}", "rows": 0, "min_doc": 0,
+               "max_doc": 0, "name": row["name"]}
         if row["kind"] == "bucket":
             b = row["bucket"]
-            seg = os.path.join(outs_abs[j], "segments",
-                               f"seg-{b:08d}.parquet")
-            stp = os.path.join(outs_abs[j], "stats",
-                               f"stats-{b:08d}.parquet")
-            if not (os.path.exists(seg) and os.path.exists(stp)):
-                r = _split_json_bucket(src_abs, man, b, lo, hi, seg, stp)
+            seg = os.path.join(outs_abs[j], "segments", f"seg-{b:08d}.parquet")
+            stp = os.path.join(outs_abs[j], "stats", f"stats-{b:08d}.parquet")
+            if os.path.exists(seg) and os.path.exists(stp):
+                postings, fk = read_group_meta(stp)
             else:
-                fk = json.loads((pq.read_metadata(stp).metadata or {})
-                                .get(b"noise_field_k", b"{}"))
-                r = {"postings": sum(fk.values()), "field_k": fk}
-            return [{"j": j, "kind": "bucket", "bucket": b,
-                     "postings": r["postings"],
-                     "field_k": json.dumps(r["field_k"]), "rows": 0,
-                     "min_doc": 0, "max_doc": 0, "name": ""}]
+                postings, fk = _split_bucket(src_abs, man, b, lo, hi, seg,
+                                             stp)
+            return [{**ack, "postings": postings,
+                     "field_k": json.dumps(fk)}]
         dst = os.path.join(outs_abs[j], row["kind"], row["name"])
-        srcp = os.path.join(src_abs, row["src"])
-        if row["kind"] == "values":
-            if not os.path.exists(dst):
-                nrows = _split_values_part(srcp, dst, lo, hi)
-            else:
-                nrows = pq.read_metadata(dst).num_rows
-            if not nrows:
-                return []
-            t = pq.read_table(dst, columns=["doc_id"])
-        else:
-            if not os.path.exists(dst):
-                t = pq.read_table(srcp, filters=[("doc_id", ">=", lo),
-                                                 ("doc_id", "<", hi)])
-                if t.num_rows:
-                    i = t.schema.get_field_index("doc_id")
-                    t = t.set_column(
-                        i, "doc_id",
-                        pa.compute.subtract(t.column("doc_id"), lo))
-                    pq.write_table(t, dst + ".tmp")
-                    os.replace(dst + ".tmp", dst)
-            else:
-                t = pq.read_table(dst, columns=["doc_id"])
-            if not t.num_rows:
-                return []
-        dmin = int(pa.compute.min(t.column("doc_id")).as_py())
-        dmax = int(pa.compute.max(t.column("doc_id")).as_py())
-        return [{"j": j, "kind": row["kind"], "bucket": -1,
-                 "postings": 0, "field_k": "{}", "rows": t.num_rows,
-                 "min_doc": dmin, "max_doc": dmax, "name": row["name"]}]
+        if not os.path.exists(dst):
+            _split_part(os.path.join(src_abs, row["src"]), dst, lo, hi,
+                        values=row["kind"] == "values")
+        if not os.path.exists(dst):
+            return []
+        ids = pq.read_table(dst, columns=["doc_id"]).column("doc_id")
+        return [{**ack, "rows": len(ids),
+                 "min_doc": int(pa.compute.min(ids).as_py()),
+                 "max_doc": int(pa.compute.max(ids).as_py())}]
 
     acks = (ray.data.from_items(items,
                                 override_num_blocks=max(1, len(items)))
@@ -764,10 +468,10 @@ def split_json_index(src_dir: str, out_dirs: list[str],
     for j, d in enumerate(out_dirs):
         lo, hi = cuts[j], cuts[j + 1]
         field_k: dict[str, int] = {}
-        segs, stats, dms, vals = [], [], [], []
+        segs, stats = [], []
+        parts: dict[str, list] = {p: [] for p in doc_parts}
         for a in sorted((a for a in acks if a["j"] == j),
-                        key=lambda a: (a["kind"], a["bucket"],
-                                       a["name"])):
+                        key=lambda a: (a["kind"], a["bucket"], a["name"])):
             if a["kind"] == "bucket":
                 if a["postings"]:
                     segs.append({"gkey": a["bucket"],
@@ -777,26 +481,24 @@ def split_json_index(src_dir: str, out_dirs: list[str],
                     stats.append({"bucket": a["bucket"],
                                   "path": f"stats/stats-{a['bucket']:08d}"
                                           ".parquet"})
-                for key, v in json.loads(a["field_k"]).items():
-                    field_k[key] = field_k.get(key, 0) + int(v)
-            elif a["kind"] == "docmap":
-                dms.append({"path": f"docmap/{a['name']}",
-                            "rows": a["rows"], "min_doc": a["min_doc"],
-                            "max_doc": a["max_doc"]})
+                for k, v in json.loads(a["field_k"]).items():
+                    field_k[k] = field_k.get(k, 0) + int(v)
             else:
-                vals.append({"path": f"values/{a['name']}",
-                             "min_doc": a["min_doc"],
-                             "max_doc": a["max_doc"]})
+                e = {"path": f"{a['kind']}/{a['name']}", "rows": a["rows"],
+                     "min_doc": a["min_doc"], "max_doc": a["max_doc"]}
+                if a["kind"] == "values":
+                    del e["rows"]
+                parts[a["kind"]].append(e)
         out_man = dict(man)
         out_man.update({
             "num_docs": hi - lo, "doc_id_offset": 0, "num_ranges": 1,
             "range_span": hi - lo, "field_k": field_k,
-            "docmap": sorted(dms, key=lambda e: e["min_doc"]),
-            "values": sorted(vals, key=lambda e: e["min_doc"]),
+            **{p: sorted(es, key=lambda e: e["min_doc"])
+               for p, es in parts.items()},
             "segments": segs, "stats": stats,
             "metrics": {"split_from": src_abs, "doc_range": [lo, hi]},
         })
-        st = [x - lo for x in tombs if lo <= x < hi]
+        st = [t - lo for t in tombs if lo <= t < hi]
         if st:
             with open(os.path.join(d, "tombstones.json"), "w") as f:
                 json.dump(st, f)

@@ -32,23 +32,30 @@ re-expressed as ONE streaming Ray Data execution:
                            whole batch, block metadata comes from
                            ``reduceat`` over the row starts, and the bytes
                            are sliced into rows — no per-block Python loop.
-  stage 3  shuffle+write   ``groupby(gkey).map_groups`` → segment writer:
-                           order the mapper's finished blocks by (field,
-                           term, min_doc) and write them through (runs are
-                           doc-disjoint — each ingest task owns a contiguous
-                           doc range — and arrive pre-chunked to block_size
-                           with block-max metadata, so no posting is decoded
-                           or re-encoded here),
-                           write `seg-*.parquet` AND the group's term-stats
-                           partition `stats-*.parquet` (C = Σ tf and
-                           K-contribution = Σ postings per (field, term) —
-                           the reference's merge-summed C/K counters,
-                           src/key_builder.rs:84-102, computed locally since
-                           a (field, term) run lives wholly inside its
-                           shuffle group).  Idempotent, resumable per group
-                           (committed groups are filtered before the
-                           shuffle); commit order stats→segment so a segment
-                           file's presence implies its stats exist.
+  stage 3  shuffle+write   ``groupby(gkey).map_groups`` → segment writer.
+                           ``write_segment_group`` is the ONE writer of the
+                           segment / stats format; its callers are this
+                           stage (``_write_segment_group``, both engines,
+                           Ray and in-process), ``merge_epochs`` and the
+                           split (build/merge.py).  It orders the finished
+                           blocks by (field, term, min_doc) and writes them
+                           through (runs are doc-disjoint — each ingest
+                           task owns a contiguous doc range — and arrive
+                           pre-chunked to block_size with block-max
+                           metadata, so no posting is decoded or
+                           re-encoded here), then writes `seg-*.parquet`
+                           AND the group's term-stats partition
+                           `stats-*.parquet` (C = Σ tf and K-contribution
+                           = Σ postings per (field, term) — the
+                           reference's merge-summed C/K counters,
+                           src/key_builder.rs:84-102, computed locally
+                           since a (field, term) run lives wholly inside
+                           its shuffle group).  Only the segment row-group
+                           size differs per engine (FLAT_ROW_GROUP,
+                           NESTED_ROW_GROUP).  Idempotent, resumable per
+                           group (committed groups are filtered before the
+                           shuffle); commit order stats→segment so a
+                           segment file's presence implies its stats exist.
   stage 4  manifest        atomic manifest.json publish (the analogue of the
                            reference's atomic WriteBatch flush,
                            src/index.rs:218-227), assembled from the plan
@@ -65,6 +72,7 @@ need no configuration.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -88,6 +96,15 @@ from .docids import FilePlan, plan_doc_ids, sorted_key_indices
 
 DEFAULT_FIELDS = ("role", "text", "tool")
 MANIFEST_NAME = "manifest.json"
+# Segment row-group sizes, passed by each engine's callers.  Flat readers
+# fetch one row group per WAND block (query/reader.py ``_SegBlockIndex``):
+# a block row is ~block_size×2B of payload, so 64 rows ≈ 0.5 MB and a
+# min_doc-filtered fetch prunes to one group instead of the term's whole
+# run.  Nested readers read a (keypath, term) run with one filtered read,
+# and 64-row groups would grow nested segments 3.4 → 6.3 MB on a 40k-turn
+# transcript corpus.
+FLAT_ROW_GROUP = 64
+NESTED_ROW_GROUP = 2048
 
 
 def term_bucket(term: str, num_buckets: int) -> int:
@@ -396,108 +413,197 @@ def _ack(gkey: int, path: str, stats_path: str, postings: int,
     })
 
 
-def read_group_meta(stats_path: str) -> dict:
-    """Committed-group metadata (postings count, per-field K contribution)
-    from the stats file's schema metadata — no payload read."""
+def read_group_meta(stats_path: str) -> tuple[int, dict]:
+    """A committed group's (postings count, per-field K contribution)
+    from its stats file's schema metadata — no payload read."""
     md = pq.read_metadata(stats_path).metadata or {}
-    return {
-        "postings": int(md.get(b"noise_postings", b"0")),
-        "field_k": json.loads(md.get(b"noise_field_k", b"{}")),
-    }
+    return (int(md.get(b"noise_postings", b"0")),
+            json.loads(md.get(b"noise_field_k", b"{}")))
+
+
+def _dict_ranks(col) -> np.ndarray:
+    """Per-row sort rank of ``col``'s values.  The sort runs over the
+    DISTINCT values (dictionary encoding; distinct << rows), so int32
+    field ids and keypath / term strings take one path and no object
+    array of row values ever materializes."""
+    enc = pc.dictionary_encode(col.combine_chunks())
+    rank = np.empty(len(enc.dictionary), np.int64)
+    rank[pc.array_sort_indices(enc.dictionary).to_numpy()] = np.arange(
+        rank.size)
+    return rank[enc.indices.to_numpy()]
+
+
+def write_segment_group(rows: pa.Table, gkey: int, seg_path: str,
+                        stats_path: str,
+                        row_group_size: int) -> tuple[int, dict]:
+    """The one writer of the segment / stats format: posting-block
+    ``rows`` of one group → ``seg_path`` + its term-stats partition
+    ``stats_path``.  Returns (postings, field_k).
+
+    Rows are ordered by (field, term, min_doc) and otherwise pass through
+    (``gkey`` dropped, ``pos`` renamed ``positions``): every block's
+    encodings are self-contained and runs are doc-disjoint per (field,
+    term), so no posting is decoded or re-encoded here.  Stats are C =
+    Σ c_block and K = Σ cnt per (field, term) — the reference's
+    merge-summed counters (its src/json_shred.rs:191-199) —
+    plus K per field in the ``noise_field_k`` metadata.  Commit order is
+    stats first, segment last, so a segment file's presence implies its
+    stats exist."""
+    f_rank = _dict_ranks(rows.column("field"))
+    t_rank = _dict_ranks(rows.column("term"))
+    order = np.lexsort((rows.column("min_doc").to_numpy(), t_rank, f_rank))
+    seg = rows.select([c for c in rows.column_names if c != "gkey"]).take(
+        pa.array(order))
+    s_field, s_term = f_rank[order], t_rank[order]
+    cnt = seg.column("cnt").to_numpy().astype(np.int64)
+    new_field = np.ones(order.size, dtype=bool)
+    new_field[1:] = s_field[1:] != s_field[:-1]
+    new_term = new_field.copy()
+    new_term[1:] |= s_term[1:] != s_term[:-1]
+    t_starts, f_starts = np.flatnonzero(new_term), np.flatnonzero(new_field)
+    stats = pa.table({
+        "field": seg.column("field").take(t_starts),
+        "term": seg.column("term").take(t_starts),
+        "c": pa.array(np.add.reduceat(seg.column("c_block").to_numpy(),
+                                      t_starts).astype(np.int64)),
+        "k": pa.array(np.add.reduceat(cnt, t_starts)),
+    })
+    postings = int(cnt.sum())
+    field_k = {str(f): int(k) for f, k in zip(
+        seg.column("field").take(f_starts).to_pylist(),
+        np.add.reduceat(cnt, f_starts))}
+    meta = {"noise_gkey": str(gkey), "noise_postings": str(postings)}
+    stats = stats.replace_schema_metadata(
+        {**meta, "noise_field_k": json.dumps(field_k, sort_keys=True)})
+    seg = seg.rename_columns(["positions" if c == "pos" else c
+                              for c in seg.column_names])
+    _atomic_write_table(stats, stats_path, row_group_size=8192)
+    _atomic_write_table(seg.replace_schema_metadata(meta), seg_path,
+                        row_group_size=row_group_size)
+    return postings, field_k
 
 
 def _write_segment_group(group: pa.Table, seg_dir: str, stats_dir: str,
-                         block_size: int) -> pa.Table:
-    """Segment writer: one shuffle group (term bucket × doc range) → one
-    segment file + its term-stats partition."""
+                         block_size: int | None = None,
+                         row_group_size: int = FLAT_ROW_GROUP) -> pa.Table:
+    """Stage-3 ``map_groups`` adapter: one shuffle group (term bucket ×
+    doc range) → ``write_segment_group``, skipped when the group is
+    already committed (resume), → one ack row.  ``block_size`` is unused
+    (blocks arrive finished); it stays only because perfbench/spans.py
+    calls this with (group, seg_dir, stats_dir, block_size)."""
     gkey = int(group.column("gkey")[0].as_py())
-    out_path = _seg_path(seg_dir, gkey)
+    seg_path = _seg_path(seg_dir, gkey)
     stats_path = _stats_path(stats_dir, gkey)
-    if os.path.exists(out_path) and os.path.exists(stats_path):
-        meta = read_group_meta(stats_path)  # resume: group already committed
-        return _ack(gkey, out_path, stats_path, meta["postings"],
-                    meta["field_k"])
-
-    # ---- order finished blocks by (field, term, min_doc): rows arrive from
-    # the mapper ALREADY encoded and chunked to block_size with their block
-    # metadata computed, so the writer is a pure passthrough — no posting is
-    # ever decoded or re-encoded here (runs are doc-disjoint per (field,
-    # term); each block's encodings are self-contained).
-    r_field = group.column("field").to_numpy()
-    r_min = group.column("min_doc").to_numpy()
-    # dictionary codes replace per-row term strings: the sort key is the
-    # sorted rank of each DISTINCT term (distinct terms << rows), so no
-    # object array of row strings ever materializes
-    enc = pa.compute.dictionary_encode(group.column("term")
-                                       .combine_chunks())
-    t_codes = enc.indices.to_numpy().astype(np.int64)
-    t_dict = enc.dictionary.to_pylist()
-    rank_of = np.empty(len(t_dict), np.int64)
-    rank_of[np.argsort(np.asarray(t_dict, dtype=object))] = np.arange(
-        len(t_dict))
-    r_rank = rank_of[t_codes] if len(t_dict) else t_codes
-    order = np.lexsort((r_min, r_rank, r_field))
-    ordered = group.take(pa.array(order))
-
-    # term stats over the sorted rows (one reduceat per column): C = Σ tf,
-    # K-contribution = Σ postings — the reference's merge-summed counters
-    # (/root/reference/src/json_shred.rs:191-199)
-    s_field = r_field[order]
-    s_rank = r_rank[order]
-    s_code = t_codes[order]
-    s_cnt = group.column("cnt").to_numpy()[order].astype(np.int64)
-    s_cblk = group.column("c_block").to_numpy()[order]
-    n = len(order)
-    if n:
-        new_term = np.empty(n, dtype=bool)
-        new_term[0] = True
-        new_term[1:] = ((s_field[1:] != s_field[:-1])
-                        | (s_rank[1:] != s_rank[:-1]))
-        t_starts = np.flatnonzero(new_term)
-        stat_c = np.add.reduceat(s_cblk, t_starts)
-        stat_k = np.add.reduceat(s_cnt, t_starts)
-        stat_field_np = s_field[t_starts]
-        field_k: dict[str, int] = {}
-        for fi in np.unique(s_field):
-            field_k[str(int(fi))] = int(s_cnt[s_field == fi].sum())
-        stats = pa.table({
-            "field": pa.array(stat_field_np.astype(np.int32)),
-            "term": pa.array([t_dict[c] for c in s_code[t_starts]],
-                             pa.string()),
-            "c": pa.array(stat_c.astype(np.int64)),
-            "k": pa.array(stat_k.astype(np.int64)),
-        })
-        postings_total = int(s_cnt.sum())
+    if os.path.exists(seg_path) and os.path.exists(stats_path):
+        postings, field_k = read_group_meta(stats_path)
     else:
-        field_k = {}
-        stats = pa.table({
-            "field": pa.array([], pa.int32()),
-            "term": pa.array([], pa.string()),
-            "c": pa.array([], pa.int64()),
-            "k": pa.array([], pa.int64()),
-        })
-        postings_total = 0
-    stats = stats.replace_schema_metadata({
-        "noise_gkey": str(gkey),
-        "noise_postings": str(postings_total),
-        "noise_field_k": json.dumps(field_k, sort_keys=True),
-    })
+        postings, field_k = write_segment_group(group, gkey, seg_path,
+                                                stats_path, row_group_size)
+    return _ack(gkey, seg_path, stats_path, postings, field_k)
 
-    seg = ordered.select(["field", "term", "min_doc", "max_doc", "cnt",
-                          "c_block", "max_tf_norm", "max_tf", "min_len",
-                          "docs", "tfs", "lens", "pos"]).rename_columns(
-        ["field", "term", "min_doc", "max_doc", "cnt", "c_block",
-         "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens",
-         "positions"])
-    seg = seg.replace_schema_metadata(
-        {"noise_gkey": str(gkey), "noise_postings": str(postings_total)})
-    # commit order: stats first, segment last — segment presence ⇒ committed
-    _atomic_write_table(stats, stats_path, row_group_size=8192)
-    # small row groups: a block row is ~block_size×2B of payload, so 64
-    # rows ≈ 0.5 MB — per-block WAND payload fetches (min_doc filters)
-    # prune to one row group instead of re-reading the term's whole run
-    _atomic_write_table(seg, out_path, row_group_size=64)
-    return _ack(gkey, out_path, stats_path, postings_total, field_k)
+
+def _committed_gkeys(seg_dir: str, stats_dir: str) -> frozenset:
+    """Resume state: a group is committed iff BOTH its files exist."""
+    return frozenset(
+        g for g in (
+            int(f.split("-")[1].split(".")[0])
+            for f in os.listdir(seg_dir)
+            if f.startswith("seg-") and f.endswith(".parquet")
+        )
+        if os.path.exists(_stats_path(stats_dir, g))
+    )
+
+
+def _drop_done(batch: pa.Table, done: np.ndarray) -> pa.Table:
+    """Drop the block rows of already-committed groups."""
+    return batch.filter(pa.array(np.isin(batch.column("gkey").to_numpy(),
+                                         done, invert=True)))
+
+
+def _write_groups(blocks, seg_dir: str, stats_dir: str, row_group_size: int,
+                  done: frozenset) -> list[dict]:
+    """Stage 3 for either engine: one ``_write_segment_group`` call per
+    gkey, minus the groups in ``done``.  ``blocks`` is a Ray Dataset
+    (shuffled by ``groupby``) or an in-process table (sorted by gkey once
+    and sliced).  Returns the writer acks."""
+    done_arr = np.fromiter(done, dtype=np.int64, count=len(done))
+    kw = {"seg_dir": seg_dir, "stats_dir": stats_dir,
+          "row_group_size": row_group_size}
+    if isinstance(blocks, pa.Table):
+        blocks = _drop_done(blocks, done_arr)
+        gkeys = blocks.column("gkey").to_numpy()
+        order = np.argsort(gkeys, kind="stable")
+        blocks, gkeys = blocks.take(pa.array(order)), gkeys[order]
+        cuts = np.flatnonzero(np.diff(gkeys)) + 1
+        return [_write_segment_group(blocks.slice(lo, hi - lo), **kw)
+                .to_pylist()[0]
+                for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, gkeys.size])
+                if hi > lo]
+    if done:
+        blocks = blocks.map_batches(_drop_done, fn_kwargs={"done": done_arr},
+                                    batch_format="pyarrow")
+    acks_ds = blocks.groupby("gkey").map_groups(
+        _write_segment_group, batch_format="pyarrow", fn_kwargs=kw)
+    acks = acks_ds.take_all()
+    if os.environ.get("NOISE_RAY_BUILD_STATS"):
+        print(acks_ds.stats())
+    return acks
+
+
+def _group_entries(acks: list[dict], done: frozenset, seg_dir: str,
+                   stats_dir: str, num_ranges: int,
+                   field_key=int) -> tuple[dict, list, list]:
+    """Manifest ``field_k``, ``segments`` and ``stats`` entries from the
+    writer acks plus the committed groups a resume skipped.  ``field_key``
+    orders the ``field_k`` keys (int field ids, or keypath strings)."""
+    groups = {int(a["gkey"]): (a["path"], a["stats_path"],
+                               int(a["postings"]), json.loads(a["field_k"]))
+              for a in acks}
+    for g in done - groups.keys():
+        groups[g] = (_seg_path(seg_dir, g), _stats_path(stats_dir, g),
+                     *read_group_meta(_stats_path(stats_dir, g)))
+    field_k: dict = {}
+    for _, _, _, fk in groups.values():
+        for f, k in fk.items():
+            field_k[field_key(f)] = field_k.get(field_key(f), 0) + int(k)
+    items = sorted(groups.items())
+    return ({str(f): k for f, k in sorted(field_k.items())},
+            [{"gkey": g, "path": p, "postings": n}
+             for g, (p, _, n, _) in items],
+            [{"gkey": g, "bucket": g // num_ranges, "path": sp}
+             for g, (_, sp, _, _) in items])
+
+
+def _publish_manifest(manifest: dict, index_dir: str) -> None:
+    """Atomic manifest publish (the analogue of the reference's WriteBatch
+    flush, src/index.rs:218-227).  On disk the manifest
+    holds RELATIVE paths (the index directory is relocatable — compaction
+    swaps directories, and a 100 TB index moves between stores); the
+    caller's dict keeps absolute paths."""
+    disk = json.loads(json.dumps(manifest))
+    for part in ("docmap", "values", "segments", "stats"):
+        for e in disk.get(part, ()):
+            e["path"] = os.path.relpath(e["path"], index_dir)
+    tmp = os.path.join(index_dir,
+                       f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex[:8]}")
+    with open(tmp, "w") as f:
+        json.dump(disk, f, indent=1)
+    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
+
+
+@contextlib.contextmanager
+def _one_row_blocks():
+    """Let Ray Data keep 1-row plan blocks apart.  The plan rows are
+    ~100-byte blocks; without this, Ray Data bundles them all into ONE
+    ingest task (target_min_block_size coalescing) and the whole pipeline
+    serializes."""
+    ctx = ray.data.DataContext.get_current()
+    prev = ctx.target_min_block_size
+    ctx.target_min_block_size = 1
+    try:
+        yield
+    finally:
+        ctx.target_min_block_size = prev
 
 
 # ------------------------------------------------------------------ driver
@@ -600,24 +706,9 @@ def build_index(
         # shuffle fan-out sized to the corpus; floor keeps small builds cheap
         num_buckets = max(32, min(4096, -(-num_docs // 200_000)))
 
-    # ---- resume state: a group is committed iff BOTH files exist
-    done_gkeys = frozenset(
-        g for g in (
-            int(f.split("-")[1].split(".")[0])
-            for f in os.listdir(seg_dir)
-            if f.startswith("seg-") and f.endswith(".parquet")
-        )
-        if os.path.exists(_stats_path(stats_dir, g))
-    )
+    done_gkeys = _committed_gkeys(seg_dir, stats_dir)
 
     # ---- single streaming execution: ingest → tokenize → shuffle → write
-    # The plan rows are ~100-byte blocks; without this, Ray Data bundles them
-    # all into ONE ingest task (target_min_block_size coalescing) and the
-    # whole pipeline serializes.
-    ctx = ray.data.DataContext.get_current()
-    prev_min_block = ctx.target_min_block_size
-    ctx.target_min_block_size = 1
-
     # Ingest task granularity is DATA-proportional (~docs_per_ingest_task
     # rows per task), NOT file- or cluster-proportional.  One task per file
     # would make the sort shuffle's partition-object count quadratic in file
@@ -640,73 +731,40 @@ def build_index(
 
     plan_rows = [{"path": p.path, "offset": p.offset, "rows": p.rows, "seq": i}
                  for i, p in enumerate(plans)]
-    postings = (
-        ray.data.from_items(plan_rows, override_num_blocks=num_tasks)
-        .map_batches(
-            _ingest_emit,
-            fn_kwargs={"key_columns": key_columns, "docmap_dir": docmap_dir,
-                       "fields": tuple(fields)},
-            batch_format="pyarrow",
+    with _one_row_blocks():
+        postings = (
+            ray.data.from_items(plan_rows, override_num_blocks=num_tasks)
+            .map_batches(
+                _ingest_emit,
+                fn_kwargs={"key_columns": key_columns,
+                           "docmap_dir": docmap_dir, "fields": tuple(fields)},
+                batch_format="pyarrow",
+            )
+            .map_batches(
+                tokenize_batch,
+                fn_kwargs={
+                    "fields": tuple(fields),
+                    "num_buckets": num_buckets,
+                    "num_ranges": num_ranges,
+                    "range_span": range_span,
+                    "range_base": doc_id_offset,
+                    "block_size": block_size,
+                },
+                # batch_size=None → per-block batches: the fused
+                # ingest→tokenize op runs one task per input file.  An
+                # explicit batch_size would make Ray bundle the 1-row plan
+                # blocks into a single task to satisfy it, serializing the
+                # whole pipeline.
+                batch_size=tokenize_batch_size,
+                batch_format="pyarrow",
+                concurrency=tokenize_concurrency,
+            )
         )
-        .map_batches(
-            tokenize_batch,
-            fn_kwargs={
-                "fields": tuple(fields),
-                "num_buckets": num_buckets,
-                "num_ranges": num_ranges,
-                "range_span": range_span,
-                "range_base": doc_id_offset,
-                "block_size": block_size,
-            },
-            # batch_size=None → per-block batches: the fused
-            # ingest→tokenize op runs one task per input file.  An explicit
-            # batch_size would make Ray bundle the 1-row plan blocks into a
-            # single task to satisfy it, serializing the whole pipeline.
-            batch_size=tokenize_batch_size,
-            batch_format="pyarrow",
-            concurrency=tokenize_concurrency,
-        )
-    )
-    if done_gkeys:  # resume: drop postings for already-committed groups
+        acks = _write_groups(postings, seg_dir, stats_dir, FLAT_ROW_GROUP,
+                             done_gkeys)
+    field_k, segments, stats = _group_entries(acks, done_gkeys, seg_dir,
+                                              stats_dir, num_ranges)
 
-        def _drop_done(batch: pa.Table) -> pa.Table:
-            mask = np.isin(batch.column("gkey").to_numpy(),
-                           np.fromiter(done_gkeys, dtype=np.int64),
-                           invert=True)
-            return batch.filter(pa.array(mask))
-
-        postings = postings.map_batches(_drop_done, batch_format="pyarrow")
-
-    try:
-        acks_ds = (
-            postings.groupby("gkey")
-            .map_groups(_write_segment_group, batch_format="pyarrow",
-                        fn_kwargs={"seg_dir": seg_dir, "stats_dir": stats_dir,
-                                   "block_size": block_size})
-        )
-        acks = acks_ds.take_all()
-        if os.environ.get("NOISE_RAY_BUILD_STATS"):
-            print(acks_ds.stats())
-    finally:
-        ctx.target_min_block_size = prev_min_block
-
-    # ---- assemble: writer acks + committed-but-skipped groups
-    by_gkey = {int(a["gkey"]): a for a in acks}
-    for g in done_gkeys:
-        if g not in by_gkey:
-            meta = read_group_meta(_stats_path(stats_dir, g))
-            by_gkey[g] = {"gkey": g, "path": _seg_path(seg_dir, g),
-                          "stats_path": _stats_path(stats_dir, g),
-                          "postings": meta["postings"],
-                          "field_k": json.dumps(meta["field_k"])}
-
-    field_k: dict[int, int] = {}
-    for a in by_gkey.values():
-        for f, k in json.loads(a["field_k"]).items():
-            field_k[int(f)] = field_k.get(int(f), 0) + int(k)
-
-    # ---- manifest (atomic publish — the analogue of the reference's
-    # WriteBatch flush, /root/reference/src/index.rs:218-227)
     manifest = {
         "version": 1,
         "analyzer": "noise-porter2-v1",
@@ -718,21 +776,15 @@ def build_index(
         "num_ranges": num_ranges,
         "range_span": range_span,
         "block_size": block_size,
-        "field_k": {str(k): v for k, v in sorted(field_k.items())},
+        "field_k": field_k,
         "docmap": [
             {"path": os.path.join(docmap_dir, f"docmap-{i:05d}.parquet"),
              "rows": p.rows, "min_doc": p.offset,
              "max_doc": p.offset + p.rows - 1}
             for i, p in enumerate(plans)
         ],
-        "segments": [
-            {"gkey": g, "path": a["path"], "postings": int(a["postings"])}
-            for g, a in sorted(by_gkey.items())
-        ],
-        "stats": [
-            {"gkey": g, "bucket": g // num_ranges, "path": a["stats_path"]}
-            for g, a in sorted(by_gkey.items())
-        ],
+        "segments": segments,
+        "stats": stats,
         # build metrics next to the lineage (north-rule: resumable from
         # checkpoint with per-partition lineage + metrics): wall/throughput
         # for THIS invocation, and how much of the work a resume skipped
@@ -741,21 +793,10 @@ def build_index(
             "turns_per_sec": round(
                 num_docs / max(time.time() - t_build_start, 1e-9), 1),
             "ingest_tasks": len(plans),
-            "segment_groups": len(by_gkey),
+            "segment_groups": len(segments),
             "resumed_groups": len(done_gkeys),
-            "total_postings": int(sum(int(a["postings"])
-                                      for a in by_gkey.values())),
+            "total_postings": sum(e["postings"] for e in segments),
         },
     }
-    # on disk the manifest holds RELATIVE paths (the index directory is
-    # relocatable — compaction swaps directories, and a 100 TB index moves
-    # between stores); the returned dict keeps absolute paths for callers.
-    disk = json.loads(json.dumps(manifest))
-    for part in ("docmap", "segments", "stats"):
-        for e in disk[part]:
-            e["path"] = os.path.relpath(e["path"], index_dir)
-    tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        json.dump(disk, f, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
+    _publish_manifest(manifest, index_dir)
     return manifest
