@@ -10,11 +10,7 @@ the whole file can be parsed ONCE by ``pyarrow.json.read_json`` (a C++
 NDJSON parser) and shredded column-wise: each leaf of the inferred
 schema IS one keypath, its doc ids come from ``np.repeat`` over list
 offsets and its arraypaths from vectorized arange arithmetic — no
-per-document Python at all.  Tokenization still visits each string (the
-reference's UAX#29 + Porter2 analyzer is per-text by nature,
-/root/reference/src/stems.rs:23-64), but low-cardinality columns
-(roles, tags, flags) collapse to one tokenize + one bulk append per
-distinct value via a dictionary encode.
+per-document Python at all.
 
 The fast path REFUSES (returns None) whenever column-wise semantics
 could diverge from the reference shredder, and the caller falls back to
@@ -39,14 +35,15 @@ caller (json_pipeline.ShredTokenize) merges the two shreds.
 
 Output is exactly what ShredTokenize builds row-by-row: the values
 partition table (same schema, same per-kp zone maps, doc-sorted row
-groups so doc_id filter pushdown keeps working) and per-keypath string
-groups for the posting accumulator.
+groups so doc_id filter pushdown keeps working).  Its string rows are
+the posting input: ShredTokenize tokenizes them with the rest of the
+batch's string instances and hands the tokens to the posting kernel it
+shares with the flat build (``pipeline.group_postings``).
 """
 
 from __future__ import annotations
 
 import io
-import json
 
 import numpy as np
 import pyarrow as pa
@@ -59,10 +56,6 @@ _ALLOWED_LEAVES = (
     pa.types.is_string, pa.types.is_large_string,
     pa.types.is_integer, pa.types.is_floating, pa.types.is_boolean,
 )
-
-# columns that are safe to group-tokenize when the distinct count is at
-# most this fraction of the row count
-_DICT_FRACTION = 0.5
 
 
 class _Bail(Exception):
@@ -86,8 +79,6 @@ class _Chunks:
         # (kp, docs int64[n], ap int64[n, depth], code str | codes arr,
         #  nums float64[n] | None, strs pa.Array | None)
         self.values: list[tuple] = []
-        # (kp, docs, ap, pa.StringArray) — postings input
-        self.texts: list[tuple] = []
 
     def n_rows(self) -> int:
         return sum(len(c[1]) for c in self.values)
@@ -156,7 +147,6 @@ def _walk(arr: pa.Array, kp: str, docs: np.ndarray, ap: np.ndarray,
     if kind == "s":
         s = arr.cast(pa.string()) if pa.types.is_large_string(t) else arr
         out.values.append((kp, docs, ap, "s", None, s))
-        out.texts.append((kp, docs, ap, s))
     elif kind == "f":
         nums = arr.to_numpy(zero_copy_only=False).astype(np.float64)
         out.values.append((kp, docs, ap, "f", nums, None))
@@ -180,12 +170,12 @@ def _ap_list_array(ap: np.ndarray) -> pa.Array:
 def shred_table_fast(ids: list[str], texts: list[str], offset: int):
     """Shred a (mostly) homogeneous shard column-wise.
 
-    Returns ``(values_table, zones_meta, text_groups, slow_rows)`` or
-    None when the whole shard needs the per-document shredder.
-    ``values_table`` has the exact ShredTokenize values schema
-    (doc-sorted) covering the FAST rows only; ``zones_meta`` their
-    per-kp zone dicts; ``text_groups`` is ``[(kp, docs int64[n],
-    ap int64[n, d], strings pa.Array)]``; ``slow_rows`` the original
+    Returns ``(values_table, zones_meta, slow_rows)`` or None when the
+    whole shard needs the per-document shredder.  ``values_table`` has
+    the exact ShredTokenize values schema (doc-sorted) covering the FAST
+    rows only — its code ``s`` rows are the string instances the posting
+    kernel tokenizes; ``zones_meta`` their per-kp zone dicts;
+    ``slow_rows`` the original
     row indices the caller must run through the per-document walk
     (documents whose raw text contains the token ``null`` — explicit
     JSON nulls shred as code ``N``, which has no column-wise form).
@@ -247,7 +237,6 @@ def shred_table_fast(ids: list[str], texts: list[str], offset: int):
     else:
         id_arr = pa.array(ids, pa.string())
     out.values.append(("._id", docs, ap0, "s", None, id_arr))
-    out.texts.append(("._id", docs, ap0, id_arr))
 
     # ---------------------------------------------- values table + zones
     zones: dict[str, dict] = {}
@@ -294,62 +283,4 @@ def shred_table_fast(ids: list[str], texts: list[str], offset: int):
     zmeta = {kp: {**{k: v for k, v in z.items() if k != "codes"},
                   "codes": sorted(z["codes"])}
              for kp, z in zones.items()}
-    return vt, zmeta, out.texts, slow_rows
-
-
-def accumulate_postings(text_groups, acc, tokenize_grouped):
-    """Fold fast-path text groups into the ShredTokenize posting
-    accumulator ``acc[(kp, term)] = (docs, aps, tfs, lens, flat_pos)``.
-
-    Low-cardinality columns tokenize once per DISTINCT value and bulk-
-    append the group's instances; unique-ish columns take the per-row
-    path (tokenize_grouped's lru_cache still catches repeats).
-    """
-    for kp, docs, ap_mat, arr in text_groups:
-        m = len(docs)
-        if m == 0:
-            continue
-        enc = pc.dictionary_encode(arr.combine_chunks()
-                                   if isinstance(arr, pa.ChunkedArray)
-                                   else arr)
-        dictionary = enc.dictionary.to_pylist()
-        if len(dictionary) <= m * _DICT_FRACTION:
-            indices = enc.indices.to_numpy().astype(np.int64)
-            order = np.argsort(indices, kind="stable")
-            sorted_idx = indices[order]
-            starts = np.searchsorted(
-                sorted_idx, np.arange(len(dictionary) + 1))
-            for k, text in enumerate(dictionary):
-                lo, hi = int(starts[k]), int(starts[k + 1])
-                if hi == lo:
-                    continue
-                sel = order[lo:hi]
-                g_docs = docs[sel].tolist()
-                g_aps = list(map(tuple, ap_mat[sel].tolist()))
-                terms, positions, field_len = tokenize_grouped(text)
-                cnt = hi - lo
-                for term, p in zip(terms, positions):
-                    ent = acc.get((kp, term))
-                    if ent is None:
-                        acc[(kp, term)] = ent = ([], [], [], [], [])
-                    ent[0].extend(g_docs)
-                    ent[1].extend(g_aps)
-                    ent[2].extend([len(p)] * cnt)
-                    ent[3].extend([field_len] * cnt)
-                    ent[4].extend(p * cnt)
-        else:
-            texts = arr.to_pylist()
-            aps = list(map(tuple, ap_mat.tolist()))
-            dl = docs.tolist()
-            for j, text in enumerate(texts):
-                terms, positions, field_len = tokenize_grouped(text)
-                d, a = dl[j], aps[j]
-                for term, p in zip(terms, positions):
-                    ent = acc.get((kp, term))
-                    if ent is None:
-                        acc[(kp, term)] = ent = ([], [], [], [], [])
-                    ent[0].append(d)
-                    ent[1].append(a)
-                    ent[2].append(len(p))
-                    ent[3].append(field_len)
-                    ent[4].extend(p)
+    return vt, zmeta, slow_rows

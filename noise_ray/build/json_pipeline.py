@@ -29,8 +29,12 @@ the reference's monotonically increasing seq on add — there is no sort
 key for arbitrary JSON.  The pipeline is one streaming execution with
 the same map-side combiner, gkey = (hash(kp, term) bucket × doc range)
 shuffle, idempotent tmp+rename writes and committed-group resume as the
-flat build.  Only stages 1+2 (``ShredTokenize``) are nested-specific:
-stage 3 and the build's closing steps (committed-group scan, ack
+flat build.  Only the shred of stages 1+2 (``ShredTokenize``) is
+nested-specific.  Its postings come from the flat build's kernel: every
+string value of the batch is one instance, ranked by (doc, arraypath),
+tokenized by the flat ``_field_tokens`` and grouped by
+``pipeline.group_postings`` with the keypath as the group.  Stage 3 and
+the build's closing steps (committed-group scan, ack
 assembly, manifest publish) are the flat build's own, and segment groups go
 through the one writer ``pipeline.write_segment_group`` with the nested
 row-group size — its keypath ``field`` strings and the extra ``aps`` /
@@ -45,26 +49,30 @@ import json
 import os
 import time
 import zlib
-from itertools import chain
 from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..analysis.tokenizer import tokenize_grouped
-from .arrow_shred import accumulate_postings, shred_table_fast
+from .arrow_shred import shred_table_fast
 from .codec import encode_varint
 from .pipeline import (
     NESTED_ROW_GROUP, _atomic_write_table, _binary_rows, _committed_gkeys,
-    _group_entries, _one_row_blocks, _publish_manifest, _write_groups,
-    encode_posting_blocks, flatten_runs,
+    _dict_ranks, _field_tokens, _group_entries, _one_row_blocks,
+    _publish_manifest, _write_groups, encode_posting_blocks, group_postings,
 )
 from .shred import shred
 
 VALUES_CODES = ("s", "f", "T", "F", "N", "o", "a", "r")
+# one string value at one (doc, keypath, arraypath): the nested posting
+# instance, as ``ShredTokenize._shred_file`` returns it
+_INSTANCES = pa.schema([("doc_id", pa.int64()),
+                        ("kp", pa.dictionary(pa.int32(), pa.string())),
+                        ("ap", pa.list_(pa.int64())), ("str", pa.string())])
 
 
 def kp_term_bucket(kp: str, term: str, num_buckets: int) -> int:
@@ -145,28 +153,18 @@ def jsonl_to_doc_parquet(in_paths: list[str], out_dir: str) -> list[str]:
 
 # ----------------------------------------------------------------- stage 1+2
 
-def _kp_rank_codes(col) -> np.ndarray:
-    """Alphabetical-rank codes per row for a dictionary-encoded kp
-    column (chunked, possibly with per-chunk dictionaries): the rank
-    map is DISTINCT-kp-sized, row work is one vectorized gather."""
-    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-    dicts = [c.dictionary.to_pylist() for c in chunks]
-    rank = {k: i for i, k in enumerate(sorted(set().union(*map(set, dicts))))}
-    out = np.empty(len(col), np.int64)
-    off = 0
-    for c, d in zip(chunks, dicts):
-        codes = np.array([rank[k] for k in d], np.int64)
-        idx = c.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        out[off:off + len(c)] = codes[idx]
-        off += len(c)
-    return out
-
-
 class ShredTokenize:
     """Fused shred + tokenize + map-side combiner for one batch of plan
     rows.  Writes the docmap and values partitions as side effects
     (idempotent per input file) and returns finished posting-block rows
-    keyed by gkey for the shuffle."""
+    keyed by gkey for the shuffle.
+
+    Postings follow add_stemmed_entries (src/json_shred.rs:148-203): one
+    per (keypath, stem, doc, arraypath).  The string instances of all the
+    batch's files are tokenized by one ``_field_tokens`` call and turned
+    into postings by the flat build's ``group_postings`` — key =
+    (keypath, term), instance = one string value at one (doc, arraypath)
+    — so each (keypath, term) run comes out in (doc, arraypath) order."""
 
     def __init__(self, docmap_dir: str, values_dir: str, num_buckets: int,
                  num_ranges: int, range_span: int, range_base: int,
@@ -192,7 +190,11 @@ class ShredTokenize:
 
     # -------------------------------------------------------- per file
 
-    def _shred_file(self, path: str, offset: int, rows: int, seq: int, acc):
+    def _shred_file(self, path: str, offset: int, rows: int,
+                    seq: int) -> pa.Table:
+        """Shred one input file: write its docmap, values and spatial
+        partitions (each idempotent) and return its string instances —
+        the values rows of code ``s`` — as ``(doc_id, kp, ap, str)``."""
         docmap_path = os.path.join(self.docmap_dir,
                                    f"docmap-{seq:05d}.parquet")
         values_path = os.path.join(self.values_dir,
@@ -206,150 +208,21 @@ class ShredTokenize:
         ids = t.column("_id").to_pylist()
         texts = t.column("json").to_pylist()
 
-        vt_fast = zmeta_fast = None
+        vt = zmeta = None
         slow_sel = range(rows)
         if self.fast:
             fast = shred_table_fast(ids, texts, offset)
             if fast is not None:
-                vt_fast, zmeta_fast, text_groups, slow_rows = fast
-                accumulate_postings(text_groups, acc, tokenize_grouped)
-                slow_sel = slow_rows
-                if not slow_rows:
-                    # purely fast shard: write artifacts directly
-                    if not os.path.exists(values_path):
-                        vt = vt_fast.replace_schema_metadata(
-                            {"noise_kp_zones": json.dumps(zmeta_fast,
-                                                          sort_keys=True)})
-                        _atomic_write_table(vt, values_path,
-                                            row_group_size=16384)
-                    if not os.path.exists(docmap_path):
-                        cols = {
-                            "doc_id": pa.array(
-                                np.arange(offset, offset + rows,
-                                          dtype=np.int64)),
-                            "_id": pa.array(ids, pa.string()),
-                            "json": pa.array(texts, pa.string()),
-                        }
-                        if have_seq:
-                            cols["seq"] = t.column("seq")
-                        _atomic_write_table(pa.table(cols), docmap_path,
-                                            row_group_size=65536)
-                    return
-
-        # per-document walk: the whole shard when the fast path bailed,
-        # else just the null-bearing rows the fast path routed here
-        v_doc: list[int] = []
-        v_kp: list[str] = []
-        v_ap: list[list[int]] = []
-        v_code: list[str] = []
-        v_num: list[float | None] = []
-        v_str: list[str | None] = []
-        v_bbox: list[list[float] | None] = []
-        for i in slow_sel:
-            the_id, text = ids[i], texts[i]
-            doc = offset + i
-            sd = shred(json.loads(text), docid=the_id, sort=False)
-            for e in sd.entries:
-                v_doc.append(doc)
-                v_kp.append(e.kp)
-                v_ap.append(list(e.ap))
-                v_code.append(e.code)
-                v_num.append(e.value if e.code == "f" else None)
-                v_str.append(e.value if e.code == "s" else None)
-                v_bbox.append(list(e.value) if e.code == "r" else None)
-                if e.code == "s":
-                    # add_stemmed_entries (src/json_shred.rs:148-203):
-                    # one posting instance per (kp, stem, doc, ap)
-                    terms, positions, field_len = tokenize_grouped(e.value)
-                    for term, p in zip(terms, positions):
-                        ent = acc.get((e.kp, term))
-                        if ent is None:
-                            acc[(e.kp, term)] = ent = ([], [], [], [], [])
-                        ent[0].append(doc)
-                        ent[1].append(e.ap)
-                        ent[2].append(len(p))
-                        ent[3].append(field_len)
-                        ent[4].extend(p)
-
-        spatial_path = os.path.join(
-            os.path.join(os.path.dirname(self.values_dir), "spatial"),
-            f"spatial-{seq:05d}.parquet")
-        if not os.path.exists(spatial_path):
-            self._write_spatial(spatial_path, v_doc, v_kp, v_ap, v_code,
-                                v_bbox)
+                vt, zmeta, slow_sel = fast
+        if vt is None or slow_sel:
+            # per-document walk: the whole shard when the fast path bailed,
+            # else just the null-bearing rows the fast path routed here
+            vt, zmeta = self._shred_rows(ids, texts, offset, slow_sel, seq,
+                                         vt, zmeta)
         if not os.path.exists(values_path):
-            # (kp, doc)-sorted rows: every values read filters on kp, so
-            # kp-contiguous row groups let parquet stats prune the other
-            # keypaths; the stable sort keeps docs ascending per kp for
-            # the doc-range filters (same layout as the Arrow fast path)
-            _, kp_inv = np.unique(
-                np.asarray(v_kp, dtype=object), return_inverse=True)
-            vorder = np.argsort(kp_inv, kind="stable")
-            v_doc = [v_doc[i] for i in vorder]
-            v_kp = [v_kp[i] for i in vorder]
-            v_ap = [v_ap[i] for i in vorder]
-            v_code = [v_code[i] for i in vorder]
-            v_num = [v_num[i] for i in vorder]
-            v_str = [v_str[i] for i in vorder]
-            v_bbox = [v_bbox[i] for i in vorder]
-            vt = pa.table({
-                "doc_id": pa.array(v_doc, pa.int64()),
-                "kp": pa.array(v_kp, pa.string()).dictionary_encode(),
-                "ap": pa.array(v_ap, pa.list_(pa.int64())),
-                "code": pa.array(v_code, pa.string()).dictionary_encode(),
-                "num": pa.array(v_num, pa.float64()),
-                "str": pa.array(v_str, pa.string()),
-                "bbox": pa.array(v_bbox, pa.list_(pa.float64())),
-            })
-            # per-kp zone map (numeric min/max + row count + codes seen):
-            # the value-index analogue the flat path gets from Parquet
-            # footer stats per column; here columns are rows, so the zones
-            # are computed at write time and stored in the file metadata
-            zones: dict[str, dict] = {}
-            for kp, code, num in zip(v_kp, v_code, v_num):
-                z = zones.get(kp)
-                if z is None:
-                    z = zones[kp] = {"n": 0, "codes": set()}
-                z["n"] += 1
-                z["codes"].add(code)
-                if num is not None:
-                    z["fmin"] = min(z.get("fmin", num), num)
-                    z["fmax"] = max(z.get("fmax", num), num)
-            zmeta = {kp: {**{k: v for k, v in z.items() if k != "codes"},
-                          "codes": sorted(z["codes"])}
-                     for kp, z in zones.items()}
-            if vt_fast is not None:
-                # mixed shard: merge the column-wise shred of the
-                # null-free rows with the per-doc shred of the rest.
-                # np.lexsort is stable, and a doc is in exactly one
-                # source, so within-(kp, doc) arraypath order survives.
-                # kp sort keys come from the dictionary chunks (a rank
-                # per DISTINCT kp), never a per-row string gather
-                vt = pa.concat_tables([vt_fast, vt],
-                                      promote_options="default")
-                m_inv = _kp_rank_codes(vt.column("kp"))
-                m_doc = vt.column("doc_id").to_numpy()
-                vt = vt.take(pa.array(np.lexsort((m_doc, m_inv))))
-                for kp, zf in zmeta_fast.items():
-                    z = zones.get(kp)
-                    if z is None:
-                        zmeta[kp] = zf
-                        continue
-                    merged = {"n": z["n"] + zf["n"],
-                              "codes": sorted(set(z["codes"])
-                                              | set(zf["codes"]))}
-                    fmins = [v for v in (z.get("fmin"), zf.get("fmin"))
-                             if v is not None]
-                    fmaxs = [v for v in (z.get("fmax"), zf.get("fmax"))
-                             if v is not None]
-                    if fmins:
-                        merged["fmin"] = min(fmins)
-                        merged["fmax"] = max(fmaxs)
-                    zmeta[kp] = merged
-            vt = vt.replace_schema_metadata(
+            vt_out = vt.replace_schema_metadata(
                 {"noise_kp_zones": json.dumps(zmeta, sort_keys=True)})
-            _atomic_write_table(vt, values_path, row_group_size=16384)
-
+            _atomic_write_table(vt_out, values_path, row_group_size=16384)
         if not os.path.exists(docmap_path):
             cols = {
                 "doc_id": pa.array(
@@ -359,8 +232,109 @@ class ShredTokenize:
             }
             if have_seq:
                 cols["seq"] = t.column("seq")
-            dt = pa.table(cols)
-            _atomic_write_table(dt, docmap_path, row_group_size=65536)
+            _atomic_write_table(pa.table(cols), docmap_path,
+                                row_group_size=65536)
+        return vt.filter(pc.equal(vt.column("code"), "s")).select(
+            _INSTANCES.names)
+
+    def _shred_rows(self, ids, texts, offset: int, sel, seq: int,
+                    vt_fast, zmeta_fast) -> tuple[pa.Table, dict]:
+        """The per-document shred of rows ``sel`` (writing their spatial
+        sidecar), merged with the fast shred ``vt_fast`` of the other rows
+        when there is one → (values table, per-kp zones)."""
+        v_doc: list[int] = []
+        v_kp: list[str] = []
+        v_ap: list[list[int]] = []
+        v_code: list[str] = []
+        v_num: list[float | None] = []
+        v_str: list[str | None] = []
+        v_bbox: list[list[float] | None] = []
+        for i in sel:
+            sd = shred(json.loads(texts[i]), docid=ids[i], sort=False)
+            for e in sd.entries:
+                v_doc.append(offset + i)
+                v_kp.append(e.kp)
+                v_ap.append(list(e.ap))
+                v_code.append(e.code)
+                v_num.append(e.value if e.code == "f" else None)
+                v_str.append(e.value if e.code == "s" else None)
+                v_bbox.append(list(e.value) if e.code == "r" else None)
+
+        spatial_path = os.path.join(
+            os.path.join(os.path.dirname(self.values_dir), "spatial"),
+            f"spatial-{seq:05d}.parquet")
+        if not os.path.exists(spatial_path):
+            self._write_spatial(spatial_path, v_doc, v_kp, v_ap, v_code,
+                                v_bbox)
+        # (kp, doc)-sorted rows: every values read filters on kp, so
+        # kp-contiguous row groups let parquet stats prune the other
+        # keypaths; the stable sort keeps docs ascending per kp for
+        # the doc-range filters (same layout as the Arrow fast path)
+        _, kp_inv = np.unique(
+            np.asarray(v_kp, dtype=object), return_inverse=True)
+        vorder = np.argsort(kp_inv, kind="stable")
+        v_doc = [v_doc[i] for i in vorder]
+        v_kp = [v_kp[i] for i in vorder]
+        v_ap = [v_ap[i] for i in vorder]
+        v_code = [v_code[i] for i in vorder]
+        v_num = [v_num[i] for i in vorder]
+        v_str = [v_str[i] for i in vorder]
+        v_bbox = [v_bbox[i] for i in vorder]
+        vt = pa.table({
+            "doc_id": pa.array(v_doc, pa.int64()),
+            "kp": pa.array(v_kp, pa.string()).dictionary_encode(),
+            "ap": pa.array(v_ap, pa.list_(pa.int64())),
+            "code": pa.array(v_code, pa.string()).dictionary_encode(),
+            "num": pa.array(v_num, pa.float64()),
+            "str": pa.array(v_str, pa.string()),
+            "bbox": pa.array(v_bbox, pa.list_(pa.float64())),
+        })
+        # per-kp zone map (numeric min/max + row count + codes seen):
+        # the value-index analogue the flat path gets from Parquet
+        # footer stats per column; here columns are rows, so the zones
+        # are computed at write time and stored in the file metadata
+        zones: dict[str, dict] = {}
+        for kp, code, num in zip(v_kp, v_code, v_num):
+            z = zones.get(kp)
+            if z is None:
+                z = zones[kp] = {"n": 0, "codes": set()}
+            z["n"] += 1
+            z["codes"].add(code)
+            if num is not None:
+                z["fmin"] = min(z.get("fmin", num), num)
+                z["fmax"] = max(z.get("fmax", num), num)
+        zmeta = {kp: {**{k: v for k, v in z.items() if k != "codes"},
+                      "codes": sorted(z["codes"])}
+                 for kp, z in zones.items()}
+        if vt_fast is not None:
+            # mixed shard: merge the column-wise shred of the
+            # null-free rows with the per-doc shred of the rest.
+            # np.lexsort is stable, and a doc is in exactly one
+            # source, so within-(kp, doc) arraypath order survives.
+            # kp sort keys come from the dictionary chunks (a rank
+            # per DISTINCT kp), never a per-row string gather
+            vt = pa.concat_tables([vt_fast, vt],
+                                  promote_options="default")
+            m_doc = vt.column("doc_id").to_numpy()
+            vt = vt.take(pa.array(np.lexsort(
+                (m_doc, _dict_ranks(vt.column("kp"))))))
+            for kp, zf in zmeta_fast.items():
+                z = zones.get(kp)
+                if z is None:
+                    zmeta[kp] = zf
+                    continue
+                merged = {"n": z["n"] + zf["n"],
+                          "codes": sorted(set(z["codes"])
+                                          | set(zf["codes"]))}
+                fmins = [v for v in (z.get("fmin"), zf.get("fmin"))
+                         if v is not None]
+                fmaxs = [v for v in (z.get("fmax"), zf.get("fmax"))
+                         if v is not None]
+                if fmins:
+                    merged["fmin"] = min(fmins)
+                    merged["fmax"] = max(fmaxs)
+                zmeta[kp] = merged
+        return vt, zmeta
 
     @staticmethod
     def _write_spatial(spatial_path: str, v_doc, v_kp, v_ap, v_code,
@@ -397,46 +371,50 @@ class ShredTokenize:
     # ------------------------------------------------------------ batch
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # (kp, term) -> [docs, aps, tfs, lens, flat positions]
-        acc: dict[tuple[str, str], tuple] = {}
-        for row in batch.to_pylist():
+        inst = pa.concat_tables([_INSTANCES.empty_table()] + [
             self._shred_file(row["path"], int(row["offset"]),
-                             int(row["rows"]), int(row["seq"]), acc)
-
-        key, (docs, tfs, lens, pos) = flatten_runs(
-            ((r[0], r[2], r[3], r[4]) for r in acc.values()), 4)
-        # arraypaths: one depth per keypath, padded to the batch's deepest
-        # so one lexsort orders every run by (doc, arraypath) numerically
-        key_depth = np.fromiter((len(r[1][0]) for r in acc.values()),
-                                np.int64, len(acc))
-        depth = key_depth[key]
-        in_ap = np.arange(int(key_depth.max(initial=0))) < depth[:, None]
+                             int(row["rows"]), int(row["seq"]))
+            for row in batch.to_pylist()])
+        # rank the string instances by (doc, arraypath): arraypaths are
+        # zero-padded to the batch's deepest, and every keypath has one
+        # depth, so this is the numeric order within each keypath
+        ap = inst.column("ap").combine_chunks()
+        depth = pc.list_value_length(ap).to_numpy()
+        in_ap = np.arange(int(depth.max(initial=0))) < depth[:, None]
         ap_mat = np.zeros(in_ap.shape, dtype=np.int64)
-        ap_mat[in_ap] = np.fromiter(chain.from_iterable(chain.from_iterable(
-            r[1] for r in acc.values())), np.int64)
-        key_field = pa.array([kp for kp, _ in acc], pa.string())
-        key_term = pa.array([t for _, t in acc], pa.string())
-        bucket = np.fromiter((self._bucket(kp, t) for kp, t in acc),
-                             np.int64, len(acc))
-        del acc  # free the per-key lists before the encode temporaries
-        order = np.lexsort((*ap_mat.T[::-1], docs, key))
-        aps = ap_mat[order][in_ap]
-        # positions re-gathered in instance order: one vectorized
-        # variable-length gather (repeat starts + ranges)
-        p_starts = np.cumsum(tfs) - tfs
-        docs, tfs, lens = docs[order], tfs[order], lens[order]
-        pos = pos[np.repeat(p_starts[order] - (np.cumsum(tfs) - tfs), tfs)
-                  + np.arange(pos.size)]
+        ap_mat[in_ap] = ap.flatten().to_numpy()
+        rank = np.lexsort((*ap_mat.T[::-1],
+                           inst.column("doc_id").to_numpy()))
+        inst = inst.take(pa.array(rank))
+        ap_mat, in_ap, depth = ap_mat[rank], in_ap[rank], depth[rank]
+
+        term_id: dict[str, int] = {}
+        row, pos, tid, flen = _field_tokens(inst.column("str"),
+                                            inst.num_rows, term_id)
+        kp = _dict_ranks(inst.column("kp"))
+        p_key, p_inst, tfs, pos, first = group_postings(
+            kp[row], row, pos, tid, int(kp.max(initial=0)) + 1)
+        key_field = inst.column("kp").take(pa.array(row[first])).cast(
+            pa.string()).combine_chunks()
+        terms = list(term_id)
+        key_term = [terms[t] for t in tid[first].tolist()]
+        bucket = np.fromiter(
+            (self._bucket(f, t)
+             for f, t in zip(key_field.to_pylist(), key_term)),
+            np.int64, len(key_term))
         bounds, cols = encode_posting_blocks(
-            key, docs, tfs, lens, pos, bucket, num_ranges=self.num_ranges,
+            p_key, inst.column("doc_id").to_numpy()[p_inst], tfs,
+            flen[p_inst], pos, bucket, num_ranges=self.num_ranges,
             range_span=self.range_span, range_base=self.range_base,
             block_size=self.block_size)
-        row_key = key[bounds[:-1]]
-        ap_bounds = np.concatenate(([0], np.cumsum(depth)))[bounds]
-        cols["aps"] = _binary_rows(encode_varint(aps), ap_bounds)
-        cols["depth"] = pa.array(key_depth[row_key], pa.int32())
+        row_key = p_key[bounds[:-1]]
+        p_depth = depth[p_inst]
+        ap_bounds = np.concatenate(([0], np.cumsum(p_depth)))[bounds]
+        cols["aps"] = _binary_rows(
+            encode_varint(ap_mat[p_inst][in_ap[p_inst]]), ap_bounds)
+        cols["depth"] = pa.array(p_depth[bounds[:-1]], pa.int32())
         cols["field"] = key_field.take(row_key)
-        cols["term"] = key_term.take(row_key)
+        cols["term"] = pa.array(key_term, pa.string()).take(row_key)
         return pa.table({c: cols[c] for c in (
             "gkey", "field", "term", "depth", "min_doc", "max_doc", "cnt",
             "c_block", "max_tf_norm", "docs", "aps", "tfs", "lens", "pos")})
@@ -454,7 +432,6 @@ def build_json_index(
     doc_id_offset: int = 0,
     docs_per_ingest_task: int | None = None,
     local: bool | None = None,
-    fast: bool = True,
 ) -> dict[str, Any]:
     """Build (or resume) a nested-JSON index; returns the manifest.
 
@@ -511,7 +488,7 @@ def build_json_index(
     ]
     shredder = ShredTokenize(docmap_dir, values_dir, num_buckets,
                              num_ranges, range_span, doc_id_offset,
-                             block_size, fast=fast)
+                             block_size)
     if local is None:
         local = num_docs < 5_000
     with _one_row_blocks():

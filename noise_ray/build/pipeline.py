@@ -18,8 +18,11 @@ re-expressed as ONE streaming Ray Data execution:
                            by RE2 (``ascii_word_tokens``) and stemmed once
                            per distinct token; only non-ASCII rows and
                            rows with no kept token go through the per-text
-                           ``tokenize_grouped``.  One lexsort lays the
-                           tokens out posting by posting.  The runs are
+                           ``tokenize_grouped``.  ``group_postings``
+                           lays the tokens out posting by posting with one
+                           lexsort; the nested build's ``ShredTokenize``
+                           calls the same kernel with keypaths as groups
+                           and string values as instances.  The runs are
                            cut into finished blocks and already
                            delta+varint ENCODED (ascending doc order) with
                            a shuffle key `gkey` = (term bucket, doc range).
@@ -78,7 +81,6 @@ import os
 import time
 import uuid
 import zlib
-from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -238,10 +240,11 @@ class TokenizeBatch:
 
     The combiner works on token arrays, never on per-posting Python
     objects: each field yields (row, pos, term id) per token
-    (``_field_tokens``); one lexsort by (field, term), row, pos lays the
-    tokens out posting by posting; and the (field, term) runs are then
-    ordered by first occurrence — field-major, then by row and position —
-    so block rows come out in the order a per-text pass would emit them.
+    (``_field_tokens``), and ``group_postings`` — the posting kernel the
+    nested ``ShredTokenize`` shares, with the field as the group and the
+    row as the instance — lays them out posting by posting.  Keys are
+    ordered by first occurrence (field, row, position), so block rows come
+    out in the order a per-text pass would emit them.
     """
 
     def __init__(self, fields: tuple, num_buckets: int, num_ranges: int,
@@ -275,60 +278,63 @@ class TokenizeBatch:
         field_len = np.stack([p[3] for p in parts])
         del parts
 
-        # group tokens by (field, term), each group in (row, pos) order
-        ft = tid * nf + field
-        order = np.lexsort((pos, row, ft))
-        n = order.size
-        s_key = ft[order]
-        g_cut = np.ones(n, dtype=bool)
-        g_cut[1:] = s_key[1:] != s_key[:-1]
-        g_start = np.flatnonzero(g_cut)
-        g_len = np.diff(np.append(g_start, n))
-        # key ids = groups ranked by first occurrence: field, row, pos
-        first = order[g_start]
-        rank = np.lexsort((pos[first], row[first], field[first]))
-        g_len = g_len[rank]
-        out_start = np.cumsum(g_len) - g_len
-        order = order[np.repeat(g_start[rank] - out_start, g_len)
-                      + np.arange(n)]
-        first = first[rank]
-        key = np.repeat(np.arange(rank.size), g_len)
-
-        # one posting per (key, row): tf = its token count
-        s_row = row[order]
-        p_cut = np.ones(n, dtype=bool)
-        p_cut[1:] = (key[1:] != key[:-1]) | (s_row[1:] != s_row[:-1])
-        p_start = np.flatnonzero(p_cut)
-        p_key, p_row = key[p_start], s_row[p_start]
+        p_key, p_row, tfs, pos, first = group_postings(field, row, pos, tid,
+                                                       nf)
+        key_field = field[first]
         docs = doc_ids[p_row].astype(np.int64, copy=False)
-        tfs = np.diff(np.append(p_start, n))
-        lens = field_len[field[order[p_start]], p_row]
+        lens = field_len[key_field[p_key], p_row]
         terms = list(term_id)
         key_terms = [terms[t] for t in tid[first].tolist()]
         bucket = np.fromiter((self._bucket(t) for t in key_terms), np.int64,
                              len(key_terms))
         bounds, cols = encode_posting_blocks(
-            p_key, docs, tfs, lens, pos[order], bucket,
+            p_key, docs, tfs, lens, pos, bucket,
             num_ranges=self.num_ranges, range_span=self.range_span,
             range_base=self.range_base, block_size=self.block_size)
         row_key = p_key[bounds[:-1]]
-        cols["field"] = pa.array(field[first].astype(np.int32)[row_key])
+        cols["field"] = pa.array(key_field.astype(np.int32)[row_key])
         cols["term"] = pa.array(key_terms, pa.string()).take(row_key)
         return pa.table({c: cols[c] for c in (
             "gkey", "field", "term", "min_doc", "max_doc", "cnt", "c_block",
             "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens", "pos")})
 
 
-def flatten_runs(runs, width: int):
-    """Concatenate per-key posting runs (tuples of ``width`` lists whose
-    first list has one entry per posting) key by key → (key id per
-    posting, one int64 array per list).  Key ids follow ``runs`` order."""
-    runs = list(runs)
-    key_len = np.fromiter((len(r[0]) for r in runs), np.int64, len(runs))
-    key = np.repeat(np.arange(len(runs)), key_len)
-    cols = [np.fromiter(chain.from_iterable(r[j] for r in runs), np.int64)
-            for j in range(width)]
-    return key, cols
+def group_postings(group, inst, pos, tid, num_groups: int):
+    """The posting kernel of both builds: tokens → postings.
+
+    Each token is (``group``, ``inst``, ``pos``, ``tid``): the flat field
+    index or nested keypath id, the instance it came from (a flat row, or
+    one nested string value), its position and its term id.  A key is one
+    (group, term); keys are numbered by first occurrence — group, then
+    instance, then position — and one lexsort lays the tokens out key by
+    key, each key in (instance, pos) order.  One posting per (key,
+    instance), whose tf is its token count.
+
+    Returns per posting (key id, instance, tf), the positions in posting
+    order, and each key's first token index."""
+    # group tokens by key, each key in (instance, pos) order
+    gt = tid * num_groups + group
+    order = np.lexsort((pos, inst, gt))
+    n = order.size
+    s_key = gt[order]
+    g_cut = np.ones(n, dtype=bool)
+    g_cut[1:] = s_key[1:] != s_key[:-1]
+    g_start = np.flatnonzero(g_cut)
+    g_len = np.diff(np.append(g_start, n))
+    # key ids = keys ranked by first occurrence: group, instance, pos
+    first = order[g_start]
+    rank = np.lexsort((pos[first], inst[first], group[first]))
+    g_len = g_len[rank]
+    out_start = np.cumsum(g_len) - g_len
+    order = order[np.repeat(g_start[rank] - out_start, g_len) + np.arange(n)]
+    key = np.repeat(np.arange(rank.size), g_len)
+    # one posting per (key, instance): tf = its token count
+    s_inst = inst[order]
+    p_cut = np.ones(n, dtype=bool)
+    p_cut[1:] = (key[1:] != key[:-1]) | (s_inst[1:] != s_inst[:-1])
+    p_start = np.flatnonzero(p_cut)
+    return (key[p_start], s_inst[p_start], np.diff(np.append(p_start, n)),
+            pos[order], first[rank])
 
 
 def _binary_rows(data: bytes, bounds: np.ndarray) -> pa.Array:

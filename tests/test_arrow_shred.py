@@ -1,12 +1,12 @@
 """Parity of the Arrow column-wise fast shred (build/arrow_shred.py)
 with the per-document shredder: identical values partitions, zone maps
-and posting accumulators, plus the bail conditions that route unsafe
+and posting blocks, plus the bail conditions that route unsafe
 shapes back to the slow path."""
 
 import json
 import os
 
-import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 from hypothesis import given, settings
@@ -25,26 +25,20 @@ def _run(tmp_path, docs, fast, tag):
     rows = pq.read_metadata(shard).num_rows
     st_ = ShredTokenize(str(d / "dm"), str(d / "v"), 8, 1, 10 ** 9, 0,
                         4096, fast=fast)
-    acc = {}
-    st_._shred_file(shard, 0, rows, 0, acc)
+    blocks = st_(pa.table({"path": [shard], "offset": [0], "rows": [rows],
+                           "seq": [0]}))
     vt = pq.read_table(str(d / "v" / "values-00000.parquet"))
     zones = json.loads(pq.read_metadata(
         str(d / "v" / "values-00000.parquet")
     ).metadata[b"noise_kp_zones"])
-    return acc, vt, zones
+    return blocks, vt, zones
 
 
-def _canon_acc(acc):
-    out = {}
-    for k, (docs, aps, tfs, lens, pos) in acc.items():
-        ends = np.cumsum(tfs)
-        idx = sorted(range(len(docs)), key=lambda i: (docs[i], aps[i]))
-        p = []
-        for i in idx:
-            p.extend(pos[ends[i] - tfs[i]:ends[i]])
-        out[k] = ([docs[i] for i in idx], [tuple(aps[i]) for i in idx],
-                  [tfs[i] for i in idx], [lens[i] for i in idx], p)
-    return out
+def _canon_blocks(blocks):
+    """Posting-block rows in the segment writer's (field, term, min_doc)
+    order."""
+    return blocks.sort_by([("field", "ascending"), ("term", "ascending"),
+                           ("min_doc", "ascending")]).to_pylist()
 
 
 def _canon_values(vt):
@@ -66,7 +60,7 @@ def _assert_parity(tmp_path, docs, tag, expect_fast=True):
     a_s, v_s, z_s = _run(tmp_path, docs, False, tag)
     a_f, v_f, z_f = _run(tmp_path, docs, True, tag)
     assert z_s == z_f
-    assert _canon_acc(a_s) == _canon_acc(a_f)
+    assert _canon_blocks(a_s) == _canon_blocks(a_f)
     assert _canon_values(v_s) == _canon_values(v_f)
 
 
@@ -127,14 +121,14 @@ def test_null_and_missing_key_split(tmp_path):
     out = shred_table_fast(
         [d["_id"] for d in null_docs],
         [json.dumps(d) for d in null_docs], 0)
-    assert out is not None and out[3] == [0]
+    assert out is not None and out[2] == [0]
     _assert_parity(tmp_path, null_docs, "null_split")
 
     miss_docs = [{"_id": "a", "x": 1.0, "y": "s"}, {"_id": "b", "x": 2.0}]
     out = shred_table_fast(
         [d["_id"] for d in miss_docs],
         [json.dumps(d) for d in miss_docs], 0)
-    assert out is not None and out[3] == []
+    assert out is not None and out[2] == []
     _assert_parity(tmp_path, miss_docs, "missing_key")
 
 
@@ -157,7 +151,7 @@ def test_bails_fall_back_to_slow_path(tmp_path):
         a_s, v_s, z_s = _run(tmp_path, docs, False, tag)
         a_f, v_f, z_f = _run(tmp_path, docs, True, tag)
         assert z_s == z_f, tag
-        assert _canon_acc(a_s) == _canon_acc(a_f), tag
+        assert _canon_blocks(a_s) == _canon_blocks(a_f), tag
         assert _canon_values(v_s) == _canon_values(v_f), tag
 
 
@@ -197,7 +191,7 @@ def test_property_fast_matches_slow(tmp_path_factory, docs):
     a_s, v_s, z_s = _run(tmp_path, docs, False, "p")
     a_f, v_f, z_f = _run(tmp_path, docs, True, "p")
     assert z_s == z_f
-    assert _canon_acc(a_s) == _canon_acc(a_f)
+    assert _canon_blocks(a_s) == _canon_blocks(a_f)
     assert _canon_values(v_s) == _canon_values(v_f)
 
 
@@ -210,7 +204,7 @@ def test_null_in_list_routes_row_to_slow_walk(tmp_path):
     docs = [{"_id": "d0", "a": 0}, {"_id": "d1", "b": [None, "alpha"]}]
     out = shred_table_fast([d["_id"] for d in docs],
                            [json.dumps(d) for d in docs], 0)
-    assert out is not None and out[3] == [1]
+    assert out is not None and out[2] == [1]
     # slow path shreds the null array element as an N entry
     sd = shred(docs[1], "d1")
     assert any(e.kp == ".b$" and e.code == "N" for e in sd.entries)

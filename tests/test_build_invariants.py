@@ -257,3 +257,125 @@ def test_tokenize_batch_matches_per_term_reference(
         assert got.equals(want)
         empty = tokenize_batch(b.slice(0, 0), **kw)
         assert empty.equals(want.slice(0, 0))
+
+
+def _reference_nested_blocks(paths, offsets, num_buckets, num_ranges,
+                             range_span, range_base, block_size):
+    """Per-(keypath, term) reference for ``ShredTokenize``: every doc goes
+    through the per-document shredder, each string value is tokenized on
+    its own into a (kp, term) accumulator, each run is sorted by (doc,
+    arraypath) numerically, and every block row gets its own codec calls,
+    rows cut at doc-range boundaries and ``block_size``."""
+    import numpy as np
+    import pyarrow as pa
+
+    from noise_ray.analysis.tokenizer import tokenize_grouped
+    from noise_ray.build.codec import (encode_deltas, encode_position_lists,
+                                       encode_varint)
+    from noise_ray.build.json_pipeline import kp_term_bucket
+    from noise_ray.build.shred import shred
+
+    acc = {}
+    for path, off in zip(paths, offsets):
+        t = pq.read_table(path, columns=["_id", "json"])
+        for i, (the_id, text) in enumerate(zip(
+                t.column("_id").to_pylist(), t.column("json").to_pylist())):
+            for e in shred(json.loads(text), docid=the_id,
+                           sort=False).entries:
+                if e.code != "s":
+                    continue
+                terms, positions, field_len = tokenize_grouped(e.value)
+                for term, p in zip(terms, positions):
+                    acc.setdefault((e.kp, term), []).append(
+                        (off + i, tuple(e.ap), list(p), field_len))
+    rows = []
+    for (kp, term), insts in acc.items():
+        insts.sort(key=lambda x: (x[0], x[1]))
+        docs = np.array([x[0] for x in insts], np.int64)
+        tfs = np.array([len(x[2]) for x in insts], np.int64)
+        lens = np.array([x[3] for x in insts], np.int64)
+        pos_ends = np.cumsum(tfs)
+        pos = np.array([q for x in insts for q in x[2]], np.int64)
+        tf_norm = (np.sqrt(tfs.astype(np.float32))
+                   / np.sqrt(lens.astype(np.float32)))
+        rng_of = np.minimum((docs - range_base) // range_span,
+                            num_ranges - 1)
+        cut = np.flatnonzero(np.diff(rng_of)) + 1
+        for r_lo, r_hi in zip(np.r_[0, cut], np.r_[cut, docs.size]):
+            for lo in range(int(r_lo), int(r_hi), block_size):
+                hi = min(lo + block_size, int(r_hi))
+                p_lo = int(pos_ends[lo - 1]) if lo else 0
+                p_hi = int(pos_ends[hi - 1])
+                rows.append({
+                    "gkey": kp_term_bucket(kp, term, num_buckets)
+                    * num_ranges + int(rng_of[lo]),
+                    "field": kp, "term": term, "depth": len(insts[lo][1]),
+                    "min_doc": int(docs[lo]), "max_doc": int(docs[hi - 1]),
+                    "cnt": hi - lo, "c_block": p_hi - p_lo,
+                    "max_tf_norm": float(tf_norm[lo:hi].max()),
+                    "docs": encode_deltas(docs[lo:hi]),
+                    "aps": encode_varint(np.array(
+                        [a for x in insts[lo:hi] for a in x[1]], np.int64)),
+                    "tfs": encode_varint(tfs[lo:hi]),
+                    "lens": encode_varint(lens[lo:hi]),
+                    "pos": encode_position_lists(pos[p_lo:p_hi],
+                                                 tfs[lo:hi]),
+                })
+    schema = pa.schema([
+        ("gkey", pa.int32()), ("field", pa.string()), ("term", pa.string()),
+        ("depth", pa.int32()), ("min_doc", pa.int64()),
+        ("max_doc", pa.int64()), ("cnt", pa.int32()),
+        ("c_block", pa.int64()), ("max_tf_norm", pa.float32()),
+        ("docs", pa.binary()), ("aps", pa.binary()), ("tfs", pa.binary()),
+        ("lens", pa.binary()), ("pos", pa.binary())])
+    return pa.Table.from_pylist(rows, schema=schema)
+
+
+@pytest.mark.parametrize("num_ranges,range_span,range_base,block_size", [
+    (1, 10**9, 0, 4096),
+    (3, 25, 17, 4096),   # doc-range splits with a nonzero base
+    (1, 10**9, 0, 3),    # block_size cuts, also inside one doc's instances
+    (3, 25, 17, 3),      # both
+])
+def test_shred_tokenize_matches_per_key_reference(
+        tmp_path, num_ranges, range_span, range_base, block_size):
+    import pyarrow as pa
+
+    from noise_ray.build.json_pipeline import ShredTokenize, docs_to_parquet
+
+    words = ["cat", "cats", "dog", "running", "the", "naïve café",
+             "日本語 dog", "!!", "42", "", "x9 zebra"]
+    # homogeneous: 11+-element arrays (numeric, not decimal-string,
+    # arraypath order) and arrays nested two deep
+    arrays = [{"_id": f"a{i}", "tag": words[i % 3],
+               "xs": [words[(i + j) % len(words)] for j in range(11 + i % 3)],
+               "m": [[words[(i * j + k) % len(words)] for k in range(1 + j)]
+                     for j in range(3)]}
+              for i in range(20)]
+    # mixed: null-bearing docs take the per-document walk, the rest the
+    # column-wise shred
+    mixed = [{"_id": f"m{i}", "v": None if i % 4 == 0 else words[i % 11],
+              "xs": [words[(i + j) % 11] for j in range(i % 13)]}
+             for i in range(26)]
+    # heterogeneous types: the whole shard takes the per-document walk
+    hetero = [{"_id": f"h{i}", "x": i if i % 2 else words[i % 11],
+               "ys": [{"z": words[(i + j) % 11]} for j in range(i % 4)]}
+              for i in range(12)]
+    paths, offsets, off = [], [], range_base
+    for k, docs in enumerate((arrays, mixed, hetero)):
+        paths.append(docs_to_parquet(docs, str(tmp_path / f"in{k}.parquet")))
+        offsets.append(off)
+        off += len(docs)
+    (tmp_path / "dm").mkdir()
+    (tmp_path / "v").mkdir()
+    st_ = ShredTokenize(str(tmp_path / "dm"), str(tmp_path / "v"), 8,
+                        num_ranges, range_span, range_base, block_size)
+    got = st_(pa.table({"path": paths, "offset": offsets,
+                        "rows": [len(d) for d in
+                                 (arrays, mixed, hetero)],
+                        "seq": [0, 1, 2]}))
+    want = _reference_nested_blocks(paths, offsets, 8, num_ranges,
+                                    range_span, range_base, block_size)
+    keys = [(c, "ascending") for c in ("gkey", "field", "term", "min_doc")]
+    assert got.num_rows == want.num_rows > 0
+    assert got.sort_by(keys).equals(want.sort_by(keys))
