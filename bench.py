@@ -400,7 +400,7 @@ def run_headline(num_cpus: int, *, build_only: bool = False) -> dict:
     from noise_ray.ops.nested_docs import _kp_bm25_fold, _kp_bm25_order
 
     n_inst = float(nr.kp_instance_count(".turns$.text"))
-    avgdl = float(nr.kp_token_total(".turns$.text")) / n_inst
+    avgdl = float(nr.token_total(".turns$.text")) / n_inst
     samples = []
     for _ in range(3):
         tq = time.perf_counter()

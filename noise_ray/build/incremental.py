@@ -25,6 +25,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -66,6 +67,35 @@ def _epoch_dirs(index_dir: str) -> list[str]:
                 superseded.update(json.load(f))
     return [os.path.join(edir, name) for name in pub
             if name not in superseded]
+
+
+# tombstoned doc ids of an index, a JSON list at its root (Lucene-style
+# hidden deletes: every query drops them, stats stay until compaction)
+TOMBSTONES_NAME = "tombstones.json"
+
+
+def read_tombstones(index_dir: str) -> np.ndarray:
+    """The index's tombstoned doc ids, sorted and unique (int64)."""
+    path = os.path.join(index_dir, TOMBSTONES_NAME)
+    if not os.path.exists(path):
+        return np.zeros(0, dtype=np.int64)
+    with open(path) as f:
+        return np.unique(np.asarray(json.load(f), dtype=np.int64))
+
+
+def add_tombstones(index_dir: str, doc_ids) -> np.ndarray:
+    """Union ``doc_ids`` into the index's tombstone file and publish it
+    atomically (temp file + rename); returns the new sorted set."""
+    import uuid
+
+    merged = np.union1d(read_tombstones(index_dir),
+                        np.asarray(list(doc_ids), dtype=np.int64))
+    path = os.path.join(index_dir, TOMBSTONES_NAME)
+    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+    with open(tmp, "w") as f:
+        json.dump(merged.tolist(), f)
+    os.replace(tmp, path)
+    return merged
 
 
 def total_docs(index_dir: str) -> int:
@@ -394,8 +424,6 @@ def delete_by_query(index_dir: str, query: str,
             ("ops_call", (".query.distributed", "_eval_range_impl",
                           (index_dir, query, params, lo, hi, None)))
             for lo, hi in doc_ranges(reader.num_docs)])
-        import numpy as np
-
         docs = (np.concatenate([d for d, _ in parts]) if parts
                 else np.zeros(0, np.int64))
     else:

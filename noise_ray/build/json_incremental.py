@@ -35,12 +35,8 @@ def add_json_documents(index_dir: str, new_paths: list[str],
     are tombstoned.  Returns the epoch manifest."""
     from ..query.json_reader import JsonIndexReader
 
-    with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
-        base = json.load(f)
-    if not base.get("nested"):
-        raise ValueError(f"{index_dir} is not a nested-JSON index")
-    reader = JsonIndexReader(index_dir)
-    offset = reader.num_docs
+    reader = JsonIndexReader(index_dir)  # refuses a flat index
+    base, offset = reader.manifest, reader.num_docs
 
     existing = _epoch_dirs(index_dir)
     n = (int(_EPOCH_RE.match(os.path.basename(existing[-1])).group(1)) + 1

@@ -61,6 +61,7 @@ import pyarrow.parquet as pq
 
 from .codec import (decode_position_lists, decode_varint, encode_deltas,
                     encode_position_lists, encode_varint)
+from .incremental import _epoch_dirs, add_tombstones, read_tombstones
 from .pipeline import (FLAT_ROW_GROUP, MANIFEST_NAME, NESTED_ROW_GROUP,
                        read_group_meta, write_segment_group)
 
@@ -131,8 +132,6 @@ def merge_json_indexes(src_dirs: list[str], out_dir: str) -> dict:
 
 def _merge(src_dirs: list[str], out_dir: str, nested: bool) -> dict:
     import ray.data
-
-    from .incremental import _epoch_dirs
 
     mans = []
     for d in src_dirs:
@@ -223,15 +222,10 @@ def _merge(src_dirs: list[str], out_dir: str, nested: bool) -> dict:
         for k, v in m["field_k"].items():
             field_k[k] = field_k.get(k, 0) + int(v)
 
-    tombs: list[int] = []
-    for i, d in enumerate(src_dirs):
-        tp = os.path.join(d, "tombstones.json")
-        if os.path.exists(tp):
-            with open(tp) as f:
-                tombs.extend(int(t) + offsets[i] for t in json.load(f))
-    if tombs:
-        with open(os.path.join(out_dir, "tombstones.json"), "w") as f:
-            json.dump(sorted(tombs), f)
+    tombs = [read_tombstones(d) + offsets[i]
+             for i, d in enumerate(src_dirs)]
+    if any(t.size for t in tombs):
+        add_tombstones(out_dir, np.concatenate(tombs))
 
     man = dict(base)
     man.update({
@@ -389,8 +383,6 @@ def _split(src_dir: str, out_dirs: list[str], cuts: list[int] | None,
            nested: bool) -> list[dict]:
     import ray.data
 
-    from .incremental import _epoch_dirs
-
     if _epoch_dirs(src_dir):
         raise ValueError("compact before split")
     with open(os.path.join(src_dir, MANIFEST_NAME)) as f:
@@ -458,11 +450,7 @@ def _split(src_dir: str, out_dirs: list[str], cuts: list[int] | None,
                                 override_num_blocks=max(1, len(items)))
             .flat_map(work).take_all())
 
-    tombs = []
-    tp = os.path.join(src_dir, "tombstones.json")
-    if os.path.exists(tp):
-        with open(tp) as f:
-            tombs = json.load(f)
+    tombs = read_tombstones(src_dir)
 
     mans = []
     for j, d in enumerate(out_dirs):
@@ -498,10 +486,9 @@ def _split(src_dir: str, out_dirs: list[str], cuts: list[int] | None,
             "segments": segs, "stats": stats,
             "metrics": {"split_from": src_abs, "doc_range": [lo, hi]},
         })
-        st = [t - lo for t in tombs if lo <= t < hi]
-        if st:
-            with open(os.path.join(d, "tombstones.json"), "w") as f:
-                json.dump(st, f)
+        st = tombs[(tombs >= lo) & (tombs < hi)] - lo
+        if st.size:
+            add_tombstones(d, st)
         tmp = os.path.join(d, MANIFEST_NAME + ".tmp")
         with open(tmp, "w") as f:
             json.dump(out_man, f)
@@ -546,13 +533,5 @@ def merge_dedup_keys(out_dir: str) -> int:
     dead = sorted(int(r["dead"]) for r in dead_rows)
     if not dead:
         return 0
-    tp = os.path.join(out_dir, "tombstones.json")
-    prior = []
-    if os.path.exists(tp):
-        with open(tp) as f:
-            prior = json.load(f)
-    merged = sorted(set(prior) | set(dead))
-    with open(tp + ".tmp", "w") as f:
-        json.dump(merged, f)
-    os.replace(tp + ".tmp", tp)
+    add_tombstones(out_dir, dead)
     return len(dead)

@@ -26,6 +26,8 @@ import json
 import os
 import shutil
 
+from .incremental import TOMBSTONES_NAME, _epoch_dirs
+
 
 def _closure(index_dir: str) -> list[str]:
     """Relative paths of every file a consistent copy of this index
@@ -36,8 +38,8 @@ def _closure(index_dir: str) -> list[str]:
     rel = ["manifest.json"]
     for section in ("docmap", "segments", "stats", "values"):
         rel.extend(entry["path"] for entry in manifest.get(section, []))
-    if os.path.exists(os.path.join(index_dir, "tombstones.json")):
-        rel.append("tombstones.json")
+    if os.path.exists(os.path.join(index_dir, TOMBSTONES_NAME)):
+        rel.append(TOMBSTONES_NAME)
     # derived sidecars ride along when present: the term dictionary
     # (ops/termdict) and the nested spatial grid buckets (build/spatial)
     for side in ("dictionary", "spatial"):
@@ -45,7 +47,6 @@ def _closure(index_dir: str) -> list[str]:
                                                "*.parquet"))):
             rel.append(os.path.relpath(p, index_dir))
     # published epochs are self-contained sub-indexes (no nesting)
-    from .incremental import _epoch_dirs
 
     for edir in _epoch_dirs(index_dir):
         erel = os.path.relpath(edir, index_dir)
@@ -66,7 +67,7 @@ def _transfer(src_root: str, dst_root: str, rel_paths: list[str]) -> int:
             # epoch merges, tombstones by deletes) refresh when their
             # inode changed; an old snapshot's hardlink still points at
             # the superseded inode, so prior snapshots stay isolated.
-            if base not in ("manifest.json", "tombstones.json"):
+            if base not in ("manifest.json", TOMBSTONES_NAME):
                 continue
             if os.path.samefile(src, dst):
                 continue

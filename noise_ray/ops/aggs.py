@@ -47,7 +47,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..query.distributed import dist_min_docs, doc_ranges
-from .bm25 import _field_total_tokens, _fold_scores
+from .bm25 import _fold_scores
 
 
 def _reader_for(sf_dir: str, index_dir: str | None):
@@ -136,7 +136,7 @@ def collapse_topk(sf_dir: str, terms=("merge", "scan"),
     reader = _reader_for(sf_dir, index_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():
@@ -323,7 +323,7 @@ def top_hits(sf_dir: str, terms=("merge", "scan"),
     reader = _reader_for(sf_dir, index_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():
@@ -491,16 +491,6 @@ def _merge_fg_parts(parts) -> tuple[float, list[str], np.ndarray]:
     return fg_n, vocab, np.array([acc[t] for t in vocab], np.float64)
 
 
-def _stats_paths_of(reader) -> list[str]:
-    """Every stats-sidecar partition of an index, epochs included."""
-    out: list[str] = []
-    for paths in reader._stats_by_bucket.values():
-        out.extend(paths)
-    for e in getattr(reader, "_epochs", ()):
-        out.extend(_stats_paths_of(e))
-    return out
-
-
 def bg_df_paths(paths: list[str], fid: int, terms_ref) -> dict[str, int]:
     """Worker body: fold ``k`` per term over a slice of stats files.
     ``terms_ref`` is a ray.put ObjectRef of the foreground vocabulary —
@@ -536,7 +526,7 @@ def _bg_df_for_terms(reader, fid: int, terms: list[str],
     AND superseded upsert versions — both live in reader.tombstones)
     are corrected by re-analyzing just those bounded-count docs."""
     want = set(terms)
-    paths = _stats_paths_of(reader)
+    paths = reader.stats_paths()
     acc = {t: 0 for t in terms}
     if distributed and len(paths) > 1:
         import ray

@@ -72,33 +72,6 @@ def _merge_topk(parts, k: int) -> pa.Table:
                      "score": pa.array(r4[top], pa.float64())})
 
 
-def _field_total_tokens(reader, fid: int) -> float:
-    """Total token count of one field = Σ per-term C over the stats
-    sidecar (term-cardinality-sized, one filtered column read per stats
-    partition; the manifest's field_k is the reference's K = distinct
-    (doc, stem) count, which is NOT the BM25 avgdl numerator).  Memoized
-    on the reader; epochs recurse."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    cache = getattr(reader, "_bm25_tok_totals", None)
-    if cache is None:
-        cache = reader._bm25_tok_totals = {}
-    if fid in cache:
-        return cache[fid]
-    total = 0
-    for paths in reader._stats_by_bucket.values():
-        for p in paths:
-            t = pq.read_table(p, columns=["c"],
-                              filters=[("field", "==", fid)])
-            if t.num_rows:
-                total += int(pc.sum(t.column("c")).as_py())
-    for e in getattr(reader, "_epochs", ()):
-        total += _field_total_tokens(e, fid)
-    cache[fid] = float(total)
-    return cache[fid]
-
-
 def bm25_topk(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
               k: int = 20, k1: float = 1.2, b: float = 0.75,
               field: str = "text", *,
@@ -150,7 +123,7 @@ def bm25_topk(sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS,
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
 
     # dict.fromkeys: duplicate query terms collapse (a term scores once)
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
@@ -467,7 +440,7 @@ def bm25_fields_topk(sf_dir: str,
         fid = reader.field_id.get(field, -1)
         if fid < 0:
             continue
-        avgdl = _field_total_tokens(reader, fid) / n_docs
+        avgdl = reader.token_total(fid) / n_docs
         parts = []
         for t in stemmed:
             pl = reader.postings(fid, t, need_positions=False)
@@ -576,7 +549,7 @@ def _bm25_fields_distributed(index_dir: str, reader, stemmed: list[str],
     from ..query.distributed import pool_batched, worker_pool
 
     fields = [f for f, _ in weights if f in reader.field_id]
-    avgdls = {f: _field_total_tokens(reader, reader.field_id[f]) / n_docs
+    avgdls = {f: reader.token_total(reader.field_id[f]) / n_docs
               for f in fields}
     ranges = doc_ranges(reader.num_docs)
     pool = worker_pool()
@@ -752,7 +725,7 @@ def bm25_phrase_topk(sf_dir: str, phrase: tuple[str, ...] = ("row", "scan"),
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = [_stem_one(w) for w in phrase]
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():
@@ -801,7 +774,7 @@ def bm25_msearch(sf_dir: str, queries=DEFAULT_MSEARCH, k: int = 10,
     if index_dir is not None and reader.num_docs >= dist_min_docs():
         n_docs = float(reader.num_docs)
         fid = reader.field_id[field]
-        avgdl = _field_total_tokens(reader, fid) / n_docs
+        avgdl = reader.token_total(fid) / n_docs
         per_query = _msearch_distributed(index_dir, reader, qlists,
                                          field, k, k1, b, n_docs, avgdl,
                                          replica_group)
@@ -939,7 +912,7 @@ def bm25_spannear_topk(sf_dir: str, phrase: tuple[str, ...] = ("row", "scan"),
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = [_stem_one(w) for w in phrase]
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():
@@ -1266,7 +1239,7 @@ def bm25_span_first_topk(sf_dir: str, term: str = "merge",
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stem = _stem_one(term)
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():

@@ -42,7 +42,6 @@ import pyarrow as pa
 from ..query.distributed import dist_min_docs, doc_ranges
 from .bm25 import (
     _empty_topk,
-    _field_total_tokens,
     _fold_scores_raw,
     _merge_topk,
 )
@@ -138,7 +137,7 @@ def bm25_synonyms_topk(sf_dir: str,
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     sgroups = _stem_groups(groups)
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():
@@ -234,7 +233,7 @@ def bm25_boosting_topk(sf_dir: str, terms=("merge", "scan"),
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     neg = list(dict.fromkeys(_stem_one(t) for t in negative))
 
@@ -348,7 +347,7 @@ def bm25_value_boost(sf_dir: str, terms=("merge", "scan"),
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
 
     if index_dir is not None and reader.num_docs >= dist_min_docs():
@@ -389,7 +388,7 @@ def bm25_decay(sf_dir: str, terms=("merge", "scan"), k: int = 20,
         reader = documents_index(sf_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     spec = ("gauss", origin, offset, scale)
 
@@ -500,7 +499,7 @@ def _dismax_fold(reader, fields, stemmed, dfs, avgdls, n_docs, k1, b,
     (matching the SQL's left-to-right `w1·c1 + w2·c2 + …` with 0.0 for
     absent fields — adding exact zeros is an f64 no-op, so skipping
     absent fields is bit-equal).  dfs/avgdls None → local stats."""
-    from .bm25 import _field_total_tokens, _fold_scores_raw
+    from .bm25 import _fold_scores_raw
 
     field_d, field_s = [], []
     for field, w in fields:
@@ -508,7 +507,7 @@ def _dismax_fold(reader, fields, stemmed, dfs, avgdls, n_docs, k1, b,
         if fid < 0:
             continue
         avgdl = (avgdls[field] if avgdls is not None
-                 else _field_total_tokens(reader, fid) / n_docs)
+                 else reader.token_total(fid) / n_docs)
         parts = []
         for t in stemmed:
             pl = reader.postings(fid, t, need_positions=False,
@@ -601,8 +600,6 @@ def bm25_dismax_topk(sf_dir: str,
     from ..pipelines import documents_index
     from ..query.engine import _stem_one
 
-    from .bm25 import _field_total_tokens
-
     if index_dir is not None:
         from ..query.distributed import _cached_reader
 
@@ -615,7 +612,7 @@ def bm25_dismax_topk(sf_dir: str,
     if index_dir is not None and reader.num_docs >= dist_min_docs():
         from ..query.distributed import pool_batched, worker_pool
 
-        avgdls = {f: _field_total_tokens(reader, reader.field_id[f])
+        avgdls = {f: reader.token_total(reader.field_id[f])
                   / n_docs
                   for f, _ in fields if f in reader.field_id}
         ranges = doc_ranges(reader.num_docs)
@@ -672,13 +669,13 @@ def bm25_phrase_prefix_topk(sf_dir: str, words: tuple[str, ...] = ("window",),
     from ..build.dictionary import prefix_terms
     from ..query.engine import _stem_one
 
-    from .bm25 import _field_total_tokens, _phrase_score
+    from .bm25 import _phrase_score
     from .termdict import _reader_and_dict
 
     reader, ddir = _reader_and_dict(sf_dir, index_dir)
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     stemmed = [_stem_one(w) for w in words]
 
     raw = sorted(prefix_terms(ddir, fid, prefix)

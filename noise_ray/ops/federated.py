@@ -44,7 +44,6 @@ import pyarrow.parquet as pq
 from .bm25 import (
     _bm25_wand,
     _empty_topk,
-    _field_total_tokens,
     _fold_scores,
 )
 
@@ -114,7 +113,7 @@ def federated_bm25(index_dirs: list[str], terms=("merge", "scan"),
     n_docs = sum(float(r.num_docs) for r in readers)
     if not n_docs:
         return _empty_topk()
-    tok_total = sum(_field_total_tokens(r, r.field_id[field])
+    tok_total = sum(r.token_total(r.field_id[field])
                     for r in readers)
     avgdl = tok_total / n_docs
     pool = worker_pool()

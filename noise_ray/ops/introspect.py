@@ -24,7 +24,7 @@ import math
 import numpy as np
 import pyarrow as pa
 
-from .bm25 import _field_total_tokens, bm25_topk
+from .bm25 import bm25_topk
 
 
 def explain_score(sf_dir: str, terms=("merge", "scan"), k1: float = 1.2,
@@ -56,7 +56,7 @@ def explain_score(sf_dir: str, terms=("merge", "scan"), k1: float = 1.2,
     doc = int(top.column("doc_id")[0].as_py())
     n_docs = float(reader.num_docs)
     fid = reader.field_id[field]
-    avgdl = _field_total_tokens(reader, fid) / n_docs
+    avgdl = reader.token_total(fid) / n_docs
     out_t, out_tf, out_df, out_idf, out_c = [], [], [], [], []
     for t in sorted(dict.fromkeys(terms)):
         pl = reader.postings(fid, _stem_one(t), need_positions=False)
@@ -101,7 +101,7 @@ def index_stats(sf_dir: str, fields=("text", "lang", "source"), *,
         fid = reader.field_id[f]
         out_f.append(f)
         out_n.append(int(reader.num_docs))
-        out_tok.append(int(_field_total_tokens(reader, fid)))
+        out_tok.append(int(reader.token_total(fid)))
     return pa.table({"field": pa.array(out_f, pa.string()),
                      "n_docs": pa.array(out_n, pa.int64()),
                      "total_tokens": pa.array(out_tok, pa.int64())})

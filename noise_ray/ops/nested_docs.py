@@ -380,7 +380,7 @@ def nested_kp_bm25(sf_dir: str, terms=("quick", "brown"), k: int = 20,
     - tf / instance length: ``InstPostings.tfs`` / ``.lens``;
     - df: instances containing the term (posting entry count);
     - N / avgdl: per-kp ``n`` zone counters (metadata-only) and the
-      stats sidecar's per-kp token total (``kp_token_total``).
+      stats sidecar's per-kp token total (``token_total``).
 
     Fans out per doc range through the shared worker pool above
     5M docs with global dfs (dfs_query_then_fetch), per-range local
@@ -399,7 +399,7 @@ def nested_kp_bm25(sf_dir: str, terms=("quick", "brown"), k: int = 20,
         reader = nested_transcripts_index(sf_dir)
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     n_inst = float(reader.kp_instance_count(kp))
-    tok_total = float(reader.kp_token_total(kp))
+    tok_total = float(reader.token_total(kp))
     if not n_inst or not tok_total:
         return pa.table({"conv_id": pa.array([], pa.string()),
                          "turn_idx": pa.array([], pa.int64()),
@@ -538,7 +538,7 @@ def nested_kp_bm25_filtered(sf_dir: str, terms=("quick", "brown"),
         reader = nested_transcripts_index(sf_dir)
     stemmed = list(dict.fromkeys(_stem_one(t) for t in terms))
     n_inst = float(reader.kp_instance_count(kp))
-    tok_total = float(reader.kp_token_total(kp))
+    tok_total = float(reader.token_total(kp))
     if not n_inst or not tok_total:
         return pa.table({"conv_id": pa.array([], pa.string()),
                          "turn_idx": pa.array([], pa.int64()),

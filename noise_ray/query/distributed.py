@@ -63,10 +63,11 @@ def _cached_reader(index_dir: str, cls: type = IndexReader):
     values / docmap caches instead of rebuilding them per query."""
     import os
 
-    from ..build.incremental import _epoch_dirs
+    from ..build.incremental import TOMBSTONES_NAME, _epoch_dirs
 
     try:
-        tomb_mtime = os.stat(os.path.join(index_dir, "tombstones.json")).st_mtime_ns
+        tomb_mtime = os.stat(os.path.join(index_dir,
+                                          TOMBSTONES_NAME)).st_mtime_ns
     except FileNotFoundError:
         tomb_mtime = 0
     # key includes the published-epoch set (an incremental add must refresh

@@ -1,10 +1,16 @@
 """JsonIndexReader: manifest-bound lookups into a NESTED-JSON index.
 
-The nested-index analogue of reader.IndexReader: ``field`` is a full
-keypath string (``.msgs$.text``) and postings are (doc, arraypath) STRING
-INSTANCES, so every access path carries the arraypath matrix alongside the
-doc ids.  The values partitions (one row per shredded scalar/marker entry)
-stand in for the reference's V/f/T/F/N keyspaces
+The nested half of the one reader (reader.py).  ``ReaderCore`` owns the
+index-wide work for both engines: the manifest and epoch binding, the
+tombstone set, the postings read and decode, term stats, token totals,
+stats paths and the highest-live-doc key lookup.  Here a ``field`` is a
+full keypath string (``.msgs$.text``) and postings are (doc, arraypath)
+STRING INSTANCES, so the core also decodes the segments' ``aps`` column
+at the keypath's array depth.
+
+What only the nested engine has lives in this module.  The values
+partitions (one row per shredded scalar/marker entry) stand in for the
+reference's V/f/T/F/N keyspaces
 (/root/reference/src/key_builder.rs:163-262): RangeQ scans them by keypath,
 ExactMatch verifies literals against them, NOT existence checks consult
 them, and the JSON fetcher re-parses the docmap's stored ``json`` column
@@ -16,60 +22,24 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..build.codec import decode_position_lists, decode_varint
 from ..build.json_pipeline import kp_term_bucket
-from ..build.pipeline import MANIFEST_NAME
 from ..build.shred import parse_kp
 from ..nputil import sorted_member_mask
+from .reader import PostingList, ReaderCore, _empty_postings
 
 
-@dataclass
-class InstPostings:
-    """Decoded instance postings of one (keypath, term): one entry per
-    (doc, arraypath) string instance, sorted by (doc, arraypath)
-    numerically.  ``aps`` is (n × depth); depth 0 for array-free keypaths.
-    """
-
-    docs: np.ndarray                  # int64 (n,)
-    aps: np.ndarray                   # int64 (n, depth)
-    tfs: np.ndarray                   # int64
-    lens: np.ndarray                  # int64
-    pos_concat: np.ndarray | None     # int64, concatenated position lists
-    pos_starts: np.ndarray | None     # int64
-
-    @property
-    def size(self) -> int:
-        return int(self.docs.size)
-
-    def positions_of(self, i: int) -> np.ndarray:
-        s = self.pos_starts[i]
-        return self.pos_concat[s:s + self.tfs[i]]
-
-    def slice_range(self, lo: int, hi: int) -> "InstPostings":
-        s = int(np.searchsorted(self.docs, lo, side="left"))
-        e = int(np.searchsorted(self.docs, hi, side="left"))
-        if s == 0 and e == self.size:
-            return self
-        if self.pos_concat is None:
-            return InstPostings(self.docs[s:e], self.aps[s:e], self.tfs[s:e],
-                                self.lens[s:e], None, None)
-        p0 = int(self.pos_starts[s]) if s < self.size else len(self.pos_concat)
-        p1 = int(self.pos_starts[e - 1] + self.tfs[e - 1]) if e > s else p0
-        return InstPostings(self.docs[s:e], self.aps[s:e], self.tfs[s:e],
-                            self.lens[s:e], self.pos_concat[p0:p1],
-                            self.pos_starts[s:e] - p0)
+# nested postings are PostingLists with the arraypath matrix ``aps`` set
+InstPostings = PostingList
 
 
-def _empty_inst(depth: int = 0) -> InstPostings:
-    z = np.zeros(0, dtype=np.int64)
-    return InstPostings(z, np.zeros((0, depth), dtype=np.int64), z, z, z, z)
+def _empty_inst(depth: int = 0) -> PostingList:
+    return _empty_postings(depth)
 
 
 def kp_depth(kp: str) -> int:
@@ -87,188 +57,36 @@ def kp_seg_prefix(prefix_segs: list[str], kp: str) -> bool:
     return segs[: len(prefix_segs)] == prefix_segs
 
 
-class JsonIndexReader:
-    """Binds to the nested index as published at construction time: the
-    base manifest plus every committed epoch (incremental add,
-    build/json_incremental.py).  Epoch postings / values / docmaps merge
-    here — doc ids of each epoch exceed all earlier ones, so appending
-    in epoch order preserves global doc order.  Tombstoned (upserted /
-    deleted) docs are hidden by the engine per leaf."""
+class JsonIndexReader(ReaderCore):
+    """Reader of a nested-JSON index: a field is a full keypath string
+    and postings are (doc, arraypath) instances decoded with their
+    ``aps`` matrix at the keypath's array depth.  Adds the values
+    partitions (merged across epochs like the docmap) and the stored
+    JSON / ``_id`` / seq fetchers.  Tombstoned (upserted / deleted) docs
+    are hidden by the engine per leaf."""
+
+    _NESTED = True
+    _FIELD_TYPE = str
 
     def __init__(self, index_dir: str, _is_epoch: bool = False):
-        self.index_dir = index_dir
-        with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
-            self.manifest = json.load(f)
-        if not self.manifest.get("nested"):
-            raise ValueError(f"{index_dir} is not a nested-JSON index")
-        for part in ("docmap", "values", "segments", "stats"):
-            for e in self.manifest.get(part, []):
-                if not os.path.isabs(e["path"]):
-                    e["path"] = os.path.join(index_dir, e["path"])
-        self.num_docs: int = (int(self.manifest.get("doc_id_offset", 0))
-                              + int(self.manifest["num_docs"]))
-        self.num_buckets: int = self.manifest["num_buckets"]
-        self.num_ranges: int = self.manifest["num_ranges"]
-        self.field_k: dict[str, int] = dict(self.manifest["field_k"])
-        self._seg_by_gkey = {s["gkey"]: s["path"]
-                             for s in self.manifest["segments"]}
-        self._stats_by_bucket: dict[int, list[str]] = {}
-        for s in self.manifest["stats"]:
-            self._stats_by_bucket.setdefault(s["bucket"], []).append(s["path"])
-        self._docmap = list(self.manifest["docmap"])
+        super().__init__(index_dir, _is_epoch)
         self._values = list(self.manifest["values"])
-        self._epochs: list[JsonIndexReader] = []
-        if not _is_epoch:
-            from ..build.incremental import _epoch_dirs
-
-            self._epochs = [JsonIndexReader(d, _is_epoch=True)
-                            for d in _epoch_dirs(index_dir)]
         for e in self._epochs:
-            self.num_docs = max(self.num_docs, e.num_docs)
-            for kp, k in e.field_k.items():
-                self.field_k[kp] = self.field_k.get(kp, 0) + k
-            self._docmap.extend(e._docmap)
             self._values.extend(e._values)
-        self._postings_cache: dict[tuple, InstPostings] = {}
-        self._stats_cache: dict[tuple[str, str], tuple[int, int]] = {}
         self._values_kp_cache: dict[tuple, tuple] = {}
         self._pushdown_counts: dict[tuple, int] = {}
         self._zones_cache: dict[str, dict] = {}
         self._kp_n_cache: dict[str, int] = {}
-        self._kp_tok_cache: dict[str, int] = {}
         self._json_cache: dict = {}
-        # tombstoned doc_ids (upserted or deleted): hidden from every
-        # query by the engine; stats unchanged until compaction — the
-        # same Lucene-style semantics as the flat index
-        self._tombstone_path = os.path.join(index_dir, "tombstones.json")
-        self.tombstones = self._load_tombstones()
 
-    def _load_tombstones(self) -> np.ndarray:
-        if os.path.exists(self._tombstone_path):
-            with open(self._tombstone_path) as f:
-                return np.array(sorted(set(json.load(f))), dtype=np.int64)
-        return np.zeros(0, dtype=np.int64)
+    def _field_key(self, kp: str) -> str:
+        return kp
 
-    def add_tombstones(self, doc_ids) -> int:
-        """Mark docs deleted (atomic publish); returns live count."""
-        import uuid
+    def _bucket(self, kp: str, term: str) -> int:
+        return kp_term_bucket(kp, term, self.num_buckets)
 
-        merged = sorted(set(self.tombstones.tolist())
-                        | {int(d) for d in doc_ids})
-        tmp = f"{self._tombstone_path}.tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            json.dump(merged, f)
-        os.replace(tmp, self._tombstone_path)
-        self.tombstones = np.array(merged, dtype=np.int64)
-        return len(merged)
-
-    # ---------------------------------------------------------- postings
-
-    def postings(self, kp: str, term: str, need_positions: bool = True,
-                 doc_range: tuple[int, int] | None = None) -> InstPostings:
-        depth = kp_depth(kp)
-        key = (kp, term) if doc_range is None else (kp, term, doc_range)
-        hit = self._postings_cache.get(key)
-        if hit is not None and (not need_positions
-                                or hit.pos_concat is not None
-                                or hit.size == 0):
-            return hit
-        if doc_range is not None:
-            full = self._postings_cache.get((kp, term))
-            if full is not None and (not need_positions
-                                     or full.pos_concat is not None
-                                     or full.size == 0):
-                return full.slice_range(*doc_range)
-        bucket = kp_term_bucket(kp, term, self.num_buckets)
-        cols = ["cnt", "docs", "aps", "tfs", "lens"]
-        if need_positions:
-            cols.append("positions")
-        filters = [("field", "==", kp), ("term", "==", term)]
-        if doc_range is not None:
-            filters.append(("max_doc", ">=", doc_range[0]))
-            filters.append(("min_doc", "<", doc_range[1]))
-        cnts: list[int] = []
-        bufs: dict[str, list[bytes]] = {c: [] for c in cols if c != "cnt"}
-        for rng in range(self.num_ranges):
-            path = self._seg_by_gkey.get(bucket * self.num_ranges + rng)
-            if path is None:
-                continue
-            t = pq.read_table(path, columns=cols, filters=filters)
-            if t.num_rows:
-                cnts.extend(t.column("cnt").to_pylist())
-                for c in bufs:
-                    bufs[c].extend(t.column(c).to_pylist())
-        parts = []
-        if cnts:
-            total = int(sum(cnts))
-            blk_starts = np.zeros(len(cnts), dtype=np.int64)
-            np.cumsum(np.asarray(cnts[:-1], dtype=np.int64),
-                      out=blk_starts[1:])
-            deltas = decode_varint(b"".join(bufs["docs"]),
-                                   total).astype(np.int64)
-            run = np.cumsum(deltas)
-            base = np.zeros(total, dtype=np.int64)
-            base[blk_starts[1:]] = run[blk_starts[1:] - 1]
-            docs = run - np.maximum.accumulate(base)
-            aps = (decode_varint(b"".join(bufs["aps"]), total * depth)
-                   .astype(np.int64).reshape(total, depth))
-            tfs = decode_varint(b"".join(bufs["tfs"]), total).astype(np.int64)
-            lens = decode_varint(b"".join(bufs["lens"]),
-                                 total).astype(np.int64)
-            if need_positions:
-                pos = decode_position_lists(b"".join(bufs["positions"]), tfs)
-                starts = np.zeros(total, dtype=np.int64)
-                np.cumsum(tfs[:-1], out=starts[1:])
-            else:
-                pos = starts = None
-            parts.append(InstPostings(docs, aps, tfs, lens, pos, starts))
-        # epoch postings: every epoch's doc_ids exceed all earlier ones,
-        # so appending in epoch order preserves global (doc, ap) order
-        for e in self._epochs:
-            ep = e.postings(kp, term, need_positions, doc_range)
-            if ep.size:
-                parts.append(ep)
-        if not parts:
-            pl = _empty_inst(depth)
-        elif len(parts) == 1:
-            pl = parts[0]
-        else:
-            docs = np.concatenate([p.docs for p in parts])
-            aps = np.vstack([p.aps for p in parts])
-            tfs = np.concatenate([p.tfs for p in parts])
-            lens = np.concatenate([p.lens for p in parts])
-            if need_positions:
-                pos = np.concatenate([p.pos_concat for p in parts])
-                starts = np.zeros(tfs.size, dtype=np.int64)
-                np.cumsum(tfs[:-1], out=starts[1:])
-            else:
-                pos = starts = None
-            pl = InstPostings(docs, aps, tfs, lens, pos, starts)
-        if len(self._postings_cache) < 4096 or key in self._postings_cache:
-            self._postings_cache[key] = pl
-        return pl
-
-    def term_stats(self, kp: str, term: str) -> tuple[int, int]:
-        """(C, K): C = merge-summed occurrences of the term under the
-        keypath, K = the keypath's (instance × distinct-stem) total."""
-        key = (kp, term)
-        hit = self._stats_cache.get(key)
-        if hit is not None:
-            return hit
-        bucket = kp_term_bucket(kp, term, self.num_buckets)
-        c = 0
-        for path in self._stats_by_bucket.get(bucket, ()):
-            t = pq.read_table(path, columns=["c"],
-                              filters=[("field", "==", kp),
-                                       ("term", "==", term)])
-            if t.num_rows:
-                c += int(pc.sum(t.column("c")).as_py())
-        for e in self._epochs:
-            c += e.term_stats(kp, term)[0]
-        # field_k was merged across epochs at construction time
-        out = (c, int(self.field_k.get(kp, 0)))
-        self._stats_cache[key] = out
-        return out
+    def _aps_depth(self, kp: str) -> int:
+        return kp_depth(kp)
 
     def kp_instance_count(self, kp: str) -> int:
         """Total string/value instances under exactly ``kp`` across the
@@ -285,27 +103,6 @@ class JsonIndexReader:
                 n += int(z.get("n", 0))
         self._kp_n_cache[kp] = n
         return n
-
-    def kp_token_total(self, kp: str) -> int:
-        """Σ term-occurrence counts (stats ``c``) under ``kp`` — the
-        keypath's corpus token total, the avgdl numerator for
-        per-instance BM25.  One filtered scan of the stats sidecar
-        (term-cardinality-sized metadata, no posting payload), cached;
-        epoch stats sidecars recurse."""
-        hit = self._kp_tok_cache.get(kp)
-        if hit is not None:
-            return hit
-        tot = 0
-        for paths in self._stats_by_bucket.values():
-            for path in paths:
-                t = pq.read_table(path, columns=["c"],
-                                  filters=[("field", "==", kp)])
-                if t.num_rows:
-                    tot += int(pc.sum(t.column("c")).as_py())
-        for e in self._epochs:
-            tot += e.kp_token_total(kp)
-        self._kp_tok_cache[kp] = tot
-        return tot
 
     # ------------------------------------------------------------ values
 
@@ -626,35 +423,7 @@ class JsonIndexReader:
         equals doc_id for docs in partitions built without one — epochs
         ingested from raw ``(_id, json)`` shards may mix with seq-bearing
         base partitions, so the fallback is PER PARTITION)."""
-        doc_ids = np.asarray(doc_ids, dtype=np.int64)
-        out = [None] * doc_ids.size
-        srt = np.argsort(doc_ids, kind="stable")
-        sorted_ids = doc_ids[srt]
-        for dm in self._docmap:
-            lo, hi = dm["min_doc"], dm["max_doc"]
-            s = np.searchsorted(sorted_ids, lo, side="left")
-            e = np.searchsorted(sorted_ids, hi, side="right")
-            if e <= s:
-                continue
-            has_seq = dm.get("_has_seq")
-            if has_seq is None:
-                has_seq = "seq" in pq.read_schema(dm["path"]).names
-                dm["_has_seq"] = has_seq
-            if has_seq:
-                ckey = (dm["path"], "seq")
-                arr = self._json_cache.get(ckey)
-                if arr is None:
-                    arr = pq.read_table(
-                        dm["path"], columns=["seq"]).column("seq") \
-                        .to_pylist()
-                    if len(self._json_cache) < 64:
-                        self._json_cache[ckey] = arr
-                for i in range(s, e):
-                    out[srt[i]] = arr[sorted_ids[i] - lo]
-            else:
-                for i in range(s, e):
-                    out[srt[i]] = int(sorted_ids[i])
-        return out
+        return self._doc_col(doc_ids, "seq", missing_fallback=int)
 
     def _doc_col(self, doc_ids: np.ndarray, col: str,
                  missing_fallback=None) -> list:
@@ -696,15 +465,4 @@ class JsonIndexReader:
     def lookup_id(self, id_str: str) -> int | None:
         """_id → live doc_id (the reference's I<id> lookup); upsert
         semantics: the HIGHEST live doc wins."""
-        best = None
-        dead = set(self.tombstones.tolist()) if self.tombstones.size \
-            else ()
-        for dm in self._docmap:
-            t = pq.read_table(dm["path"], columns=["doc_id"],
-                              filters=[("_id", "==", id_str)])
-            for v in t.column("doc_id").to_pylist():
-                d = int(v)
-                if d in dead:
-                    continue
-                best = d if best is None else max(best, d)
-        return best
+        return self._highest_live([("_id", "==", id_str)])

@@ -1,4 +1,4 @@
-"""IndexReader: manifest-bound point lookups into the segment/stats files.
+"""Index readers: manifest-bound point lookups into the segment/stats files.
 
 The query-side analogue of the reference's ``Snapshot``
 (/root/reference/src/snapshot.rs:17-67): a reader binds to one immutable
@@ -6,19 +6,30 @@ manifest version; all lookups are Parquet reads pruned by row-group
 statistics (segment files are sorted by (field, term), so a (field, term)
 filter touches only matching row groups — the columnar stand-in for RocksDB
 prefix seeks).
+
+Both engines write the same ``segments/`` + ``stats/`` layout, so one
+``ReaderCore`` serves both: it binds the manifest and its epochs, owns
+the tombstone set, reads and decodes postings (flat ones and nested
+(doc, arraypath) instances alike, as ``PostingList``), and answers term
+stats, token totals, stats paths and the highest-live-doc key lookup.
+``IndexReader`` (flat: a field is a field id) adds the lazy block path
+for block-max WAND and phrase candidates plus the docmap column, zone
+map and key lookups; ``JsonIndexReader`` (json_reader.py, a field is a
+keypath) adds the values partitions and the stored-JSON fetchers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from ..build import incremental
 from ..build.codec import decode_deltas, decode_position_lists, decode_varint
 from ..build.pipeline import MANIFEST_NAME, term_bucket
 
@@ -26,6 +37,11 @@ from ..build.pipeline import MANIFEST_NAME, term_bucket
 @dataclass
 class PostingList:
     """Decoded postings of one (field, term), doc-ascending.
+
+    A flat posting is one doc.  A nested posting is one (doc, arraypath)
+    string instance, sorted by (doc, arraypath) numerically, and ``aps``
+    is the (n × depth) arraypath matrix (depth 0 for array-free keypaths;
+    None on flat indexes).
 
     ``pos_concat`` / ``pos_starts`` are None when the postings were read
     without positions (term / boolean / range evaluation never touches
@@ -35,7 +51,8 @@ class PostingList:
     tfs: np.ndarray                    # int64
     lens: np.ndarray                   # int64 (field length per instance)
     pos_concat: np.ndarray | None      # int64, concatenated position lists
-    pos_starts: np.ndarray | None      # int64, per-doc start offsets
+    pos_starts: np.ndarray | None      # int64, per-posting start offsets
+    aps: np.ndarray | None = None      # int64 (n, depth), nested only
 
     @property
     def size(self) -> int:
@@ -53,19 +70,16 @@ class PostingList:
         e = int(np.searchsorted(self.docs, hi, side="left"))
         if s == 0 and e == self.size:
             return self
+        aps = None if self.aps is None else self.aps[s:e]
         if self.pos_concat is None:
             return PostingList(self.docs[s:e], self.tfs[s:e], self.lens[s:e],
-                               None, None)
+                               None, None, aps)
         p0 = int(self.pos_starts[s]) if s < self.size else len(self.pos_concat)
         p1 = (int(self.pos_starts[e - 1] + self.tfs[e - 1])
               if e > s else p0)
-        return PostingList(
-            docs=self.docs[s:e],
-            tfs=self.tfs[s:e],
-            lens=self.lens[s:e],
-            pos_concat=self.pos_concat[p0:p1],
-            pos_starts=self.pos_starts[s:e] - p0,
-        )
+        return PostingList(self.docs[s:e], self.tfs[s:e], self.lens[s:e],
+                           self.pos_concat[p0:p1],
+                           self.pos_starts[s:e] - p0, aps)
 
     def restrict_to(self, cand: np.ndarray) -> "PostingList":
         """Postings restricted to the sorted candidate doc ids ``cand``
@@ -77,15 +91,14 @@ class PostingList:
         if m.all():
             return self
         docs, tfs, lens = self.docs[m], self.tfs[m], self.lens[m]
+        aps = None if self.aps is None else self.aps[m]
         if self.pos_concat is None:
-            return PostingList(docs, tfs, lens, None, None)
-        total = int(tfs.sum())
-        out_starts = np.zeros(tfs.size, dtype=np.int64)
-        np.cumsum(tfs[:-1], out=out_starts[1:])
+            return PostingList(docs, tfs, lens, None, None, aps)
+        out_starts = _starts(tfs)
         take = (np.repeat(self.pos_starts[m] - out_starts, tfs)
-                + np.arange(total, dtype=np.int64))
+                + np.arange(int(tfs.sum()), dtype=np.int64))
         return PostingList(docs, tfs, lens, self.pos_concat[take],
-                           out_starts)
+                           out_starts, aps)
 
 
 @dataclass
@@ -184,8 +197,6 @@ class _SegBlockIndex:
         n = t.num_rows
         self.runs: dict[tuple[int, str], tuple[int, int]] = {}
         if n:
-            import pyarrow.compute as pc
-
             enc = pc.dictionary_encode(t.column("term").combine_chunks())
             codes = enc.indices.to_numpy().astype(np.int64)
             dict_vals = enc.dictionary.to_pylist()
@@ -202,7 +213,6 @@ class _SegBlockIndex:
         # division, no per-group scan
         self._rg_rows = (self.pf.metadata.row_group(0).num_rows
                          if self.pf.metadata.num_row_groups else 1)
-        from collections import OrderedDict
         self._rg_cache: OrderedDict[int, object] = OrderedDict()
 
     def fetch(self, blk: "LazyBlock", row: int,
@@ -269,95 +279,310 @@ def _zone_value(v, arrow_type=None):
 _EMPTY = None
 
 
-def _empty_postings() -> PostingList:
+def _empty_postings(depth: int | None = None) -> PostingList:
+    """An empty posting list: one shared flat instance, or a nested one
+    with a (0 × depth) arraypath matrix."""
     global _EMPTY
+    z = np.zeros(0, dtype=np.int64)
+    if depth is not None:
+        return PostingList(z, z, z, z, z, np.zeros((0, depth), np.int64))
     if _EMPTY is None:
-        z = np.zeros(0, dtype=np.int64)
         _EMPTY = PostingList(z, z, z, z, z)
     return _EMPTY
 
 
-class IndexReader:
-    """A reader binds to the index as published at construction time: the
+def _starts(tfs: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum of ``tfs``: each posting's offset into the
+    concatenated position lists."""
+    out = np.zeros(tfs.size, dtype=np.int64)
+    np.cumsum(tfs[:-1], out=out[1:])
+    return out
+
+
+def _decode_blocks(cnts: list[int], bufs: dict[str, list[bytes]],
+                   depth: int | None) -> PostingList:
+    """Decode a term's raw block rows (doc order) in one vectorized pass
+    per stream over the concatenated buffers: block doc deltas restart
+    absolute at each block, recovered with a segmented-cumsum reset
+    rather than a per-block Python loop.  ``aps`` is decoded only when
+    ``depth`` is not None; positions only when ``bufs`` carries them."""
+    total = int(sum(cnts))
+    blk_starts = _starts(np.asarray(cnts, dtype=np.int64))
+    run = np.cumsum(decode_varint(b"".join(bufs["docs"]), total)
+                    .astype(np.int64))
+    # each block's first delta is its absolute min_doc: subtract the
+    # running total at each block start (valid: run is non-decreasing)
+    base = np.zeros(total, dtype=np.int64)
+    base[blk_starts[1:]] = run[blk_starts[1:] - 1]
+    docs = run - np.maximum.accumulate(base)
+    tfs = decode_varint(b"".join(bufs["tfs"]), total).astype(np.int64)
+    lens = decode_varint(b"".join(bufs["lens"]), total).astype(np.int64)
+    aps = None
+    if depth is not None:
+        aps = (decode_varint(b"".join(bufs["aps"]), total * depth)
+               .astype(np.int64).reshape(total, depth))
+    if "positions" not in bufs:
+        return PostingList(docs, tfs, lens, None, None, aps)
+    pos = decode_position_lists(b"".join(bufs["positions"]), tfs)
+    return PostingList(docs, tfs, lens, pos, _starts(tfs), aps)
+
+
+def _concat(parts: list[PostingList], need_positions: bool) -> PostingList:
+    """Doc-ordered posting lists (base, then epochs) as one list."""
+    tfs = np.concatenate([p.tfs for p in parts])
+    pos = starts = None
+    if need_positions:
+        pos = np.concatenate([p.pos_concat for p in parts])
+        starts = _starts(tfs)
+    aps = (None if parts[0].aps is None
+           else np.vstack([p.aps for p in parts]))
+    return PostingList(np.concatenate([p.docs for p in parts]), tfs,
+                       np.concatenate([p.lens for p in parts]), pos, starts,
+                       aps)
+
+
+def _sum_c(paths, filters) -> int:
+    """Σ of the stats column ``c`` over the rows of ``paths`` matching
+    ``filters``."""
+    c = 0
+    for path in paths:
+        t = pq.read_table(path, columns=["c"], filters=filters)
+        if t.num_rows:
+            c += int(pc.sum(t.column("c")).as_py())
+    return c
+
+
+class ReaderCore:
+    """The index-wide half of a reader, shared by the flat
+    ``IndexReader`` and the nested ``JsonIndexReader``: manifest binding,
+    epochs, tombstones, the postings read + decode, term stats, token
+    totals and the highest-live-doc key lookup.
+
+    A reader binds to the index as published at construction time: the
     base manifest plus every published epoch (incremental add,
-    noise_ray/build/incremental.py).  Epoch postings/stats/docmaps are
-    merged here — the multi-segment analogue of the reference's snapshot
-    over one LSM (/root/reference/src/snapshot.rs:17-67)."""
+    build/incremental.py).  Epoch postings, stats and docmaps merge here
+    — the multi-segment analogue of the reference's snapshot over one
+    LSM (/root/reference/src/snapshot.rs:17-67).
+
+    A subclass supplies how a field resolves to the segments' ``field``
+    value (``_field_key``; ``_FIELD_TYPE`` types the manifest's
+    ``field_k`` keys), its term bucket function (``_bucket``) and the
+    arraypath depth of a field's postings (``_aps_depth``: None when the
+    segments carry no ``aps`` column)."""
+
+    _NESTED = False  # the manifest "nested" flag this reader opens
 
     def __init__(self, index_dir: str, _is_epoch: bool = False):
         self.index_dir = index_dir
         with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
             self.manifest = json.load(f)
+        nested = bool(self.manifest.get("nested"))
+        if nested != self._NESTED:
+            kind, cls = (("a nested-JSON", "JsonIndexReader") if nested
+                         else ("a flat", "IndexReader"))
+            raise ValueError(
+                f"{index_dir} is {kind} index: open it with {cls}")
         # manifests store index-relative paths (relocatable directory);
         # absolutize once here — older absolute-path manifests pass through
-        for part in ("docmap", "segments", "stats"):
+        for part in ("docmap", "values", "segments", "stats"):
             for e in self.manifest.get(part, []):
                 if not os.path.isabs(e["path"]):
                     e["path"] = os.path.join(index_dir, e["path"])
-        self.fields: list[str] = self.manifest["fields"]
-        self.field_id = {f: i for i, f in enumerate(self.fields)}
         self.num_buckets: int = self.manifest["num_buckets"]
         self.num_ranges: int = self.manifest["num_ranges"]
-        self.field_k = {int(k): v for k, v in self.manifest["field_k"].items()}
-        # ---- epochs (never nested: an epoch index has no epochs/ dir)
-        self._epochs: list[IndexReader] = []
-        if not _is_epoch:
-            from ..build.incremental import _epoch_dirs
-
-            self._epochs = [IndexReader(d, _is_epoch=True)
-                            for d in _epoch_dirs(index_dir)]
-        offset = int(self.manifest.get("doc_id_offset", 0))
-        self.num_docs: int = offset + int(self.manifest["num_docs"])
+        self.num_docs: int = (int(self.manifest.get("doc_id_offset", 0))
+                              + int(self.manifest["num_docs"]))
+        self.field_k = {self._FIELD_TYPE(k): v
+                        for k, v in self.manifest["field_k"].items()}
+        self._docmap = list(self.manifest["docmap"])
+        # epochs (never nested: an epoch index has no epochs/ dir); every
+        # epoch's doc_ids exceed all earlier ones
+        self._epochs = [] if _is_epoch else [
+            type(self)(d, _is_epoch=True)
+            for d in incremental._epoch_dirs(index_dir)]
         for e in self._epochs:
             self.num_docs = max(self.num_docs, e.num_docs)
-            for fid, k in e.field_k.items():
-                self.field_k[fid] = self.field_k.get(fid, 0) + k
-        self._seg_by_gkey = {s["gkey"]: s["path"] for s in self.manifest["segments"]}
+            for f, k in e.field_k.items():
+                self.field_k[f] = self.field_k.get(f, 0) + k
+            self._docmap.extend(e._docmap)
+        self._seg_by_gkey = {s["gkey"]: s["path"]
+                             for s in self.manifest["segments"]}
         # one stats partition per shuffle group; a bucket spans num_ranges
         # groups, so stats lookups sum across the bucket's partitions
         self._stats_by_bucket: dict[int, list[str]] = {}
         for s in self.manifest["stats"]:
             self._stats_by_bucket.setdefault(s["bucket"], []).append(s["path"])
-        self._postings_cache: dict[tuple[int, str], PostingList] = {}
-        self._block_cache: dict[tuple[int, str], list] = {}
-        self._stats_cache: dict[tuple[int, str], tuple[int, int]] = {}
-        self._docmap = list(self.manifest["docmap"])
-        for e in self._epochs:
-            self._docmap.extend(e._docmap)
-        from collections import OrderedDict
-        self._docmap_col_cache: OrderedDict = OrderedDict()
-        self._docmap_cache_bytes = 0
+        self._postings_cache: dict[tuple, PostingList] = {}
+        self._stats_cache: dict[tuple, tuple[int, int]] = {}
+        self._token_totals: dict = {}
         # tombstoned doc_ids (Lucene-style deletes: hidden from every query,
         # stats unchanged until a rebuild — the segment-tombstone design
         # SURVEY §2.10 reserves for the reference's Index::delete,
         # /root/reference/src/index.rs:164-179)
-        self._tombstone_path = os.path.join(index_dir, "tombstones.json")
-        self.tombstones = self._load_tombstones()
+        self.tombstones = incremental.read_tombstones(index_dir)
+
+    def add_tombstones(self, doc_ids) -> int:
+        """Mark docs deleted (atomic publish); returns the tombstone count."""
+        self.tombstones = incremental.add_tombstones(self.index_dir, doc_ids)
+        return int(self.tombstones.size)
+
+    def _highest_live(self, filters) -> int | None:
+        """The highest non-tombstoned doc_id among the docmap rows matching
+        ``filters`` — upsert semantics: the latest version of a key wins
+        (the analogue of the reference's I<id> lookup,
+        src/key_builder.rs:104-109)."""
+        ids = [d for dm in self._docmap
+               for d in pq.read_table(dm["path"], columns=["doc_id"],
+                                      filters=filters)
+               .column("doc_id").to_pylist()]
+        dead = set(self.tombstones.tolist()) if ids else ()
+        live = [d for d in ids if d not in dead]
+        return max(live) if live else None
+
+    # ---------------------------------------------------------- postings
+
+    def postings(self, field, term: str, need_positions: bool = True,
+                 doc_range: tuple[int, int] | None = None) -> PostingList:
+        """Decoded postings of one (field, term), doc-ascending.
+
+        ``need_positions=False`` (term / boolean / range evaluation) skips
+        reading AND decoding the positions column — roughly half the bytes
+        of a stopword's postings.  ``doc_range=(lo, hi)`` pushes block
+        bounds into the segment read (``max_doc >= lo``, ``min_doc < hi``)
+        so a range-partitioned worker decodes only its slice of each
+        posting list, not the whole corpus's.  Reads are block-granular
+        SUPERSETS of the range (a cached full list serves every range as
+        is): callers slice to ``[lo, hi)``."""
+        fkey = self._field_key(field)
+        if fkey is None:
+            return _empty_postings()
+        full = (fkey, term)
+        key = full if doc_range is None else (fkey, term, doc_range)
+        for k in (key, full):
+            hit = self._postings_cache.get(k)
+            if hit is not None and (not need_positions
+                                    or hit.pos_concat is not None
+                                    or hit.size == 0):
+                return hit
+        depth = self._aps_depth(fkey)
+        cols = ["cnt", "docs", "tfs", "lens"]
+        if depth is not None:
+            cols.append("aps")
+        if need_positions:
+            cols.append("positions")
+        filters = [("field", "==", fkey), ("term", "==", term)]
+        if doc_range is not None:
+            filters.append(("max_doc", ">=", doc_range[0]))
+            filters.append(("min_doc", "<", doc_range[1]))
+        cnts: list[int] = []
+        bufs: dict[str, list[bytes]] = {c: [] for c in cols[1:]}
+        bucket = self._bucket(fkey, term)
+        for rng in range(self.num_ranges):
+            path = self._seg_by_gkey.get(bucket * self.num_ranges + rng)
+            if path is None:
+                continue
+            t = pq.read_table(path, columns=cols, filters=filters)
+            if t.num_rows:
+                cnts.extend(t.column("cnt").to_pylist())
+                for c in bufs:
+                    bufs[c].extend(t.column(c).to_pylist())
+        parts = [_decode_blocks(cnts, bufs, depth)] if cnts else []
+        # epoch postings: every epoch's doc_ids exceed all earlier ones,
+        # so appending in epoch order preserves global doc order
+        for e in self._epochs:
+            pl = e.postings(fkey, term, need_positions, doc_range)
+            if pl.size:
+                parts.append(pl)
+        if not parts:
+            pl = _empty_postings(depth)
+        else:
+            pl = (parts[0] if len(parts) == 1
+                  else _concat(parts, need_positions))
+            # one flat posting per doc; nested postings are instances,
+            # several per doc
+            if (np.diff(pl.docs) < (1 if depth is None else 0)).any():
+                raise AssertionError(f"postings for {key} not doc-sorted")
+        if len(self._postings_cache) < 4096 or key in self._postings_cache:
+            self._postings_cache[key] = pl
+        return pl
+
+    # ------------------------------------------------------------- stats
+
+    def term_stats(self, field, term: str) -> tuple[int, int]:
+        """(C, K) for the scorer: C = index-wide total occurrences of the
+        term under the field (the reference's merge-summed ``C`` key), K =
+        the field's total (instance × distinct-stem) count (``K`` key)."""
+        fkey = self._field_key(field)
+        if fkey is None:
+            return (0, 0)
+        key = (fkey, term)
+        hit = self._stats_cache.get(key)
+        if hit is None:
+            paths = self._stats_by_bucket.get(self._bucket(fkey, term), ())
+            c = _sum_c(paths, [("field", "==", fkey), ("term", "==", term)])
+            c += sum(e.term_stats(fkey, term)[0] for e in self._epochs)
+            # field_k was merged across epochs at construction time
+            hit = (c, int(self.field_k.get(fkey, 0)))
+            self._stats_cache[key] = hit
+        return hit
+
+    def token_total(self, field) -> int:
+        """Σ term-occurrence counts (stats ``c``) under one field: its
+        corpus token total, the BM25 avgdl numerator (``field_k`` is the
+        reference's K = distinct (instance, stem) count, not this).  One
+        filtered column read per stats partition (term-cardinality-sized,
+        no posting payload), memoized; epochs recurse."""
+        fkey = self._field_key(field)
+        if fkey is None:
+            return 0
+        hit = self._token_totals.get(fkey)
+        if hit is None:
+            hit = _sum_c([p for ps in self._stats_by_bucket.values()
+                          for p in ps], [("field", "==", fkey)])
+            hit += sum(e.token_total(fkey) for e in self._epochs)
+            self._token_totals[fkey] = hit
+        return hit
+
+    def stats_paths(self) -> list[str]:
+        """Every stats-sidecar partition of the index, epochs included."""
+        out = [p for ps in self._stats_by_bucket.values() for p in ps]
+        for e in self._epochs:
+            out.extend(e.stats_paths())
+        return out
+
+
+class IndexReader(ReaderCore):
+    """Reader of a flat index: a field resolves to its manifest field id.
+    Adds the lazy posting-block access path (``term_blocks``,
+    ``positions_for_docs``) and the docmap readers (column fetch, zone
+    maps, key lookup)."""
+
+    _FIELD_TYPE = int
+
+    def __init__(self, index_dir: str, _is_epoch: bool = False):
+        super().__init__(index_dir, _is_epoch)
+        self.fields: list[str] = self.manifest["fields"]
+        self.field_id = {f: i for i, f in enumerate(self.fields)}
+        self._block_cache: dict[tuple, list] = {}
+        self._seg_index_cache: dict[str, _SegBlockIndex] = {}
+        self._docmap_col_cache: OrderedDict = OrderedDict()
+        self._docmap_cache_bytes = 0
         # zone maps: per-(docmap partition, column) footer statistics
         self._zone_cache: dict[tuple[str, str], tuple] = {}
         self._docmap_meta: dict[str, "pq.FileMetaData"] = {}
 
-    def _load_tombstones(self) -> np.ndarray:
-        if os.path.exists(self._tombstone_path):
-            with open(self._tombstone_path) as f:
-                return np.array(sorted(set(json.load(f))), dtype=np.int64)
-        return np.zeros(0, dtype=np.int64)
+    def _field_key(self, field: str | int) -> int | None:
+        fid = field if isinstance(field, int) else self.field_id.get(field, -1)
+        return fid if fid >= 0 else None
 
-    def add_tombstones(self, doc_ids) -> int:
-        """Mark docs deleted (atomic publish); returns live tombstone count."""
-        import uuid
+    def _bucket(self, fid: int, term: str) -> int:
+        return term_bucket(term, self.num_buckets)
 
-        merged = sorted(set(self.tombstones.tolist()) | {int(d) for d in doc_ids})
-        tmp = f"{self._tombstone_path}.tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
-            json.dump(merged, f)
-        os.replace(tmp, self._tombstone_path)
-        self.tombstones = np.array(merged, dtype=np.int64)
-        return len(merged)
+    def _aps_depth(self, fid: int) -> None:
+        return None
 
     def lookup_doc(self, conv_id: str, turn_idx: int) -> int | None:
-        """Resolve a (key columns) identity to its doc_id (the analogue of
-        the reference's I<id> lookup, src/key_builder.rs:104-109)."""
+        """Resolve a (key columns) identity to its live doc_id."""
         keys = list(self.manifest["key_columns"])
         if keys[0] == "doc_id":
             # the internal doc_id column shadows a doc_id key column;
@@ -368,138 +593,16 @@ class IndexReader:
         filters = [(keys[0], "==", conv_id)]
         if len(keys) > 1:
             filters.append((keys[1], "==", turn_idx))
-        best = None  # upsert semantics: the HIGHEST live doc_id wins
-        for dm in self._docmap:
-            t = pq.read_table(dm["path"], columns=["doc_id"], filters=filters)
-            for v in t.column("doc_id").to_pylist():
-                d = int(v)
-                if self.tombstones.size and d in self.tombstones:
-                    continue
-                best = d if best is None else max(best, d)
-        return best
-
-    # ---------------------------------------------------------- postings
-
-    def postings(self, field: str | int, term: str,
-                 need_positions: bool = True,
-                 doc_range: tuple[int, int] | None = None) -> PostingList:
-        """Decoded postings of one (field, term).
-
-        ``need_positions=False`` (term / boolean / range evaluation) skips
-        reading AND decoding the positions column — roughly half the bytes
-        of a stopword's postings.  ``doc_range=(lo, hi)`` pushes block
-        bounds into the segment read (``max_doc >= lo``, ``min_doc < hi``)
-        so a range-partitioned worker decodes only its slice of each
-        posting list, not the whole corpus's.  Decoding is one vectorized
-        pass per stream over the concatenated raw block buffers: block doc
-        deltas restart absolute at each block, recovered with a
-        segmented-cumsum reset rather than a per-block Python loop."""
-        fid = field if isinstance(field, int) else self.field_id.get(field, -1)
-        if fid < 0:
-            return _empty_postings()
-        key = (fid, term) if doc_range is None else (fid, term, doc_range)
-        hit = self._postings_cache.get(key)
-        if hit is not None and (not need_positions
-                                or hit.pos_concat is not None
-                                or hit.size == 0):
-            return hit
-        if doc_range is None:
-            full = None
-        else:
-            # a cached full posting list serves every range for free
-            full = self._postings_cache.get((fid, term))
-            if full is not None and (not need_positions
-                                     or full.pos_concat is not None
-                                     or full.size == 0):
-                return full
-        bucket = term_bucket(term, self.num_buckets)
-        cols = ["cnt", "docs", "tfs", "lens"]
-        if need_positions:
-            cols.append("positions")
-        filters = [("field", "==", fid), ("term", "==", term)]
-        if doc_range is not None:
-            filters.append(("max_doc", ">=", doc_range[0]))
-            filters.append(("min_doc", "<", doc_range[1]))
-        cnts: list[int] = []
-        d_bufs: list[bytes] = []
-        t_bufs: list[bytes] = []
-        l_bufs: list[bytes] = []
-        p_bufs: list[bytes] = []
-        for rng in range(self.num_ranges):
-            gkey = bucket * self.num_ranges + rng
-            path = self._seg_by_gkey.get(gkey)
-            if path is None:
-                continue
-            t = pq.read_table(path, columns=cols, filters=filters)
-            if t.num_rows:
-                cnts.extend(t.column("cnt").to_pylist())
-                d_bufs.extend(t.column("docs").to_pylist())
-                t_bufs.extend(t.column("tfs").to_pylist())
-                l_bufs.extend(t.column("lens").to_pylist())
-                if need_positions:
-                    p_bufs.extend(t.column("positions").to_pylist())
-        if cnts:
-            total = int(sum(cnts))
-            blk_starts = np.zeros(len(cnts), dtype=np.int64)
-            np.cumsum(np.asarray(cnts[:-1], dtype=np.int64),
-                      out=blk_starts[1:])
-            deltas = decode_varint(b"".join(d_bufs), total).astype(np.int64)
-            run = np.cumsum(deltas)
-            # each block's first delta is its absolute min_doc: subtract the
-            # running total at each block start (valid: run is non-decreasing)
-            base = np.zeros(total, dtype=np.int64)
-            base[blk_starts[1:]] = run[blk_starts[1:] - 1]
-            docs = run - np.maximum.accumulate(base)
-            tfs = decode_varint(b"".join(t_bufs), total).astype(np.int64)
-            lens = decode_varint(b"".join(l_bufs), total).astype(np.int64)
-            pos = (decode_position_lists(b"".join(p_bufs), tfs)
-                   if need_positions else None)
-            parts = [(docs, tfs, lens, pos)]
-        else:
-            parts = []
-        # epoch postings: every epoch's doc_ids exceed all earlier ones,
-        # so appending in epoch order preserves global doc order
-        for e in self._epochs:
-            pl = e.postings(fid, term, need_positions, doc_range)
-            if pl.size:
-                parts.append((pl.docs, pl.tfs, pl.lens, pl.pos_concat))
-        if not parts:
-            pl = _empty_postings()
-        else:
-            docs = np.concatenate([p[0] for p in parts])
-            tfs = np.concatenate([p[1] for p in parts])
-            order_ok = (np.diff(docs) > 0).all() if docs.size > 1 else True
-            if not order_ok:
-                raise AssertionError(f"postings for {key} not doc-sorted")
-            if need_positions:
-                starts = np.zeros(tfs.size, dtype=np.int64)
-                np.cumsum(tfs[:-1], out=starts[1:])
-                pos_concat = np.concatenate([p[3] for p in parts])
-            else:
-                starts = None
-                pos_concat = None
-            pl = PostingList(
-                docs=docs,
-                tfs=tfs,
-                lens=np.concatenate([p[2] for p in parts]),
-                pos_concat=pos_concat,
-                pos_starts=starts,
-            )
-        if len(self._postings_cache) < 4096 or key in self._postings_cache:
-            self._postings_cache[key] = pl
-        return pl
+        return self._highest_live(filters)
 
     # ------------------------------------------------- lazy posting blocks
 
     def _seg_index(self, path: str) -> "_SegBlockIndex":
         """Per-segment-file skip index (footer + small metadata columns),
         built once per reader and shared by every term lookup."""
-        cache = getattr(self, "_seg_index_cache", None)
-        if cache is None:
-            cache = self._seg_index_cache = {}
-        idx = cache.get(path)
+        idx = self._seg_index_cache.get(path)
         if idx is None:
-            idx = cache[path] = _SegBlockIndex(path)
+            idx = self._seg_index_cache[path] = _SegBlockIndex(path)
         return idx
 
     def term_blocks(self, field: str | int, term: str,
@@ -514,8 +617,8 @@ class IndexReader:
         blocks.  ``doc_range`` masks to overlapping blocks
         (block-granular like ``postings``).  Blocks are doc-range sorted
         and disjoint."""
-        fid = field if isinstance(field, int) else self.field_id.get(field, -1)
-        if fid < 0:
+        fid = self._field_key(field)
+        if fid is None:
             return []
         key = (fid, term) if doc_range is None else (fid, term, doc_range)
         hit = self._block_cache.get(key)
@@ -595,55 +698,17 @@ class IndexReader:
             t_p.append(tfs[m])
             l_p.append(lens[m])
             # gather the kept postings' position segments
-            starts = np.zeros(tfs.size, dtype=np.int64)
-            np.cumsum(tfs[:-1], out=starts[1:])
             keep_tfs = tfs[m]
-            total = int(keep_tfs.sum())
-            out_starts = np.zeros(keep_tfs.size, dtype=np.int64)
-            np.cumsum(keep_tfs[:-1], out=out_starts[1:])
-            take = (np.repeat(starts[m] - out_starts, keep_tfs)
-                    + np.arange(total, dtype=np.int64))
+            out_starts = _starts(keep_tfs)
+            take = (np.repeat(_starts(tfs)[m] - out_starts, keep_tfs)
+                    + np.arange(int(keep_tfs.sum()), dtype=np.int64))
             p_p.append(pos[take])
         if not d_p:
             return _empty_postings()
-        docs = np.concatenate(d_p)
         tfs = np.concatenate(t_p)
-        pos_starts = np.zeros(tfs.size, dtype=np.int64)
-        np.cumsum(tfs[:-1], out=pos_starts[1:])
-        return PostingList(docs=docs, tfs=tfs,
-                           lens=np.concatenate(l_p),
-                           pos_concat=np.concatenate(p_p),
-                           pos_starts=pos_starts)
+        return PostingList(np.concatenate(d_p), tfs, np.concatenate(l_p),
+                           np.concatenate(p_p), _starts(tfs))
 
-    # ------------------------------------------------------------- stats
-
-    def term_stats(self, field: str | int, term: str) -> tuple[int, int]:
-        """(C, K) for the scorer: C = index-wide total occurrences of the
-        term under the field (the reference's merge-summed ``C`` key), K =
-        the field's total (instance × distinct-stem) count (``K`` key)."""
-        fid = field if isinstance(field, int) else self.field_id.get(field, -1)
-        if fid < 0:
-            return (0, 0)
-        key = (fid, term)
-        hit = self._stats_cache.get(key)
-        if hit is not None:
-            return hit
-        bucket = term_bucket(term, self.num_buckets)
-        c = 0
-        for path in self._stats_by_bucket.get(bucket, ()):
-            t = pq.read_table(
-                path, columns=["c"],
-                filters=[("field", "==", fid), ("term", "==", term)],
-            )
-            if t.num_rows:
-                c += int(pc.sum(t.column("c")).as_py())
-        for e in self._epochs:
-            c += e.term_stats(fid, term)[0]
-        # field_k was merged across epochs at construction time
-        k = int(self.field_k.get(fid, 0))
-        out = (c, k)
-        self._stats_cache[key] = out
-        return out
 
     # ------------------------------------------------------------ docmap
 

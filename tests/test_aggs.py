@@ -72,7 +72,7 @@ def test_collapse_range_fold_matches_global(ray_session):
     ranges)."""
     from noise_ray.ops.aggs import (_collapse_merge, collapse_range,
                                     collapse_topk)
-    from noise_ray.ops.bm25 import _field_total_tokens, bm25_df_range
+    from noise_ray.ops.bm25 import bm25_df_range
     from noise_ray.pipelines import documents_index
 
     reader = documents_index(SF)
@@ -84,7 +84,7 @@ def test_collapse_range_fold_matches_global(ray_session):
     df_parts = [bm25_df_range(idx, "text", stemmed, lo, hi)
                 for lo, hi in ranges]
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / float(n)
+    avgdl = reader.token_total(reader.field_id["text"]) / float(n)
     parts = [collapse_range(idx, "text", stemmed, dfs, float(n), avgdl,
                             1.2, 0.75, "source", lo, hi)
              for lo, hi in ranges]
@@ -137,7 +137,7 @@ def test_top_hits_range_fold_matches_global(ray_session):
     index-wide run (per-key top-N is associative over disjoint
     ranges)."""
     from noise_ray.ops.aggs import top_hits, tophits_range
-    from noise_ray.ops.bm25 import _field_total_tokens, bm25_df_range
+    from noise_ray.ops.bm25 import bm25_df_range
     from noise_ray.pipelines import documents_index
 
     reader = documents_index(SF)
@@ -149,7 +149,7 @@ def test_top_hits_range_fold_matches_global(ray_session):
     df_parts = [bm25_df_range(idx, "text", stemmed, lo, hi)
                 for lo, hi in ranges]
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / float(n)
+    avgdl = reader.token_total(reader.field_id["text"]) / float(n)
     parts = [tophits_range(idx, "text", stemmed, dfs, float(n), avgdl,
                            1.2, 0.75, "source", 3, lo, hi)
              for lo, hi in ranges]

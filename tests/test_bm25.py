@@ -181,15 +181,14 @@ def test_bm25_wand_identical_to_exhaustive(multiblock_index, terms, mode, k):
 def test_bm25_wand_prunes_blocks(multiblock_index):
     """The hot term's low-impact blocks must be skipped: fewer payloads
     fetched than blocks exist, and the results still exact."""
-    from noise_ray.ops.bm25 import (_bm25_wand, _field_total_tokens,
-                                    bm25_topk)
+    from noise_ray.ops.bm25 import _bm25_wand, bm25_topk
     from noise_ray.query.reader import IndexReader
 
     # FRESH reader: the process-cached reader shared by the other tests
     # has already fetched every block's payload
     reader = IndexReader(multiblock_index)
     n_docs = float(reader.num_docs)
-    avgdl = _field_total_tokens(reader, 0) / n_docs
+    avgdl = reader.token_total(0) / n_docs
     stats = {}
     # k=3 < the 4 tf=25 docs: the running threshold lands on a tf=25
     # score, far above every tf=1 block's bound — those blocks must be
@@ -282,13 +281,13 @@ def test_bm25_wand_with_epochs(multiblock_index, tmp_path, ray_session):
 def test_bm25_score_range_wand_matches_global(multiblock_index):
     """Distributed phase-2 bodies (range-restricted WAND) fold to exactly
     the in-process global top-k."""
-    from noise_ray.ops.bm25 import (_field_total_tokens, bm25_df_range,
-                                    bm25_score_range, bm25_topk)
+    from noise_ray.ops.bm25 import (bm25_df_range, bm25_score_range,
+                                    bm25_topk)
     from noise_ray.query.reader import IndexReader
 
     reader = IndexReader(multiblock_index)
     n_docs = float(reader.num_docs)
-    avgdl = _field_total_tokens(reader, 0) / n_docs
+    avgdl = reader.token_total(0) / n_docs
     terms = ["zzz", "qqq"]
     k = 10
     mid = reader.num_docs // 2
@@ -389,8 +388,7 @@ def test_bm25_phrase_range_fold_matches_global(tmp_path, ray_session):
     including boundary docs, which the block-granular position pushdown
     could double-count without the exact [lo, hi) mask."""
     from noise_ray.build import build_index
-    from noise_ray.ops.bm25 import (_field_total_tokens,
-                                    bm25_phrase_df_range,
+    from noise_ray.ops.bm25 import (bm25_phrase_df_range,
                                     bm25_phrase_score_range,
                                     bm25_phrase_topk)
     from noise_ray.query.reader import IndexReader
@@ -413,7 +411,7 @@ def test_bm25_phrase_range_fold_matches_global(tmp_path, ray_session):
 
     reader = IndexReader(idx)
     n_docs = float(reader.num_docs)
-    avgdl = _field_total_tokens(reader, 0) / n_docs
+    avgdl = reader.token_total(0) / n_docs
     stemmed = ["alpha", "beta"]
     k = 15
     ranges = [(0, 300), (300, 600), (600, 900)]
@@ -555,8 +553,7 @@ def test_bm25_fields_range_fold_matches_global(ray_session):
     """Multi-field distributed bodies (per-(field, term) df partials +
     per-range weighted scoring) fold to exactly the in-process result on
     the sf corpus."""
-    from noise_ray.ops.bm25 import (_field_total_tokens, bm25_df_range,
-                                    bm25_fields_score_range,
+    from noise_ray.ops.bm25 import (bm25_df_range, bm25_fields_score_range,
                                     bm25_fields_topk)
     from noise_ray.pipelines import documents_index
 
@@ -578,7 +575,7 @@ def test_bm25_fields_range_fold_matches_global(ray_session):
         parts = [bm25_df_range(idx, f, terms, lo, hi) for lo, hi in ranges]
         for j, t in enumerate(terms):
             dfs[(f, t)] = float(sum(p[j] for p in parts))
-    avgdls = {f: _field_total_tokens(reader, reader.field_id[f]) / n_docs
+    avgdls = {f: reader.token_total(reader.field_id[f]) / n_docs
               for f, _ in weights}
     parts = [bm25_fields_score_range(idx, weights, terms, dfs, avgdls,
                                      n_docs, 1.2, 0.75, k, lo, hi)
@@ -678,8 +675,7 @@ def test_spannear_range_fold_matches_global(tmp_path, ray_session):
     scoring with the global df) fold to exactly the in-process result,
     including boundary docs under the [lo, hi) mask."""
     from noise_ray.build import build_index
-    from noise_ray.ops.bm25 import (_field_total_tokens,
-                                    bm25_spannear_topk,
+    from noise_ray.ops.bm25 import (bm25_spannear_topk,
                                     spannear_df_range,
                                     spannear_score_range)
     from noise_ray.query.reader import IndexReader
@@ -702,7 +698,7 @@ def test_spannear_range_fold_matches_global(tmp_path, ray_session):
 
     reader = IndexReader(idx)
     n_docs = float(reader.num_docs)
-    avgdl = _field_total_tokens(reader, 0) / n_docs
+    avgdl = reader.token_total(0) / n_docs
     stemmed, slop, k = ["alpha", "beta"], 2, 15
     ranges = [(0, 300), (300, 600), (600, 900)]
     df = float(sum(spannear_df_range(idx, "text", stemmed, slop, lo, hi)
@@ -738,8 +734,8 @@ def test_msearch_range_fold_matches_global(tmp_path, ray_session):
     """The batched per-range worker bodies fold to the same per-query
     results as in-process bm25_topk."""
     from noise_ray.build import build_index
-    from noise_ray.ops.bm25 import (_field_total_tokens, bm25_topk,
-                                    msearch_df_range, msearch_score_range)
+    from noise_ray.ops.bm25 import (bm25_topk, msearch_df_range,
+                                    msearch_score_range)
     from noise_ray.query.reader import IndexReader
 
     rng = np.random.default_rng(7)
@@ -755,7 +751,7 @@ def test_msearch_range_fold_matches_global(tmp_path, ray_session):
                 num_buckets=4, block_size=32)
     reader = IndexReader(idx)
     n_docs = float(reader.num_docs)
-    avgdl = _field_total_tokens(reader, 0) / n_docs
+    avgdl = reader.token_total(0) / n_docs
     qlists = [["alpha", "beta"], ["gamma"]]
     k = 12
     ranges = [(0, 200), (200, 400), (400, 600)]

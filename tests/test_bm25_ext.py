@@ -126,7 +126,6 @@ def test_synonyms_range_fold_matches_global(ray_session):
     doc_range mask in _group_fold."""
     import numpy as np
 
-    from noise_ray.ops.bm25 import _field_total_tokens
     from noise_ray.ops.bm25_ext import (_stem_groups, bm25_synonyms_topk,
                                         syn_df_range, syn_score_range)
     from noise_ray.pipelines import documents_index
@@ -142,7 +141,7 @@ def test_synonyms_range_fold_matches_global(ray_session):
     df_parts = [syn_df_range(idx, "text", groups, lo, hi)
                 for lo, hi in ranges]
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(groups))]
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / float(n)
+    avgdl = reader.token_total(reader.field_id["text"]) / float(n)
     parts = [syn_score_range(idx, "text", groups, dfs, float(n), avgdl,
                              1.2, 0.75, 20, lo, hi) for lo, hi in ranges]
     docs = np.concatenate([p[0] for p in parts])
@@ -183,7 +182,7 @@ def test_value_boost_range_fold_matches_global(ray_session):
     """Per-range boosted scoring with global dfs (the worker body,
     incl. its per-range docmap gather) merged over ranges equals the
     in-process result."""
-    from noise_ray.ops.bm25 import _field_total_tokens, bm25_df_range
+    from noise_ray.ops.bm25 import bm25_df_range
     from noise_ray.ops.bm25_ext import bm25_value_boost, boost_score_range
     from noise_ray.pipelines import documents_index
 
@@ -196,7 +195,7 @@ def test_value_boost_range_fold_matches_global(ray_session):
     df_parts = [bm25_df_range(idx, "text", stemmed, lo, hi)
                 for lo, hi in ranges]
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / float(n)
+    avgdl = reader.token_total(reader.field_id["text"]) / float(n)
     parts = [boost_score_range(idx, "text", stemmed, dfs, float(n), avgdl,
                                1.2, 0.75, "n_chars", ("recip", 0.001),
                                20, lo, hi)
@@ -315,7 +314,7 @@ def test_boosting_range_fold_matches_global(ray_session):
     in-process boosting top-k on the sf0.001 documents index."""
     import numpy as np
 
-    from noise_ray.ops.bm25 import _field_total_tokens, bm25_df_range
+    from noise_ray.ops.bm25 import bm25_df_range
     from noise_ray.ops.bm25_ext import (boosting_score_range,
                                         bm25_boosting_topk)
     from noise_ray.pipelines import documents_index
@@ -324,7 +323,7 @@ def test_boosting_range_fold_matches_global(ray_session):
     reader = documents_index(SF)
     idx = reader.index_dir
     n_docs = float(reader.num_docs)
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / n_docs
+    avgdl = reader.token_total(reader.field_id["text"]) / n_docs
     stemmed = [_stem_one(t) for t in ("merge", "scan")]
     neg, nb, k = [_stem_one("slow")], 0.3, 20
     n = reader.num_docs
@@ -376,7 +375,6 @@ def test_dismax_range_fold_matches_global(ray_session):
     from noise_ray.ops.bm25_ext import (bm25_dismax_topk, dismax_df_range,
                                         dismax_score_range)
     from noise_ray.pipelines import documents_index
-    from noise_ray.ops.bm25 import _field_total_tokens
 
     sf = "/root/testdata/sf0.001"
     reader = documents_index(sf)
@@ -384,7 +382,7 @@ def test_dismax_range_fold_matches_global(ray_session):
     fields = (("text", 1.0), ("source", 0.7), ("lang", 0.3))
     stemmed = ["merg", "src3", "en"]
     n = reader.num_docs
-    avgdls = {f: _field_total_tokens(reader, reader.field_id[f]) / n
+    avgdls = {f: reader.token_total(reader.field_id[f]) / n
               for f, _ in fields}
     cuts = [0, n // 3, 2 * n // 3, n]
     ranges = list(zip(cuts, cuts[1:]))
@@ -466,7 +464,7 @@ def test_decay_matches_raw_recomputation(ray_session):
 
 
 def test_decay_range_fold_matches_global(ray_session):
-    from noise_ray.ops.bm25 import _field_total_tokens, bm25_df_range
+    from noise_ray.ops.bm25 import bm25_df_range
     from noise_ray.ops.bm25_ext import bm25_decay, boost_score_range
     from noise_ray.pipelines import documents_index
 
@@ -479,7 +477,7 @@ def test_decay_range_fold_matches_global(ray_session):
     df_parts = [bm25_df_range(idx, "text", stemmed, lo, hi)
                 for lo, hi in ranges]
     dfs = [float(sum(p[j] for p in df_parts)) for j in range(len(stemmed))]
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / float(n)
+    avgdl = reader.token_total(reader.field_id["text"]) / float(n)
     spec = ("gauss", 300.0, 50.0, 150.0)
     import numpy as np
     parts = [boost_score_range(idx, "text", stemmed, dfs, float(n), avgdl,
@@ -517,8 +515,7 @@ def test_span_first_matches_raw_recomputation(ray_session):
 
 
 def test_span_first_range_fold_matches_global(ray_session):
-    from noise_ray.ops.bm25 import (_field_total_tokens,
-                                    bm25_span_first_topk,
+    from noise_ray.ops.bm25 import (bm25_span_first_topk,
                                     span_first_df_range,
                                     span_first_score_range)
     from noise_ray.pipelines import documents_index
@@ -530,7 +527,7 @@ def test_span_first_range_fold_matches_global(ray_session):
     ranges = list(zip(cuts, cuts[1:]))
     df = float(sum(span_first_df_range(idx, "text", "merg", 10, lo, hi)
                    for lo, hi in ranges))
-    avgdl = _field_total_tokens(reader, reader.field_id["text"]) / float(n)
+    avgdl = reader.token_total(reader.field_id["text"]) / float(n)
     import numpy as np
     parts = [span_first_score_range(idx, "text", "merg", 10, df, float(n),
                                     avgdl, 1.2, 0.75, 20, lo, hi)

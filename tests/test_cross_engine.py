@@ -89,3 +89,18 @@ def test_nested_matches_flat_engine(ray_session, both_indexes):
             flat_scores.astype(np.float32), nested_scores), q
         checked += ft.num_rows
     assert checked > 100  # the comparison saw real result mass
+
+
+def test_reader_refuses_the_other_engines_index(both_indexes):
+    """Each reader checks the manifest's ``nested`` flag on open and
+    names the reader that fits, in both directions."""
+    from noise_ray.query import IndexReader
+    from noise_ray.query.json_reader import JsonIndexReader
+
+    flat_dir, nested_dir = both_indexes
+    with pytest.raises(ValueError, match="nested-JSON index: open it "
+                                         "with JsonIndexReader"):
+        IndexReader(nested_dir)
+    with pytest.raises(ValueError, match="flat index: open it with "
+                                         "IndexReader"):
+        JsonIndexReader(flat_dir)

@@ -168,8 +168,8 @@ def test_merged_nested_equals_unified(ray_session, tmp_path):
     assert run_json_query(mer, rq) == run_json_query(uni, rq)
     assert (mer.kp_instance_count(".turns$.text")
             == uni.kp_instance_count(".turns$.text"))
-    assert (mer.kp_token_total(".turns$.text")
-            == uni.kp_token_total(".turns$.text"))
+    assert (mer.token_total(".turns$.text")
+            == uni.token_total(".turns$.text"))
     ids = np.array([0, uni.num_docs // 2, uni.num_docs - 1], np.int64)
     assert mer.doc_json(ids) == uni.doc_json(ids)
     assert mer.doc_id_strs(ids) == uni.doc_id_strs(ids)
@@ -329,8 +329,8 @@ def test_split_json_matches_independent_builds(ray_session, tmp_path):
         assert run_json_query(a, rq) == run_json_query(b, rq)
         assert (a.kp_instance_count(".turns$.text")
                 == b.kp_instance_count(".turns$.text"))
-        assert (a.kp_token_total(".turns$.text")
-                == b.kp_token_total(".turns$.text"))
+        assert (a.token_total(".turns$.text")
+                == b.token_total(".turns$.text"))
         assert a.field_k == b.field_k
         ids = np.array([0, a.num_docs - 1], np.int64)
         assert a.doc_json(ids) == b.doc_json(ids)

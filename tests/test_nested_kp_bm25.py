@@ -40,7 +40,7 @@ def test_nested_kp_bm25_stats_from_index_artifacts(ray_session):
 
     n_tokens = sum(len(list(tokenize(t))) for t in texts)
     assert reader.kp_instance_count(".turns$.text") == len(texts)
-    assert reader.kp_token_total(".turns$.text") == n_tokens
+    assert reader.token_total(".turns$.text") == n_tokens
 
 
 def test_nested_kp_bm25_range_fold_matches_global(ray_session):
@@ -56,7 +56,7 @@ def test_nested_kp_bm25_range_fold_matches_global(ray_session):
     idx = reader.index_dir
     kp, stemmed, k = ".turns$.text", ["quick", "brown"], 20
     n_inst = float(reader.kp_instance_count(kp))
-    avgdl = float(reader.kp_token_total(kp)) / n_inst
+    avgdl = float(reader.token_total(kp)) / n_inst
     n = reader.num_docs
     cuts = [0, n // 3, 2 * n // 3, n]
     ranges = list(zip(cuts, cuts[1:]))
@@ -115,7 +115,7 @@ def test_nested_kp_bm25_filtered_range_fold_matches_global(ray_session):
     idx = reader.index_dir
     kp, stemmed, k = ".turns$.text", ["quick", "brown"], 20
     n_inst = float(reader.kp_instance_count(kp))
-    avgdl = float(reader.kp_token_total(kp)) / n_inst
+    avgdl = float(reader.token_total(kp)) / n_inst
     n = reader.num_docs
     cuts = [0, n // 3, 2 * n // 3, n]
     ranges = list(zip(cuts, cuts[1:]))
