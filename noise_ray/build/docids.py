@@ -36,11 +36,14 @@ def plan_doc_ids(paths: list[str], key_columns: list[str]) -> list[FilePlan]:
     """Metadata-only doc_id planning over sorted, range-partitioned files.
 
     Reads only Parquet footers.  Raises if file key ranges overlap (caller
-    should then re-partition with a global sort first).
+    should then re-partition with a global sort first).  Zero-row files
+    hold no docs and carry no key statistics, so they get no plan.
     """
     infos = []
     for p in sorted(paths):
         md = pq.read_metadata(p)
+        if md.num_rows == 0:
+            continue
         mins, maxs = [], []
         for col in key_columns:
             idx = md.schema.names.index(col)

@@ -7,9 +7,11 @@ index under a monotonically increasing seq, and re-adding an existing
 
 Our batch-immutable analogue: each ``add_documents`` call builds a
 self-contained DELTA index ("epoch") under ``<index>/epochs/epoch-NNNN/``
-with the SAME streaming Ray Data pipeline as the base build, doc_ids
-continuing the parent's seq space (``doc_id_offset``).  The root
-``IndexReader`` merges postings / stats / docmaps across epochs at query
+with the SAME pipeline as the base build, doc_ids continuing the parent's
+seq space (``doc_id_offset``).  Work of at most ``pipeline.DOCS_PER_TASK``
+docs runs in the driver with no Ray Data job: building a delta that
+small, and the upsert semi-join when the older docs number no more.  The
+root ``IndexReader`` merges postings / stats / docmaps across epochs at query
 time; upserts tombstone the older doc_id (Lucene hidden-doc deletes).
 
 An epoch is visible only once its ``manifest.json`` exists (build_index
@@ -29,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from . import pipeline
 from .pipeline import MANIFEST_NAME, build_index
 
 _EPOCH_RE = re.compile(r"^epoch-(\d{4})(?:-(\d{4}))?$")
@@ -335,8 +338,9 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
 def _tombstone_shadowed(index_dir: str, new_paths: list[str],
                         key_columns: list[str], offset: int) -> list[int]:
     """Tombstone older docs whose key columns collide with the new batch
-    (upsert semantics): a distributed hash semi-join over the docmap
-    partitions' key columns only."""
+    (upsert semantics): a hash semi-join over the docmap partitions' key
+    columns only, in the driver or as a Ray Data job by the older docs'
+    count (``shadowed_doc_ids``)."""
     new_keys = pa.concat_tables(
         [pq.read_table(p, columns=key_columns) for p in new_paths]
     )
@@ -350,38 +354,52 @@ def _tombstone_shadowed(index_dir: str, new_paths: list[str],
     return dead
 
 
+def _key_hits(path: str, new_keys: pa.Table,
+              key_columns: list[str]) -> pa.Table:
+    """The ``doc_id`` of every row of docmap partition ``path`` whose key
+    columns match a row of ``new_keys`` (an Arrow inner join)."""
+    # dedupe: indexes keyed ON doc_id would otherwise request the column
+    # twice and break the acero join's field lookup
+    t = pq.read_table(path,
+                      columns=list(dict.fromkeys(["doc_id", *key_columns])))
+    return t.join(new_keys, keys=key_columns,
+                  join_type="inner").select(["doc_id"])
+
+
 def shadowed_doc_ids(docmap_parts, new_keys: pa.Table,
                      key_columns: list[str], offset: int) -> list[int]:
     """Doc ids of pre-``offset`` docs whose key columns collide with
-    ``new_keys`` — one Ray task per docmap partition with the delta-sized
-    key table broadcast once via ``ray.put``; only the colliding doc_ids
-    (bounded by the delta) return to the driver.  Shared by the flat and
-    nested upsert paths."""
-    import ray
-    import ray.data as rd
+    ``new_keys``, sorted.  Shared by the flat and nested upsert paths.
 
-    parts = [dm["path"] for dm in docmap_parts if dm["min_doc"] < offset]
+    Up to ``pipeline.DOCS_PER_TASK`` older docs are one task's worth, so
+    the driver joins each partition itself.  Above that, one Ray task per
+    docmap partition with the delta-sized key table broadcast once via
+    ``ray.put``; only the colliding doc_ids (bounded by the delta) return
+    to the driver.  Both routes run ``_key_hits``."""
+    parts = [dm for dm in docmap_parts if dm["min_doc"] < offset]
     if not parts or new_keys.num_rows == 0:
         return []
-    keys_ref = ray.put(new_keys)
+    if sum(int(dm["rows"]) for dm in parts) <= pipeline.DOCS_PER_TASK:
+        tables = [_key_hits(dm["path"], new_keys, key_columns)
+                  for dm in parts]
+    else:
+        import ray
+        import ray.data as rd
 
-    def scan(batch: pa.Table) -> pa.Table:
-        nk = ray.get(keys_ref)
-        outs = []
-        for p in batch.column("path").to_pylist():
-            # dedupe: indexes keyed ON doc_id would otherwise request
-            # the column twice and break the acero join's field lookup
-            t = pq.read_table(
-                p, columns=list(dict.fromkeys(["doc_id", *key_columns])))
-            outs.append(t.join(nk, keys=key_columns, join_type="inner")
-                        .select(["doc_id"]))
-        return pa.concat_tables(outs)
+        keys_ref = ray.put(new_keys)
 
-    hits = (rd.from_items([{"path": p} for p in parts],
-                          override_num_blocks=len(parts))
-            .map_batches(scan, batch_format="pyarrow"))
-    # materialize first: to_arrow_refs on a lazy ds re-executes for schema
-    tables = ray.get(hits.materialize().to_arrow_refs())
+        def scan(batch: pa.Table) -> pa.Table:
+            nk = ray.get(keys_ref)
+            return pa.concat_tables([
+                _key_hits(p, nk, key_columns)
+                for p in batch.column("path").to_pylist()])
+
+        hits = (rd.from_items([{"path": dm["path"]} for dm in parts],
+                              override_num_blocks=len(parts))
+                .map_batches(scan, batch_format="pyarrow"))
+        # materialize first: to_arrow_refs on a lazy ds re-executes for
+        # schema
+        tables = ray.get(hits.materialize().to_arrow_refs())
     if not tables:
         return []
     t = pa.concat_tables(tables)

@@ -2,7 +2,11 @@
 
 Logical stages, mirroring the reference ingest path
 (/root/reference/src/index.rs:131-161 ``add`` → shred → postings → counts)
-re-expressed as ONE streaming Ray Data execution:
+re-expressed as ONE streaming Ray Data execution — or, when the input fits
+one ingest task (``DOCS_PER_TASK`` docs or fewer, e.g. an incremental
+add), as the same stage functions called in the driver, with no Ray Data
+job at all (the reference's in-process ``add`` + flush).  Both routes
+write byte-identical files:
 
   stage 1  ingest+docmap   per input file task: assign dense doc_ids from the
                            metadata plan, verify/establish (conv_id, turn_idx)
@@ -107,6 +111,11 @@ MANIFEST_NAME = "manifest.json"
 # transcript corpus.
 FLAT_ROW_GROUP = 64
 NESTED_ROW_GROUP = 2048
+# Docs one ingest task takes at the least.  Work of at most this many docs
+# is one task anyway, so it runs in the driver with no Ray Data job: a
+# flat build (``build_index``) and an upsert semi-join over the older
+# docmap rows (``incremental.shadowed_doc_ids``).
+DOCS_PER_TASK = 16384
 
 
 def term_bucket(term: str, num_buckets: int) -> int:
@@ -679,7 +688,15 @@ def build_index(
     ``doc_id_offset`` shifts all assigned doc_ids (used by incremental
     epochs, noise_ray/build/incremental.py: new docs continue the parent
     index's seq space, mirroring the reference's monotonically increasing
-    seq across adds, /root/reference/src/index.rs:146-155)."""
+    seq across adds, src/index.rs:146-155).
+
+    A build of at most ``docs_per_ingest_task`` docs (by default
+    ``DOCS_PER_TASK`` or more) is one ingest task, so it runs in the
+    driver: ``_ingest_emit`` → ``tokenize_batch`` → ``_write_groups`` on
+    the whole plan, the same stage functions the Ray Data chain maps, and
+    the same files.  Larger builds run the Ray Data chain;
+    ``tokenize_batch_size`` and ``tokenize_concurrency`` apply to it only.
+    The manifest's ``metrics["local"]`` records the route."""
     t_build_start = time.time()
     docmap_dir = os.path.join(index_dir, "docmap")
     seg_dir = os.path.join(index_dir, "segments")
@@ -715,6 +732,7 @@ def build_index(
     done_gkeys = _committed_gkeys(seg_dir, stats_dir)
 
     # ---- single streaming execution: ingest → tokenize → shuffle → write
+    # (or, for one task's worth of docs, the same stages in the driver)
     # Ingest task granularity is DATA-proportional (~docs_per_ingest_task
     # rows per task), NOT file- or cluster-proportional.  One task per file
     # would make the sort shuffle's partition-object count quadratic in file
@@ -731,41 +749,41 @@ def build_index(
     # turns as 172 s with 1343 blocks vs 112 s with 245 (1.53x, same
     # output).
     if docs_per_ingest_task is None:
-        docs_per_ingest_task = max(16384, -(-max(num_docs, 1) // 256))
+        docs_per_ingest_task = max(DOCS_PER_TASK,
+                                   -(-max(num_docs, 1) // 256))
     num_tasks = max(1, min(len(plans),
                            -(-num_docs // docs_per_ingest_task)))
+    local = num_docs <= docs_per_ingest_task
 
     plan_rows = [{"path": p.path, "offset": p.offset, "rows": p.rows, "seq": i}
                  for i, p in enumerate(plans)]
+    ingest_kw = {"key_columns": key_columns, "docmap_dir": docmap_dir,
+                 "fields": tuple(fields)}
+    tokenize_kw = {"fields": tuple(fields), "num_buckets": num_buckets,
+                   "num_ranges": num_ranges, "range_span": range_span,
+                   "range_base": doc_id_offset, "block_size": block_size}
     with _one_row_blocks():
-        postings = (
-            ray.data.from_items(plan_rows, override_num_blocks=num_tasks)
-            .map_batches(
-                _ingest_emit,
-                fn_kwargs={"key_columns": key_columns,
-                           "docmap_dir": docmap_dir, "fields": tuple(fields)},
-                batch_format="pyarrow",
+        if local:  # one task's worth: the same stages, in the driver
+            postings = tokenize_batch(_ingest_emit(
+                pa.Table.from_pylist(plan_rows), **ingest_kw), **tokenize_kw)
+        else:
+            postings = (
+                ray.data.from_items(plan_rows, override_num_blocks=num_tasks)
+                .map_batches(_ingest_emit, fn_kwargs=ingest_kw,
+                             batch_format="pyarrow")
+                .map_batches(
+                    tokenize_batch,
+                    fn_kwargs=tokenize_kw,
+                    # batch_size=None → per-block batches: the fused
+                    # ingest→tokenize op runs one task per input file.  An
+                    # explicit batch_size would make Ray bundle the 1-row
+                    # plan blocks into a single task to satisfy it,
+                    # serializing the whole pipeline.
+                    batch_size=tokenize_batch_size,
+                    batch_format="pyarrow",
+                    concurrency=tokenize_concurrency,
+                )
             )
-            .map_batches(
-                tokenize_batch,
-                fn_kwargs={
-                    "fields": tuple(fields),
-                    "num_buckets": num_buckets,
-                    "num_ranges": num_ranges,
-                    "range_span": range_span,
-                    "range_base": doc_id_offset,
-                    "block_size": block_size,
-                },
-                # batch_size=None → per-block batches: the fused
-                # ingest→tokenize op runs one task per input file.  An
-                # explicit batch_size would make Ray bundle the 1-row plan
-                # blocks into a single task to satisfy it, serializing the
-                # whole pipeline.
-                batch_size=tokenize_batch_size,
-                batch_format="pyarrow",
-                concurrency=tokenize_concurrency,
-            )
-        )
         acks = _write_groups(postings, seg_dir, stats_dir, FLAT_ROW_GROUP,
                              done_gkeys)
     field_k, segments, stats = _group_entries(acks, done_gkeys, seg_dir,
@@ -802,6 +820,7 @@ def build_index(
             "segment_groups": len(segments),
             "resumed_groups": len(done_gkeys),
             "total_postings": sum(e["postings"] for e in segments),
+            "local": local,
         },
     }
     _publish_manifest(manifest, index_dir)

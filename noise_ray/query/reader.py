@@ -32,6 +32,7 @@ import pyarrow.parquet as pq
 from ..build import incremental
 from ..build.codec import decode_deltas, decode_position_lists, decode_varint
 from ..build.pipeline import MANIFEST_NAME, term_bucket
+from ..nputil import sorted_member_mask
 
 
 @dataclass
@@ -430,14 +431,16 @@ class ReaderCore:
         """The highest non-tombstoned doc_id among the docmap rows matching
         ``filters`` — upsert semantics: the latest version of a key wins
         (the analogue of the reference's I<id> lookup,
-        src/key_builder.rs:104-109)."""
-        ids = [d for dm in self._docmap
-               for d in pq.read_table(dm["path"], columns=["doc_id"],
-                                      filters=filters)
-               .column("doc_id").to_pylist()]
-        dead = set(self.tombstones.tolist()) if ids else ()
-        live = [d for d in ids if d not in dead]
-        return max(live) if live else None
+        src/key_builder.rs:104-109).  Partitions ascend in doc id (base,
+        then epochs), so the walk goes newest-first and stops at the
+        first partition holding a live match."""
+        for dm in reversed(self._docmap):
+            ids = pq.read_table(dm["path"], columns=["doc_id"],
+                                filters=filters).column("doc_id").to_numpy()
+            live = ids[~sorted_member_mask(self.tombstones, ids)]
+            if live.size:
+                return int(live.max())
+        return None
 
     # ---------------------------------------------------------- postings
 

@@ -63,16 +63,56 @@ def test_build_deterministic(ray_session, tmp_path):
     assert m1["num_docs"] == m2["num_docs"]
 
 
-def test_resume_after_partial_build(ray_session, tmp_path):
+def _num_rows(paths):
+    return sum(pq.read_metadata(p).num_rows for p in paths)
+
+
+def _route_kwargs(route, paths):
+    """build_index arguments that take ``route``: the default driver run,
+    or a Ray Data job (an ingest task one doc smaller than the corpus)."""
+    if route == "driver":
+        return {}
+    return {"docs_per_ingest_task": _num_rows(paths) - 1}
+
+
+def _disk_manifest(index_dir):
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        m = json.load(f)
+    return m, m.pop("metrics")
+
+
+def test_driver_and_ray_routes_write_identical_files(ray_session, tmp_path):
+    """A one-file corpus built in the driver (the default below
+    DOCS_PER_TASK docs) and by a one-task Ray Data job writes the same
+    bytes: the two routes run the same stage functions."""
+    paths = generate_transcripts(str(tmp_path / "in"), num_convs=40,
+                                 num_files=1)
+    local_dir, ray_dir = str(tmp_path / "driver"), str(tmp_path / "ray")
+    build_index(paths, local_dir)
+    build_index(paths, ray_dir, **_route_kwargs("ray", paths))
+    m_local, metrics_local = _disk_manifest(local_dir)
+    m_ray, metrics_ray = _disk_manifest(ray_dir)
+    assert metrics_local["local"] is True
+    assert metrics_ray["local"] is False
+    assert m_local == m_ray
+    hashes = _hash_dir_files(local_dir)
+    assert any(k.startswith("segments/") for k in hashes)
+    assert hashes == _hash_dir_files(ray_dir)
+
+
+@pytest.mark.parametrize("route", ["driver", "ray"])
+def test_resume_after_partial_build(ray_session, tmp_path, route):
     """Delete the manifest plus some committed outputs; resume must
     reconstruct a byte-identical index and skip already-done partitions."""
     paths = generate_transcripts(str(tmp_path / "in"), num_convs=40, num_files=4)
+    kw = _route_kwargs(route, paths)
     full_dir = str(tmp_path / "full")
-    build_index(paths, full_dir, num_buckets=8)
+    m = build_index(paths, full_dir, num_buckets=8, **kw)
+    assert m["metrics"]["local"] is (route == "driver")
     want = _hash_dir_files(full_dir)
 
     resume_dir = str(tmp_path / "resume")
-    build_index(paths, resume_dir, num_buckets=8)
+    build_index(paths, resume_dir, num_buckets=8, **kw)
     # simulate a crash: manifest gone, one docmap partition and two segment
     # groups lost, stats lost
     os.remove(os.path.join(resume_dir, "manifest.json"))
@@ -84,13 +124,93 @@ def test_resume_after_partial_build(ray_session, tmp_path):
     shutil.rmtree(os.path.join(resume_dir, "stats"))
     os.makedirs(os.path.join(resume_dir, "stats"))
 
-    m = build_index(paths, resume_dir, num_buckets=8)
+    m = build_index(paths, resume_dir, num_buckets=8, **kw)
     assert _hash_dir_files(resume_dir) == want
     with open(os.path.join(full_dir, "manifest.json")) as f:
         full_segs = json.load(f)["segments"]
     assert [(s["gkey"], s["postings"]) for s in m["segments"]] == [
         (s["gkey"], s["postings"]) for s in full_segs
     ]
+
+
+def _empty_like(path, out):
+    """A zero-row copy of ``path`` (same schema, no column statistics)."""
+    pq.write_table(pq.read_table(path).slice(0, 0), out)
+    return out
+
+
+def test_zero_row_files_are_skipped(ray_session, tmp_path):
+    """A zero-row input file holds no docs: ``[empty]`` builds the same
+    0-doc index as ``[]``, and ``[empty, a]`` the same files as ``[a]``."""
+    (a,) = generate_transcripts(str(tmp_path / "in"), num_convs=20,
+                                num_files=1)
+    empty = _empty_like(a, str(tmp_path / "in" / "empty.parquet"))
+
+    m_none = build_index([], str(tmp_path / "none"))
+    m_empty = build_index([empty], str(tmp_path / "empty"))
+    assert m_empty["num_docs"] == m_none["num_docs"] == 0
+    assert _disk_manifest(str(tmp_path / "empty"))[0] == _disk_manifest(
+        str(tmp_path / "none"))[0]
+    assert _hash_dir_files(str(tmp_path / "empty")) == _hash_dir_files(
+        str(tmp_path / "none")) == {}
+
+    build_index([a], str(tmp_path / "a"))
+    build_index([empty, a], str(tmp_path / "empty_a"))
+    assert _disk_manifest(str(tmp_path / "empty_a"))[0] == _disk_manifest(
+        str(tmp_path / "a"))[0]
+    assert _hash_dir_files(str(tmp_path / "empty_a")) == _hash_dir_files(
+        str(tmp_path / "a"))
+
+
+def _flat_upsert_case(root):
+    """A 3-file flat base and a delta re-adding every 5th base key plus
+    new ones: (docmap, delta keys, key columns, offset, shadowed ids)."""
+    import pyarrow as pa
+
+    paths = generate_transcripts(os.path.join(root, "in"), num_convs=30,
+                                 num_files=3)
+    m = build_index(paths, os.path.join(root, "idx"), num_buckets=8)
+    keys = ["conv_id", "turn_idx"]
+    dm = pq.read_table([e["path"] for e in m["docmap"]],
+                       columns=["doc_id", *keys])
+    picked = dm.take(pa.array(range(0, dm.num_rows, 5)))
+    new_keys = pa.concat_tables([picked.select(keys), pa.table({
+        "conv_id": pa.array(["zz-new"] * 2),
+        "turn_idx": pa.array([0, 1], dm.schema.field("turn_idx").type)})])
+    return (m["docmap"], new_keys, keys, m["num_docs"],
+            sorted(picked.column("doc_id").to_pylist()))
+
+
+def _nested_upsert_case(root):
+    import pyarrow as pa
+
+    from noise_ray.build.json_pipeline import (build_json_index,
+                                               docs_to_parquet)
+
+    docs = [{"_id": f"d{i}", "t": f"word{i % 7} text"} for i in range(40)]
+    paths = [docs_to_parquet(docs[i:i + 10],
+                             os.path.join(root, f"j{i}.parquet"),
+                             docid_base=i) for i in range(0, 40, 10)]
+    m = build_json_index(paths, os.path.join(root, "idx"), num_buckets=4,
+                         local=True)
+    new_keys = pa.table({"_id": ["d3", "d17", "d39", "fresh"]})
+    return m["docmap"], new_keys, ["_id"], m["num_docs"], [3, 17, 39]
+
+
+@pytest.mark.parametrize("case", [_flat_upsert_case, _nested_upsert_case],
+                         ids=["flat", "nested"])
+def test_shadowed_doc_ids_same_on_both_routes(ray_session, tmp_path,
+                                              monkeypatch, case):
+    """The upsert semi-join finds the same older docs in the driver (up to
+    DOCS_PER_TASK older docs) and as a Ray Data job."""
+    from noise_ray.build import incremental, pipeline
+
+    docmap, new_keys, keys, offset, want = case(str(tmp_path))
+    assert len(docmap) > 1 and want
+    driver = incremental.shadowed_doc_ids(docmap, new_keys, keys, offset)
+    monkeypatch.setattr(pipeline, "DOCS_PER_TASK", 0)
+    ray_route = incremental.shadowed_doc_ids(docmap, new_keys, keys, offset)
+    assert driver == ray_route == want
 
 
 def test_partitioning_independence(ray_session, tmp_path):
@@ -103,10 +223,14 @@ def test_partitioning_independence(ray_session, tmp_path):
     re-encodes)."""
     p_a = generate_transcripts(str(tmp_path / "a"), num_convs=40, num_files=2)
     p_b = generate_transcripts(str(tmp_path / "b"), num_convs=40, num_files=7)
-    build_index(p_a, str(tmp_path / "idxa"), num_buckets=8,
-                tokenize_batch_size=64)
-    build_index(p_b, str(tmp_path / "idxb"), num_buckets=8,
-                tokenize_batch_size=1024)
+    # the batch size applies to the Ray Data route only: keep both builds
+    # on it (a corpus of one task's worth would otherwise run in the driver)
+    per_task = _num_rows(p_a) // 3
+    m_a = build_index(p_a, str(tmp_path / "idxa"), num_buckets=8,
+                      tokenize_batch_size=64, docs_per_ingest_task=per_task)
+    m_b = build_index(p_b, str(tmp_path / "idxb"), num_buckets=8,
+                      tokenize_batch_size=1024, docs_per_ingest_task=per_task)
+    assert not m_a["metrics"]["local"] and not m_b["metrics"]["local"]
     ha = {k: v for k, v in _hash_dir_files(str(tmp_path / "idxa")).items()
           if k.startswith("stats/")}
     hb = {k: v for k, v in _hash_dir_files(str(tmp_path / "idxb")).items()

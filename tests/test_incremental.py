@@ -249,3 +249,25 @@ def test_merge_epochs_crash_leftover_is_wiped(base_index, tmp_path):
         f.write("{}")
     assert [os.path.basename(d) for d in _epoch_dirs(base_index)] == \
         ["epoch-0001-0002"]
+
+
+def test_add_of_zero_row_delta_changes_no_answer(base_index, tmp_path):
+    """A zero-row delta file (no docs, no column statistics) adds an empty
+    epoch: every query answer, and every key lookup, stays the same."""
+    queries = [
+        'find {text: ~="fox"} order score() desc return score() limit 10 ;',
+        'find {text: ~="quick"} limit 10 ;',
+        'find {role: =="user"} limit 10 ;',
+        'find {text: ~="lazy" || text: ~="season"} limit 10 ;',
+    ]
+
+    def answers():
+        r = IndexReader(base_index)
+        return ([run_query(r, q).to_pylist() for q in queries],
+                [r.lookup_doc(c, t) for c, t, _, _ in BASE], r.num_docs)
+
+    before = answers()
+    p1 = _write(str(tmp_path / "in1"), "part-1.parquet", [])
+    m = add_documents(base_index, [p1])
+    assert m["num_docs"] == 0 and m["tombstoned"] == []
+    assert answers() == before

@@ -152,6 +152,69 @@ def test_lookups_skip_tombstoned_docs(index):
     assert max(live) == r.num_docs - 1
 
 
+def _lookup(r, key):
+    return r.lookup_doc(*key) if len(key) == 2 else r.lookup_id(key[0])
+
+
+def _versions(r):
+    """Every key's doc ids, from a full scan of every docmap partition."""
+    keys = r.manifest["key_columns"]
+    out: dict = {}
+    for dm in r._docmap:
+        for row in pq.read_table(dm["path"],
+                                 columns=["doc_id", *keys]).to_pylist():
+            out.setdefault(tuple(row[c] for c in keys), []).append(
+                row["doc_id"])
+    return out
+
+
+def _brute_highest_live(r, versions):
+    """Every key's highest non-tombstoned doc id (None when every version
+    is dead)."""
+    dead = set(r.tombstones.tolist())
+    return {k: max((d for d in v if d not in dead), default=None)
+            for k, v in versions.items()}
+
+
+def test_lookups_match_brute_force_highest_live(index):
+    """``lookup_doc`` / ``lookup_id`` stop at the newest partition with a
+    live match; they must equal a scan of all partitions — for keys only
+    in the base, upserted keys, deleted keys, and a key whose newest
+    version is tombstoned while an older one lives."""
+    from noise_ray.build.incremental import TOMBSTONES_NAME
+
+    cls, idx, _field, _fkey, _lookups = index
+    r = cls(idx)
+    versions = _versions(r)
+    want = _brute_highest_live(r, versions)
+    assert {k: _lookup(r, k) for k in want} == want
+    absent = ("nope", 0) if len(next(iter(want))) == 2 else ("nope",)
+    assert _lookup(r, absent) is None
+    base_docs = int(r.manifest["doc_id_offset"]) + int(r.manifest["num_docs"])
+    base_only = [k for k, v in versions.items() if max(v) < base_docs]
+    upserted = [k for k, v in versions.items()
+                if len(v) > 1 and min(v) < base_docs <= max(v)]
+    assert any(want[k] is not None for k in base_only)
+    assert any(want[k] is None for k in base_only)  # the plain delete
+    assert upserted and all(want[k] == max(versions[k]) for k in upserted)
+
+    # newest version dead, the base version live again: the walk must pass
+    # the epoch partition whose only match is tombstoned
+    key = upserted[0]
+    old, new = sorted(versions[key])[-2:]
+    before = r.tombstones.tolist()
+    try:
+        with open(os.path.join(idx, TOMBSTONES_NAME), "w") as f:
+            json.dump(sorted(set(before) - {old} | {new}), f)
+        swapped = cls(idx)
+        want = _brute_highest_live(swapped, versions)
+        assert want[key] == old
+        assert {k: _lookup(swapped, k) for k in want} == want
+    finally:
+        with open(os.path.join(idx, TOMBSTONES_NAME), "w") as f:
+            json.dump(before, f)
+
+
 def test_add_tombstones_survives_reopen(index):
     cls, idx, _field, _fkey, lookups = index
     r = cls(idx)
