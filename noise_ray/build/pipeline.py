@@ -111,10 +111,9 @@ MANIFEST_NAME = "manifest.json"
 # transcript corpus.
 FLAT_ROW_GROUP = 64
 NESTED_ROW_GROUP = 2048
-# Docs one ingest task takes at the least.  Work of at most this many docs
-# is one task anyway, so it runs in the driver with no Ray Data job: a
-# flat build (``build_index``) and an upsert semi-join over the older
-# docmap rows (``incremental.shadowed_doc_ids``).
+# Docs one ingest task takes at the least.  A flat build (``build_index``)
+# of at most this many docs is one task anyway, so it runs in the driver
+# with no Ray Data job.
 DOCS_PER_TASK = 16384
 
 

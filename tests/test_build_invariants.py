@@ -199,18 +199,18 @@ def _nested_upsert_case(root):
 
 @pytest.mark.parametrize("case", [_flat_upsert_case, _nested_upsert_case],
                          ids=["flat", "nested"])
-def test_shadowed_doc_ids_same_on_both_routes(ray_session, tmp_path,
-                                              monkeypatch, case):
-    """The upsert semi-join finds the same older docs in the driver (up to
-    DOCS_PER_TASK older docs) and as a Ray Data job."""
-    from noise_ray.build import incremental, pipeline
+def test_shadowed_doc_ids_finds_the_older_colliding_docs(ray_session,
+                                                         tmp_path, case):
+    """The upsert semi-join over several docmap partitions returns exactly
+    the older docs whose keys the delta re-adds, sorted; docs at or past
+    ``offset`` and an empty delta shadow nothing."""
+    from noise_ray.build.incremental import shadowed_doc_ids
 
     docmap, new_keys, keys, offset, want = case(str(tmp_path))
     assert len(docmap) > 1 and want
-    driver = incremental.shadowed_doc_ids(docmap, new_keys, keys, offset)
-    monkeypatch.setattr(pipeline, "DOCS_PER_TASK", 0)
-    ray_route = incremental.shadowed_doc_ids(docmap, new_keys, keys, offset)
-    assert driver == ray_route == want
+    assert shadowed_doc_ids(docmap, new_keys, keys, offset) == want
+    assert shadowed_doc_ids(docmap, new_keys, keys, 0) == []
+    assert shadowed_doc_ids(docmap, new_keys.slice(0, 0), keys, offset) == []
 
 
 def test_partitioning_independence(ray_session, tmp_path):
