@@ -831,7 +831,7 @@ def _delete_by_query(sf_dir: str):
 
 
 def _nested_delete_by_query(sf_dir: str):
-    """Nested query-addressed delete (delete_json_by_query): build a tiny
+    """Nested query-addressed delete (delete_by_query): build a tiny
     nested index, tombstone every doc whose turns match ``fox``, and list
     the surviving _ids.  Exactness tests in tests/test_scan.py."""
     import os
@@ -839,7 +839,7 @@ def _nested_delete_by_query(sf_dir: str):
 
     import pyarrow as pa
 
-    from noise_ray.build import delete_json_by_query
+    from noise_ray.build import delete_by_query
     from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
@@ -854,7 +854,7 @@ def _nested_delete_by_query(sf_dir: str):
     p = docs_to_parquet(docs, os.path.join(root, "in.parquet"))
     idx = os.path.join(root, "idx")
     build_json_index([p], idx, num_buckets=8)
-    delete_json_by_query(idx, 'find {msgs: [{t: ~="fox"}]} ;')
+    delete_by_query(idx, 'find {msgs: [{t: ~="fox"}]} ;')
     ids = run_json_query(JsonIndexReader(idx),
                          'find {n: > 0} return ._id ;')
     return pa.table({"_id": pa.array(ids, pa.string())})

@@ -424,9 +424,7 @@ def run_headline(num_cpus: int, *, build_only: bool = False) -> dict:
 
     # nested lifecycle: epoch upsert + compaction, over a COPY of the
     # cached index (the cache must stay pristine for the next run)
-    from noise_ray.build.json_incremental import (
-        add_json_documents, compact_json_index,
-    )
+    from noise_ray.build import add_documents, compact_index
     from noise_ray.build.json_pipeline import docs_to_parquet
     from noise_ray.query.json_reader import JsonIndexReader
 
@@ -454,11 +452,11 @@ def run_headline(num_cpus: int, *, build_only: bool = False) -> dict:
     dp = docs_to_parquet(delta, os.path.join(epoch_root, "delta.parquet"),
                          docid_base=nr.num_docs)
     t0 = time.perf_counter()
-    add_json_documents(epoch_idx, [dp])
+    add_documents(epoch_idx, [dp])
     out["nested_epoch_add_sec"] = round(time.perf_counter() - t0, 3)
     out["nested_epoch_docs"] = len(delta)
     t0 = time.perf_counter()
-    compact_json_index(epoch_idx)
+    compact_index(epoch_idx)
     out["nested_compact_sec"] = round(time.perf_counter() - t0, 3)
     # sanity: the compacted index still answers the array-context query
     run_json_query(JsonIndexReader(epoch_idx), nq)

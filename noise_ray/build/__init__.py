@@ -1,18 +1,15 @@
 from .compact import compact_index
 from .incremental import (add_documents, delete_by_query, merge_epochs,
                           total_docs)
-from .json_incremental import (add_json_documents, compact_json_index,
-                               delete_json_by_query)
 from .json_pipeline import build_json_index, docs_to_parquet
 from .pipeline import build_index, term_bucket, DEFAULT_FIELDS, MANIFEST_NAME
 from .shred import shred
 from .vector_index import (add_vectors, build_vector_index,
                            compact_vector_index, ivf_query)
 
-__all__ = ["add_documents", "add_json_documents", "build_index",
-           "build_json_index", "compact_index", "compact_json_index",
+__all__ = ["add_documents", "build_index",
+           "build_json_index", "compact_index",
            "add_vectors", "build_vector_index", "compact_vector_index",
-           "delete_by_query",
-           "delete_json_by_query", "merge_epochs",
+           "delete_by_query", "merge_epochs",
            "docs_to_parquet", "ivf_query", "shred", "term_bucket",
            "total_docs", "DEFAULT_FIELDS", "MANIFEST_NAME"]

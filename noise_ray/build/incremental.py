@@ -1,4 +1,5 @@
-"""Incremental document adds: Lucene-style epoch indexes.
+"""Incremental document adds: Lucene-style epoch indexes, for flat and
+nested indexes alike.
 
 The reference's ``Index::add`` + ``flush`` appends documents to a live
 index under a monotonically increasing seq, and re-adding an existing
@@ -7,14 +8,17 @@ index under a monotonically increasing seq, and re-adding an existing
 
 Our batch-immutable analogue: each ``add_documents`` call builds a
 self-contained DELTA index ("epoch") under ``<index>/epochs/epoch-NNNN/``
-with the SAME pipeline as the base build, doc_ids continuing the parent's
-seq space (``doc_id_offset``); a delta of at most ``pipeline.DOCS_PER_TASK``
-docs builds in the driver with no Ray Data job, and the upsert semi-join
-always runs in the driver.  The root ``IndexReader`` merges postings /
-stats / docmaps across epochs at query time; upserts tombstone the older
-doc_id (Lucene hidden-doc deletes).
+with the SAME pipeline as the base build (``build_index`` for a flat
+index, ``build_json_index`` when the base manifest is ``nested``), doc_ids
+continuing the parent's seq space (``doc_id_offset``); a flat delta of at
+most ``pipeline.DOCS_PER_TASK`` docs builds in the driver with no Ray Data
+job, and the upsert semi-join always runs in the driver.  The root reader
+(``IndexReader`` / ``JsonIndexReader``) merges postings / stats / docmaps
+(and nested values) across epochs at query time; upserts tombstone the
+older doc_id (Lucene hidden-doc deletes).  ``merge_epochs`` and
+``delete_by_query`` read the engine from the same manifest flag.
 
-An epoch is visible only once its ``manifest.json`` exists (build_index
+An epoch is visible only once its ``manifest.json`` exists (the build
 publishes it last, atomically), so a crashed add leaves an invisible
 partial epoch that the next add with the same inputs resumes (same epoch
 id = max existing + 1 only counts *published* epochs; unpublished
@@ -31,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from .json_pipeline import build_json_index
 from .pipeline import MANIFEST_NAME, build_index
 
 _EPOCH_RE = re.compile(r"^epoch-(\d{4})(?:-(\d{4}))?$")
@@ -112,18 +117,28 @@ def total_docs(index_dir: str) -> int:
     return total
 
 
+def _reader_class(manifest: dict):
+    """The reader of an index with this manifest: ``JsonIndexReader`` when
+    it is ``nested``, else ``IndexReader``."""
+    from ..query.json_reader import JsonIndexReader
+    from ..query.reader import IndexReader
+
+    return JsonIndexReader if manifest.get("nested") else IndexReader
+
+
 def add_documents(index_dir: str, new_paths: list[str],
                   *, update: bool = True) -> dict:
     """Append documents from ``new_paths`` to an existing index.
 
-    Builds one new epoch; with ``update=True`` (the reference's upsert
-    semantics) any older doc sharing the new docs' key columns is
-    tombstoned so the new row shadows it.  Returns the epoch manifest.
+    Builds one new epoch with the base's engine: flat rows for a flat
+    index, ``(_id, json)`` shards for a nested one.  With ``update=True``
+    (the reference's upsert semantics) any older doc sharing the new docs'
+    key columns (``_id`` when nested) is tombstoned so the new row shadows
+    it.  Returns the epoch manifest.
     """
     with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
         base = json.load(f)
-    fields = tuple(base["fields"])
-    key_columns = tuple(base["key_columns"])
+    key_columns = list(base["key_columns"])
     offset = total_docs(index_dir)
 
     # number from the raw PUBLISHED listing (including superseded dirs
@@ -137,7 +152,7 @@ def add_documents(index_dir: str, new_paths: list[str],
     n = max((last for _, last in published), default=0) + 1
     epoch_dir = os.path.join(index_dir, "epochs", f"epoch-{n:04d}")
     # A crashed (unpublished) epoch dir is resumed ONLY for the same
-    # inputs: build_index's lineage checks (docmap row counts, committed
+    # inputs: the build's lineage checks (docmap row counts, committed
     # segments) can't tell two input sets with equal shapes apart, so a
     # fingerprint mismatch wipes the partial dir instead of splicing the
     # old inputs' committed files into the new epoch.
@@ -157,21 +172,23 @@ def add_documents(index_dir: str, new_paths: list[str],
     with open(fp_path, "w") as f:
         json.dump(fp, f)
 
-    manifest = build_index(
-        list(new_paths), epoch_dir,
-        fields=fields, key_columns=key_columns,
-        # the term -> bucket hash must agree across epochs so a term's
-        # postings are found in every epoch's segment set; block geometry
-        # too, so base and epochs share one posting-block layout
-        num_buckets=int(base["num_buckets"]),
-        block_size=int(base.get("block_size", 4096)),
-        doc_id_offset=offset,
-    )
+    # the term -> bucket hash must agree across epochs so a term's
+    # postings are found in every epoch's segment set; block geometry
+    # too, so base and epochs share one posting-block layout
+    geometry = {"num_buckets": int(base["num_buckets"]),
+                "block_size": int(base.get("block_size", 4096)),
+                "doc_id_offset": offset}
+    if base.get("nested"):
+        manifest = build_json_index(list(new_paths), epoch_dir, **geometry)
+    else:
+        manifest = build_index(list(new_paths), epoch_dir,
+                               fields=tuple(base["fields"]),
+                               key_columns=tuple(key_columns), **geometry)
 
     tombstoned: list[int] = []
     if update:
-        tombstoned = _tombstone_shadowed(index_dir, new_paths,
-                                         list(key_columns), offset)
+        tombstoned = _tombstone_shadowed(index_dir, new_paths, key_columns,
+                                         offset, _reader_class(base))
     manifest["tombstoned"] = tombstoned
     return manifest
 
@@ -187,7 +204,9 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     (``pipeline.write_segment_group``), which re-sorts them by (field,
     term, min_doc) with encoded payload bytes untouched and recomputes
     the bucket's stats (and its segment / stats metadata) from the block
-    rows — no stats file is read.  Docmap partitions are copied.
+    rows — no stats file is read.  Docmap partitions are copied, and on a
+    nested index so are the values partitions with the spatial sidecar of
+    each under the matching new name.
     Query results are bit-identical before/after (the reader sees the
     same postings, stats totals, ids and tombstones; only the number of
     per-term segment lookups shrinks from k epochs to one).
@@ -213,6 +232,7 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
 
     from .pipeline import (FLAT_ROW_GROUP, NESTED_ROW_GROUP,
                            write_segment_group)
+    from .spatial import sidecar_path
 
     edir = os.path.join(index_dir, "epochs")
     # GC superseded dirs a crashed earlier merge left behind
@@ -235,8 +255,8 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
             manifests.append(json.load(f))
     m0 = manifests[0]
     for m in manifests[1:]:
-        for key in ("version", "analyzer", "fields", "key_columns",
-                    "num_buckets", "block_size"):
+        for key in ("version", "nested", "analyzer", "fields",
+                    "key_columns", "num_buckets", "block_size"):
             if m.get(key) != m0.get(key):
                 raise ValueError(f"epochs disagree on {key}: "
                                  f"{m.get(key)!r} != {m0.get(key)!r}")
@@ -246,11 +266,13 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     out_dir = os.path.join(edir, out_name)
     if os.path.isdir(out_dir):  # unpublished leftover of a crashed merge
         shutil.rmtree(out_dir)
-    for sub in ("segments", "stats", "docmap"):
+    nested = bool(m0.get("nested"))
+    for sub in ("segments", "stats", "docmap") + (
+            ("values", "spatial") if nested else ()):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     num_buckets = int(m0["num_buckets"])
-    row_group_size = NESTED_ROW_GROUP if m0.get("nested") else FLAT_ROW_GROUP
+    row_group_size = NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP
     seg_by_bucket: dict[int, list[str]] = {b: [] for b in range(num_buckets)}
     for ed, m in zip(eds, manifests):
         nr = int(m["num_ranges"])
@@ -284,18 +306,29 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
         .map_batches(merge_bucket, batch_format="pyarrow")
         .take_all(), key=lambda a: a["bucket"])
 
-    # docmap: copy partitions in epoch order (ids ascend across epochs)
-    docmap_entries = []
+    def copy(src: str, dst: str) -> None:
+        shutil.copyfile(src, dst + ".tmp")
+        os.replace(dst + ".tmp", dst)
+
+    # docmap (and values, each with its spatial sidecar when it has one):
+    # copy partitions in epoch order (ids ascend across epochs)
+    docmap_entries, values_entries = [], []
     for ed, m in zip(eds, manifests):
         for dm in m["docmap"]:
             rel = f"docmap/docmap-{len(docmap_entries):05d}.parquet"
-            shutil.copyfile(os.path.join(ed, dm["path"]),
-                            os.path.join(out_dir, rel + ".tmp"))
-            os.replace(os.path.join(out_dir, rel + ".tmp"),
-                       os.path.join(out_dir, rel))
+            copy(os.path.join(ed, dm["path"]), os.path.join(out_dir, rel))
             docmap_entries.append({"path": rel, "rows": dm["rows"],
                                    "min_doc": dm["min_doc"],
                                    "max_doc": dm["max_doc"]})
+        for v in m.get("values", []):
+            src = os.path.join(ed, v["path"])
+            rel = f"values/values-{len(values_entries):05d}.parquet"
+            copy(src, os.path.join(out_dir, rel))
+            if os.path.exists(sidecar_path(src)):
+                copy(sidecar_path(src),
+                     sidecar_path(os.path.join(out_dir, rel)))
+            values_entries.append({"path": rel, "min_doc": v["min_doc"],
+                                   "max_doc": v["max_doc"]})
 
     offset = min(int(m.get("doc_id_offset", 0)) for m in manifests)
     high = max(int(m.get("doc_id_offset", 0)) + int(m["num_docs"])
@@ -323,6 +356,9 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
                    "path": a["stats"]} for a in acks],
         "metrics": {"merged_epochs": [os.path.basename(d) for d in eds]},
     }
+    if nested:
+        manifest["nested"] = True
+        manifest["values"] = values_entries
     with open(os.path.join(out_dir, "supersedes.json"), "w") as f:
         json.dump([os.path.basename(d) for d in eds], f)
     tmp = os.path.join(out_dir, f".manifest-{uuid.uuid4().hex}.tmp")
@@ -335,7 +371,8 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
 
 
 def _tombstone_shadowed(index_dir: str, new_paths: list[str],
-                        key_columns: list[str], offset: int) -> list[int]:
+                        key_columns: list[str], offset: int,
+                        reader_cls) -> list[int]:
     """Tombstone older docs whose key columns collide with the new batch
     (upsert semantics): a hash semi-join over the docmap partitions' key
     columns only (``shadowed_doc_ids``)."""
@@ -343,9 +380,7 @@ def _tombstone_shadowed(index_dir: str, new_paths: list[str],
         [pq.read_table(p, columns=key_columns) for p in new_paths]
     )
     # root-level reader state: tombstones live at the index root
-    from ..query.reader import IndexReader
-
-    reader = IndexReader(index_dir)
+    reader = reader_cls(index_dir)
     dead = shadowed_doc_ids(reader._docmap, new_keys, key_columns, offset)
     if dead:
         reader.add_tombstones(dead)
@@ -355,7 +390,7 @@ def _tombstone_shadowed(index_dir: str, new_paths: list[str],
 def shadowed_doc_ids(docmap_parts, new_keys: pa.Table,
                      key_columns: list[str], offset: int) -> list[int]:
     """Doc ids of pre-``offset`` docs whose key columns collide with
-    ``new_keys``, sorted.  Shared by the flat and nested upsert paths.
+    ``new_keys``, sorted.
 
     The driver reads each older docmap partition's key columns and joins
     them with the delta-sized key table, one partition at a time.  A Ray
@@ -379,24 +414,27 @@ def delete_by_query(index_dir: str, query: str,
     """Tombstone every doc matching a filter-only ``query`` — the natural
     extension of the reference's id-list delete (src/index.rs
     ``Index::delete``; the reference has no query-addressed delete, its
-    REPL deletes one _id at a time).  Returns the number of NEWLY deleted
-    docs.
+    REPL deletes one _id at a time).  Takes either engine's index (the
+    manifest's ``nested`` flag picks the parser and the evaluator).
+    Returns the number of NEWLY deleted docs.
 
     The matched set is evaluated with the distributed range fan-out above
-    ~5M docs (same worker pool and per-doc-independence exactness argument
-    as run_query_distributed) and folded into the tombstone sidecar, which
-    every cached reader picks up via its mtime-keyed cache.  The sidecar
-    holds an id list, so a MASS delete (a large corpus fraction) should be
-    followed by ``compact_index()``: compaction rewrites segments without
-    the tombstoned docs and clears the sidecar, restoring O(live) state.
+    the engine's threshold (``distributed.dist_min_docs()`` flat,
+    ``json_executor.DIST_MIN_DOCS`` nested; same worker pool and
+    per-doc-independence exactness argument as the distributed query
+    paths) and folded into the tombstone sidecar, which every cached
+    reader picks up via its mtime-keyed cache.  The sidecar holds an id
+    list, so a MASS delete (a large corpus fraction) should be followed by
+    ``compact_index()``: compaction rewrites segments without the
+    tombstoned docs and clears the sidecar, restoring O(live) state.
     """
-    from ..query import IndexReader
     from ..query import ast as qast
-    from ..query.distributed import (dist_min_docs, doc_ranges,
-                                     pool_batched, worker_pool)
-    from ..query.noise_parser import parse_query, ret_leaves
+    from ..query.noise_parser import parse_noise_query, parse_query, ret_leaves
 
-    q = parse_query(query, params)
+    with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
+        manifest = json.load(f)
+    nested = bool(manifest.get("nested"))
+    q = (parse_noise_query if nested else parse_query)(query, params)
     if q.order or q.limit is not None:
         raise ValueError("delete_by_query takes a filter-only query "
                          "(no order/limit)")
@@ -404,18 +442,33 @@ def delete_by_query(index_dir: str, query: str,
         raise ValueError("delete_by_query takes a filter-only query "
                          "(no aggregate return clause)")
 
-    reader = IndexReader(index_dir)
-    if reader.num_docs >= dist_min_docs():
-        parts = pool_batched(worker_pool(), [
-            ("ops_call", (".query.distributed", "_eval_range_impl",
-                          (index_dir, query, params, lo, hi, None)))
-            for lo, hi in doc_ranges(reader.num_docs)])
-        docs = (np.concatenate([d for d, _ in parts]) if parts
-                else np.zeros(0, np.int64))
-    else:
-        from ..query.engine import CompiledQuery
+    reader = _reader_class(manifest)(index_dir)
+    if nested:
+        from ..query import json_executor
 
-        docs = CompiledQuery(reader, q.filter).evaluate().docs
+        if reader.num_docs >= json_executor.DIST_MIN_DOCS:
+            json_executor.check_distributable(q.filter)
+            docs, _, _ = json_executor._evaluate_distributed(reader,
+                                                             q.filter)
+        else:
+            from ..query.json_engine import CompiledJsonQuery
+
+            docs = CompiledJsonQuery(reader, q.filter).evaluate().docs
+    else:
+        from ..query.distributed import (dist_min_docs, doc_ranges,
+                                         pool_batched, worker_pool)
+
+        if reader.num_docs >= dist_min_docs():
+            parts = pool_batched(worker_pool(), [
+                ("ops_call", (".query.distributed", "_eval_range_impl",
+                              (index_dir, query, params, lo, hi, None)))
+                for lo, hi in doc_ranges(reader.num_docs)])
+            docs = (np.concatenate([d for d, _ in parts]) if parts
+                    else np.zeros(0, np.int64))
+        else:
+            from ..query.engine import CompiledQuery
+
+            docs = CompiledQuery(reader, q.filter).evaluate().docs
     before = reader.tombstones.size
     if docs.size:
         reader.add_tombstones(docs.tolist())

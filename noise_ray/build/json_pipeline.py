@@ -66,6 +66,7 @@ from .pipeline import (
     _publish_manifest, _write_groups, encode_posting_blocks, group_postings,
 )
 from .shred import shred
+from .spatial import sidecar_path
 
 VALUES_CODES = ("s", "f", "T", "F", "N", "o", "a", "r")
 # one string value at one (doc, keypath, arraypath): the nested posting
@@ -260,9 +261,8 @@ class ShredTokenize:
                 v_str.append(e.value if e.code == "s" else None)
                 v_bbox.append(list(e.value) if e.code == "r" else None)
 
-        spatial_path = os.path.join(
-            os.path.join(os.path.dirname(self.values_dir), "spatial"),
-            f"spatial-{seq:05d}.parquet")
+        spatial_path = sidecar_path(
+            os.path.join(self.values_dir, f"values-{seq:05d}.parquet"))
         if not os.path.exists(spatial_path):
             self._write_spatial(spatial_path, v_doc, v_kp, v_ap, v_code,
                                 v_bbox)

@@ -30,6 +30,14 @@ concatenated source rows — while never touching raw text:
   unchanged.  This is the only data-sized copy — sequential I/O, one
   task per partition, no shuffle (Lucene merges copy stored fields too).
 - **tombstones**: shifted per source and unioned.
+- **values** (nested sources): rewritten with the shifted ``doc_id``
+  column like the docmap, the per-kp zone maps riding along in the
+  preserved parquet KV metadata (nested posting blocks use the identical
+  docs-delta layout; arraypaths are plain varints with no doc dependency,
+  so they copy through).  Spatial sidecars are NOT carried (the merged
+  values file names no longer match a sidecar): bbox queries on
+  geometry-bearing merged partitions take the reader's per-partition
+  fallback scan until a compaction rebuilds the sidecars.
 
 All file work runs as Ray tasks over a work-item Dataset (one item per
 output file, written tmp+rename and skipped when already present —
@@ -38,8 +46,7 @@ last, the same checkpoint discipline as build_index.  Sources must be
 epoch-free (compact first; epochs are a *mutation* log, merge is for
 sealed indexes).
 
-The inverse, ``split_index`` / ``split_json_index``, is one function
-(``_split``) for both engines: one task per (bucket, split) decodes the
+The inverse, ``split_index``: one task per (bucket, split) decodes the
 bucket's blocks masked to the split's doc range (nested blocks also mask
 their arraypath stream), rebases and re-encodes them — cut points land
 inside blocks — and hands the rows, in the source segment schema, to the
@@ -47,6 +54,9 @@ build's one segment writer (``pipeline.write_segment_group``), which
 recomputes the term stats and writes the engine's row-group size.  Docmap
 and values partitions filter + rebase; resumes read the committed
 group's ``read_group_meta``.
+
+Both take either engine's indexes and read the engine from the source
+manifests' ``nested`` flag; merge sources of mixed engines raise.
 """
 
 from __future__ import annotations
@@ -112,25 +122,8 @@ def _copy_file(src: str, dst: str) -> None:
 
 
 def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
-    """Merge sealed FLAT indexes into ``out_dir`` (module docstring).
-    Returns the merged manifest."""
-    return _merge(src_dirs, out_dir, nested=False)
-
-
-def merge_json_indexes(src_dirs: list[str], out_dir: str) -> dict:
-    """The NESTED twin: same block patching (nested posting blocks use
-    the identical docs-delta layout; arraypaths are plain varints with
-    no doc dependency, so they copy through), plus the values
-    partitions — rewritten with the shifted ``doc_id`` column while the
-    per-kp zone maps ride along in the preserved parquet KV metadata.
-    Spatial sidecars are NOT carried (the merged values file names no
-    longer match a sidecar): bbox queries on geometry-bearing merged
-    partitions take the documented per-partition fallback scan until a
-    compaction rebuilds the sidecars."""
-    return _merge(src_dirs, out_dir, nested=True)
-
-
-def _merge(src_dirs: list[str], out_dir: str, nested: bool) -> dict:
+    """Merge sealed indexes of one engine into ``out_dir`` (module
+    docstring).  Returns the merged manifest."""
     import ray.data
 
     mans = []
@@ -139,10 +132,9 @@ def _merge(src_dirs: list[str], out_dir: str, nested: bool) -> dict:
             mans.append(json.load(f))
         if _epoch_dirs(d):
             raise ValueError(f"{d} has live epochs — compact before merge")
-        if bool(mans[-1].get("nested")) != nested:
-            raise ValueError(f"{d}: nested flag != {nested}")
     base = mans[0]
-    for key in ("version", "analyzer", "fields", "key_columns",
+    nested = bool(base.get("nested"))
+    for key in ("version", "nested", "analyzer", "fields", "key_columns",
                 "num_buckets", "block_size"):
         vals = {json.dumps(m.get(key)) for m in mans}
         if len(vals) != 1:
@@ -356,40 +348,27 @@ def _split_part(src: str, dst: str, lo: int, hi: int, values: bool) -> None:
 
 def split_index(src_dir: str, out_dirs: list[str],
                 cuts: list[int] | None = None) -> list[dict]:
-    """The merge's inverse: physically repartition a sealed FLAT index
-    into ``len(out_dirs)`` doc-range splits, each a standalone index
-    rebased to doc ids 0..nⱼ — WITHOUT re-tokenizing.  Posting blocks
+    """The merge's inverse: physically repartition a sealed index (either
+    engine) into ``len(out_dirs)`` doc-range splits, each a standalone
+    index rebased to doc ids 0..nⱼ — WITHOUT re-tokenizing.  Posting blocks
     decode→mask→re-encode (the only op that must re-encode: cut points
     land inside blocks), block WAND metadata (max_tf_norm/max_tf/
     min_len, corpus-independent) and the term stats (c = Σ tf,
     k = Σ postings, field_k) recompute EXACTLY from the kept entries,
-    and docmap partitions rewrite filtered + rebased.  merge + split =
-    shard rebalancing for sealed indexes at any layout.  One Ray task
-    per (bucket, split) and per docmap slice; resumable (skip-if-
-    present, manifests commit last).  Returns the split manifests."""
-    return _split(src_dir, out_dirs, cuts, nested=False)
-
-
-def split_json_index(src_dir: str, out_dirs: list[str],
-                     cuts: list[int] | None = None) -> list[dict]:
-    """The NESTED split: like :func:`split_index` plus the values
-    partitions, which filter + rebase and recompute their per-kp zone
+    and docmap partitions rewrite filtered + rebased.  A nested index's
+    values partitions filter + rebase too and recompute their per-kp zone
     maps (spatial sidecars are NOT carried — the bbox reader's
-    per-partition fallback scan covers sidecar-less partitions)."""
-    return _split(src_dir, out_dirs, cuts, nested=True)
-
-
-def _split(src_dir: str, out_dirs: list[str], cuts: list[int] | None,
-           nested: bool) -> list[dict]:
+    per-partition fallback scan covers sidecar-less partitions).  merge +
+    split = shard rebalancing for sealed indexes at any layout.  One Ray
+    task per (bucket, split) and per docmap slice; resumable (skip-if-
+    present, manifests commit last).  Returns the split manifests."""
     import ray.data
 
     if _epoch_dirs(src_dir):
         raise ValueError("compact before split")
     with open(os.path.join(src_dir, MANIFEST_NAME)) as f:
         man = json.load(f)
-    if bool(man.get("nested")) != nested:
-        raise ValueError("split_json_index is nested-only" if nested
-                         else "split_index is flat-only")
+    nested = bool(man.get("nested"))
     n_docs = int(man.get("doc_id_offset", 0)) + int(man["num_docs"])
     n = len(out_dirs)
     if cuts is None:

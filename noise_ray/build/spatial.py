@@ -21,6 +21,8 @@ tests/test_spatial_bucketing.py; geojson.noise stays byte-identical).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 # fixed world grid over GeoJSON lon/lat: 64 x 32 cells of 5.625 x 5.625
@@ -29,6 +31,16 @@ import numpy as np
 GX, GY = 64, 32
 OVERSIZE = -1      # bucket for boxes spanning > MAX_CELLS cells
 MAX_CELLS = 8
+
+
+def sidecar_path(values_path: str) -> str:
+    """The spatial sidecar of a values partition: ``<index>/spatial/
+    spatial-NNNNN.parquet`` beside ``<index>/values/values-NNNNN.parquet``
+    (the build writes it, the bbox reader and ``merge_epochs`` find it by
+    this name)."""
+    return os.path.join(os.path.dirname(os.path.dirname(values_path)),
+                        "spatial", os.path.basename(values_path).replace(
+                            "values-", "spatial-"))
 
 
 def _clip_idx(vals: np.ndarray, lo: float, span: float, n: int) -> np.ndarray:

@@ -9,9 +9,7 @@ failed job continues where it stopped:
     build      <out_index> <src.parquet...> [--fields a,b] [--key-cols ...]
     build-json <out_index> <shards.parquet...>     # (_id, json) rows
     merge      <out_index> <src_index...> [--dedup-keys]  # posting-level
-    merge-json <out_index> <src_index...>          # posting-level, nested
     split      <src_index> <out_index...> [--cuts a,b,...]  # rebalance
-    split-json <src_index> <out_index...> [--cuts a,b,...]  # nested
     compact    <index>                             # fold epochs+tombstones
     snapshot   <index> <snap_dir>                  # incremental hardlinks
     restore    <snap_dir> <dest_index>
@@ -22,6 +20,10 @@ failed job continues where it stopped:
 Ray session ownership: the CLI initialises Ray ONLY when not already
 initialised (under ``ray job submit`` the cluster exists; standalone runs
 get a local session) and shuts down only what it started.
+
+``merge``, ``split`` and ``compact`` take either engine's index (the
+manifest's ``nested`` flag picks); ``merge-json`` and ``split-json`` are
+the same commands under their older names.
 """
 
 from __future__ import annotations
@@ -62,16 +64,10 @@ def _cmd_build_json(a) -> int:
     return 0
 
 
-def _cmd_merge(a, nested: bool) -> int:
-    from .build.merge import (merge_dedup_keys, merge_indexes,
-                              merge_json_indexes)
+def _cmd_merge(a) -> int:
+    from .build.merge import merge_dedup_keys, merge_indexes
 
-    parts = ("docmap", "segments", "stats") + (("values",) if nested
-                                               else ())
-    for p in parts:
-        os.makedirs(os.path.join(a.index, p), exist_ok=True)
-    fn = merge_json_indexes if nested else merge_indexes
-    man = fn(list(a.src), a.index)
+    man = merge_indexes(list(a.src), a.index)
     out = {"num_docs": man["num_docs"], "merged_from": len(a.src)}
     if getattr(a, "dedup_keys", False):
         out["tombstoned"] = merge_dedup_keys(a.index)
@@ -81,11 +77,8 @@ def _cmd_merge(a, nested: bool) -> int:
 
 def _cmd_compact(a) -> int:
     from .build.compact import compact_index
-    from .build.json_incremental import compact_json_index
 
-    with open(os.path.join(a.index, "manifest.json")) as f:
-        nested = bool(json.load(f).get("nested"))
-    man = (compact_json_index if nested else compact_index)(a.index)
+    man = compact_index(a.index)
     print(json.dumps({"num_docs": man["num_docs"]}))
     return 0
 
@@ -198,17 +191,14 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_build(a)
         if a.cmd == "build-json":
             return _cmd_build_json(a)
-        if a.cmd == "merge":
-            return _cmd_merge(a, nested=False)
-        if a.cmd == "merge-json":
-            return _cmd_merge(a, nested=True)
+        if a.cmd in ("merge", "merge-json"):
+            return _cmd_merge(a)
         if a.cmd in ("split", "split-json"):
-            from .build.merge import split_index, split_json_index
+            from .build.merge import split_index
 
             cuts = ([int(x) for x in a.cuts.split(",")]
                     if a.cuts else None)
-            fn = split_json_index if a.cmd == "split-json" else split_index
-            mans = fn(a.index, list(a.out), cuts)
+            mans = split_index(a.index, list(a.out), cuts)
             print(json.dumps([m["num_docs"] for m in mans]))
             return 0
         if a.cmd == "compact":

@@ -32,6 +32,10 @@ from .results import order_and_limit
 
 _MISSING = object()
 
+# index size (docs) from which nested matching fans out over the range
+# worker pool (run_json_query, incremental.delete_by_query)
+DIST_MIN_DOCS = 2_000_000
+
 
 # --------------------------------------------------------------- fetcher
 
@@ -180,7 +184,7 @@ class _LeafEval:
 # -------------------------------------------------------------- executor
 
 def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
-                   distributed_threshold: int = 2_000_000) -> list:
+                   distributed_threshold: int = DIST_MIN_DOCS) -> list:
     """Evaluate a nested query; returns the reference's JSON result stream
     as Python values.
 
@@ -194,16 +198,7 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
     leaves = ret_leaves(q.returns)
     has_ags = any(isinstance(l, ast.RetAgg) for l in leaves)
     if reader.num_docs >= distributed_threshold:
-        # validate on the driver: an all-not / double-not query must
-        # raise the reference's plain error, not a RayTaskError from
-        # every range task
-        from .json_engine import _check_double_not, _is_all_not
-
-        _check_double_not(q.filter, False)
-        if _is_all_not(q.filter):
-            raise ValueError(
-                "query cannot be made up of only logical not. Must have "
-                "at least one match clause not negated.")
+        check_distributable(q.filter)
         is_alldocs = isinstance(q.filter, ast.AllDocs)
         if has_ags and q.limit is None and not is_alldocs:
             # per-range partial folds: leaf fetch + fold stay in the
@@ -372,6 +367,19 @@ def _json_agg_range_impl(index_dir: str, q, lo: int, hi: int):
     ev = _LeafEval(r, leaves, docs, scores, binds)
     rows = [ev.row(i) for i in range(docs.size)]
     return _partial_fold(leaves, rows)
+
+
+def check_distributable(filter_node) -> None:
+    """Validate a filter on the driver before a range fan-out: an all-not
+    / double-not query must raise the reference's plain error, not a
+    RayTaskError from every range task."""
+    from .json_engine import _check_double_not, _is_all_not
+
+    _check_double_not(filter_node, False)
+    if _is_all_not(filter_node):
+        raise ValueError(
+            "query cannot be made up of only logical not. Must have "
+            "at least one match clause not negated.")
 
 
 def _evaluate_distributed(reader: JsonIndexReader, filter_node, keep=None):

@@ -283,7 +283,7 @@ class JsonIndexReader(ReaderCore):
         and by the kp zone maps ("r" code present) first.  Falls back to
         the full values scan for indexes built before the sidecars
         existed."""
-        from ..build.spatial import cells_for_query
+        from ..build.spatial import cells_for_query, sidecar_path
 
         depth = kp_depth(kp)
         cells = cells_for_query(*query_box)
@@ -298,10 +298,7 @@ class JsonIndexReader(ReaderCore):
             z = self._kp_zones(v["path"]).get(kp)
             if z is None or "r" not in z.get("codes", []):
                 continue
-            spath = os.path.join(os.path.dirname(os.path.dirname(v["path"])),
-                                 "spatial",
-                                 os.path.basename(v["path"]).replace(
-                                     "values-", "spatial-"))
+            spath = sidecar_path(v["path"])
             if not os.path.exists(spath):
                 # partition from before the sidecars existed (e.g. an old
                 # base under newer epochs): exact per-partition values

@@ -187,48 +187,41 @@ class Repl:
             self._p("nothing staged")
             return
         from .build import (
-            MANIFEST_NAME, add_documents, add_json_documents, build_index,
-            build_json_index,
+            MANIFEST_NAME, add_documents, build_index, build_json_index,
         )
 
         committed = os.path.exists(
             os.path.join(self.index_dir, MANIFEST_NAME))
         nested = self._nested_mode()
+        staged = self.staged
         if nested:
             # arbitrary-JSON mode: staged JSONL converts to (_id, json)
             # shards, everything else must already be that shape
             from .build.json_pipeline import jsonl_to_doc_parquet
 
-            jsonl = [p for p in self.staged
+            jsonl = [p for p in staged
                      if p.endswith((".jsonl", ".json", ".ndjson"))]
-            staged = [p for p in self.staged if p not in jsonl]
+            staged = [p for p in staged if p not in jsonl]
             if jsonl:
                 import uuid
 
                 staged += jsonl_to_doc_parquet(
                     jsonl, os.path.join(f"{self.index_dir}.staging",
                                         f"json-{uuid.uuid4().hex[:8]}"))
-            if committed:
-                manifest = add_json_documents(self.index_dir, staged)
-                extra = (f", {len(manifest['tombstoned'])} upserted"
-                         if manifest.get("tombstoned") else "")
-                self._p(f"committed {manifest['num_docs']} new docs "
-                        f"(epoch at seq {manifest['doc_id_offset']})"
-                        f"{extra}")
-            else:
-                manifest = build_json_index(staged, self.index_dir)
-                self._p(f"committed {manifest['num_docs']} docs, "
-                        f"{len(manifest['segments'])} segments (nested)")
-        elif committed:
+        if committed:
             # live index: append as an epoch with upsert semantics, the
             # reference's add-then-flush (/root/reference/src/repl.rs:170-182)
-            manifest = add_documents(self.index_dir, self.staged)
+            manifest = add_documents(self.index_dir, staged)
             extra = (f", {len(manifest['tombstoned'])} upserted"
                      if manifest.get("tombstoned") else "")
             self._p(f"committed {manifest['num_docs']} new docs "
                     f"(epoch at seq {manifest['doc_id_offset']}){extra}")
+        elif nested:
+            manifest = build_json_index(staged, self.index_dir)
+            self._p(f"committed {manifest['num_docs']} docs, "
+                    f"{len(manifest['segments'])} segments (nested)")
         else:
-            manifest = build_index(self.staged, self.index_dir,
+            manifest = build_index(staged, self.index_dir,
                                    fields=self.fields, key_columns=self.keys)
             self._p(f"committed {manifest['num_docs']} docs, "
                     f"{len(manifest['segments'])} segments")
@@ -273,14 +266,9 @@ class Repl:
         (/root/reference/src/index.rs:271-282)."""
         if self._reader_or_err() is None:
             return
-        if self._nested_mode():
-            from .build.json_incremental import compact_json_index
+        from .build import compact_index
 
-            manifest = compact_json_index(self.index_dir)
-        else:
-            from .build import compact_index
-
-            manifest = compact_index(self.index_dir)
+        manifest = compact_index(self.index_dir)
         self.reader = None
         self._p(f"compacted to {manifest['num_docs']} docs, "
                 f"{len(manifest['segments'])} segments")

@@ -9,12 +9,14 @@ exactly like the reference's C/K merge operator, src/index.rs:301-322)."""
 import os
 import shutil
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from noise_ray.build import add_documents, build_index, total_docs
-from noise_ray.query import IndexReader, run_query, run_query_distributed
+from noise_ray.query import (IndexReader, JsonIndexReader, run_query,
+                             run_query_distributed)
 
 
 def _write(dirpath, name, rows):
@@ -144,73 +146,184 @@ def test_multiple_epochs_and_reopen(base_index, tmp_path):
 
 # ---------------------------------------------------- tiered epoch merge
 
-def test_merge_epochs_bit_identical(base_index, tmp_path):
-    """Folding three epochs (including an upsert's tombstone) into one
-    merged epoch changes NO query result — same ids, same f32 scores,
-    same tombstone behavior — and halves nothing but the per-term
-    segment lookups.  Epoch numbering continues after the merge and a
-    second-generation merge (merged + fresh epoch) still agrees."""
-    from noise_ray.build import merge_epochs
-    from noise_ray.build.incremental import _epoch_dirs
+class _Flat:
+    """Lifecycle-test hooks of the flat engine over BASE-style rows."""
 
-    p1 = _write(str(tmp_path / "in1"), "part-1.parquet", DELTA)
-    add_documents(base_index, [p1])
-    p2 = _write(str(tmp_path / "in2"), "part-2.parquet", [
-        ("a", 0, "user", "updated fox doc entirely"),   # upsert of a/0
-        ("d", 0, "user", "fox quick lazy"),
-    ])
-    add_documents(base_index, [p2])
-    p3 = _write(str(tmp_path / "in3"), "part-3.parquet", [
-        ("e", 0, "assistant", "dogs and fox together"),
-    ])
-    add_documents(base_index, [p3])
-
-    qs = [
+    reader = IndexReader
+    queries = [
         'find {text: ~="fox"} order score() desc, .doc_id asc '
         'return score() limit 10 ;',
         'find {text: ~="quick"} return .doc_id ;',
         'find {role: =="user", text: ~="lazy"} return .doc_id ;',
     ]
-    r = IndexReader(base_index)
-    before = [run_query(r, q) for q in qs]
-    n_before = total_docs(base_index)
+
+    write = staticmethod(_write)
+
+    @staticmethod
+    def build(paths, idx):
+        build_index(paths, idx, num_buckets=4)
+
+    @staticmethod
+    def run(r, q):
+        t = run_query(r, q)
+        return {c: t.column(c).to_pylist() for c in t.column_names}
+
+    @staticmethod
+    def keys(r, docs):
+        return [f"{row['conv_id']}/{row['turn_idx']}" for row in
+                r.fetch_docs(np.asarray(docs, np.int64),
+                             ["conv_id", "turn_idx"]).to_pylist()]
+
+    @staticmethod
+    def matches(r, term):
+        return run_query(r, f'find {{text: ~="{term}"}} ;') \
+            .column("doc_id").to_pylist()
+
+
+class _Nested:
+    """The same rows as ``{_id: "<conv>/<turn>", role, text}`` documents
+    of a nested index."""
+
+    queries = [
+        'find {text: ~="fox"} order score() desc, ._id asc '
+        'return [._id, score()] limit 10 ;',
+        'find {text: ~="quick"} return ._id ;',
+        'find {role: =="user", text: ~="lazy"} return ._id ;',
+    ]
+
+    reader = JsonIndexReader
+
+    @staticmethod
+    def write(dirpath, name, rows):
+        from noise_ray.build.json_pipeline import docs_to_parquet
+
+        os.makedirs(dirpath, exist_ok=True)
+        return docs_to_parquet(
+            [{"_id": f"{c}/{t}", "role": role, "text": text}
+             for c, t, role, text in rows], os.path.join(dirpath, name))
+
+    @staticmethod
+    def build(paths, idx):
+        from noise_ray.build.json_pipeline import build_json_index
+
+        build_json_index(paths, idx, num_buckets=4)
+
+    @staticmethod
+    def run(r, q):
+        from noise_ray.query.json_executor import run_json_query
+
+        return run_json_query(r, q)
+
+    @staticmethod
+    def keys(r, docs):
+        return r.doc_id_strs(np.asarray(docs, np.int64))
+
+    @staticmethod
+    def matches(r, term):
+        from noise_ray.query.json_engine import CompiledJsonQuery
+        from noise_ray.query.noise_parser import parse_noise_query
+
+        q = parse_noise_query(f'find {{text: ~="{term}"}} ;')
+        return CompiledJsonQuery(r, q.filter).evaluate().docs.tolist()
+
+
+@pytest.fixture(params=["flat", "nested"])
+def engine(request, ray_session, tmp_path):
+    """(engine hooks, index built over BASE) for either engine."""
+    eng = {"flat": _Flat, "nested": _Nested}[request.param]
+    idx = str(tmp_path / "idx")
+    eng.build([eng.write(str(tmp_path / "in0"), "part-0.parquet", BASE)],
+              idx)
+    return eng, idx
+
+
+def test_merge_epochs_bit_identical(engine, tmp_path):
+    """Folding three epochs (including an upsert's tombstone) into one
+    merged epoch changes NO query result — same ids, same f32 scores,
+    same tombstone behavior — and halves nothing but the per-term
+    segment lookups.  Epoch numbering continues after the merge and a
+    second-generation merge (merged + fresh epoch) still agrees.  A
+    merged nested epoch keeps the nested manifest, so the index still
+    opens with its reader."""
+    from noise_ray.build import merge_epochs
+    from noise_ray.build.incremental import _epoch_dirs
+
+    eng, idx = engine
+
+    def add(name, rows):
+        add_documents(idx, [eng.write(str(tmp_path / name), "part.parquet",
+                                      rows)])
+
+    add("in1", DELTA)
+    add("in2", [
+        ("a", 0, "user", "updated fox doc entirely"),   # upsert of a/0
+        ("d", 0, "user", "fox quick lazy"),
+    ])
+    add("in3", [("e", 0, "assistant", "dogs and fox together")])
+
+    r = eng.reader(idx)
+    before = [eng.run(r, q) for q in eng.queries]
+    n_before = total_docs(idx)
     tomb_before = sorted(r.tombstones.tolist())
     assert tomb_before  # the upsert really shadowed a doc
 
-    m = merge_epochs(base_index)
+    m = merge_epochs(idx)
     assert m is not None
-    eds = _epoch_dirs(base_index)
+    eds = _epoch_dirs(idx)
     assert [os.path.basename(d) for d in eds] == ["epoch-0001-0003"]
-    assert total_docs(base_index) == n_before
-    r2 = IndexReader(base_index)
+    assert total_docs(idx) == n_before
+    r2 = eng.reader(idx)
     assert sorted(r2.tombstones.tolist()) == tomb_before
-    for q, want in zip(qs, before):
-        got = run_query(r2, q)
-        assert got.column_names == want.column_names
-        for c in want.column_names:
-            assert got.column(c).to_pylist() == want.column(c).to_pylist()
+    assert [eng.run(r2, q) for q in eng.queries] == before
 
     # numbering continues past the merged span
-    p4 = _write(str(tmp_path / "in4"), "part-4.parquet", [
-        ("f", 0, "user", "a final fox"),
-    ])
-    add_documents(base_index, [p4])
-    names = [os.path.basename(d) for d in _epoch_dirs(base_index)]
+    add("in4", [("f", 0, "user", "a final fox")])
+    names = [os.path.basename(d) for d in _epoch_dirs(idx)]
     assert names == ["epoch-0001-0003", "epoch-0004"]
 
     # keep=1 keeps the newest epoch: only one mergeable dir -> no-op
-    assert merge_epochs(base_index, keep=1) is None
+    assert merge_epochs(idx, keep=1) is None
 
     # second-generation merge folds the merged epoch + the fresh one
-    before2 = [run_query(IndexReader(base_index), q) for q in qs]
-    assert merge_epochs(base_index) is not None
-    names = [os.path.basename(d) for d in _epoch_dirs(base_index)]
+    before2 = [eng.run(eng.reader(idx), q) for q in eng.queries]
+    assert merge_epochs(idx) is not None
+    names = [os.path.basename(d) for d in _epoch_dirs(idx)]
     assert names == ["epoch-0001-0004"]
-    r3 = IndexReader(base_index)
-    for q, want in zip(qs, before2):
-        got = run_query(r3, q)
-        for c in want.column_names:
-            assert got.column(c).to_pylist() == want.column(c).to_pylist()
+    assert [eng.run(eng.reader(idx), q) for q in eng.queries] == before2
+
+
+def test_add_after_merge_is_visible(engine, tmp_path):
+    """An add after a merge lands in a visible epoch: it is numbered past
+    the merged span (not into a directory the merged epoch supersedes),
+    its doc ids continue the id sequence, and an upsert of a base key
+    leaves only the newest row."""
+    from noise_ray.build import merge_epochs
+    from noise_ray.build.incremental import _epoch_dirs
+
+    eng, idx = engine
+
+    def add(name, rows):
+        return add_documents(idx, [eng.write(
+            str(tmp_path / name), "part.parquet", rows)])
+
+    add("in1", [("c", 0, "user", "another fox appears")])
+    add("in2", [("e", 0, "user", "fox in the epoch")])
+    assert merge_epochs(idx) is not None
+    n = total_docs(idx)
+    m = add("in3", [("f", 0, "user", "a fresh fox"),
+                    ("a", 0, "user", "the newest fox of a")])
+    assert m["doc_id_offset"] == n
+    assert total_docs(idx) == n + 2
+    assert [os.path.basename(d) for d in _epoch_dirs(idx)] == \
+        ["epoch-0001-0002", "epoch-0003"]
+
+    r = eng.reader(idx)
+    assert len(m["tombstoned"]) == 1  # the base row of a/0
+    docs = eng.matches(r, "fox")
+    assert sorted(eng.keys(r, docs)) == ["a/0", "b/0", "c/0", "e/0", "f/0"]
+    a0 = [d for d, k in zip(docs, eng.keys(r, docs)) if k == "a/0"]
+    assert a0 == eng.matches(r, "newest")  # only the newest a/0 is live
+    assert a0[0] >= n
 
 
 def test_merge_epochs_crash_leftover_is_wiped(base_index, tmp_path):

@@ -39,9 +39,7 @@ def _run_all(idx):
 
 
 def test_epoch_add_upsert_delete_compact(ray_session, tmp_path):
-    from noise_ray.build.json_incremental import (
-        add_json_documents, compact_json_index,
-    )
+    from noise_ray.build import add_documents, compact_index
     from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
@@ -53,7 +51,7 @@ def test_epoch_add_upsert_delete_compact(ray_session, tmp_path):
 
     p1 = docs_to_parquet(DOCS_B, os.path.join(base, "in1.parquet"),
                          docid_base=3)
-    m = add_json_documents(idx, [p1])
+    m = add_documents(idx, [p1])
     assert m["tombstoned"] == [0]  # old "a" shadowed
 
     r = JsonIndexReader(idx)
@@ -72,7 +70,7 @@ def test_epoch_add_upsert_delete_compact(ray_session, tmp_path):
 
     # compaction ≡ fresh build over live docs (b, c, a-updated)
     before = _run_all(idx)
-    compact_json_index(idx)
+    compact_index(idx)
     assert _run_all(idx) == before
 
     live = [{"_id": "b", "msgs": [{"t": "lazy dog"}], "n": 2},
@@ -111,9 +109,7 @@ def test_midscale_epochs_compaction_equals_fresh(ray_session, tmp_path):
     per epoch)."""
     import os
 
-    from noise_ray.build.json_incremental import (
-        add_json_documents, compact_json_index,
-    )
+    from noise_ray.build import add_documents, compact_index
     from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
     from noise_ray.query.json_reader import JsonIndexReader
 
@@ -138,7 +134,7 @@ def test_midscale_epochs_compaction_equals_fresh(ray_session, tmp_path):
           + [_mk_doc(k, rev=1) for k in range(0, n_base // 6)])
     p1 = docs_to_parquet(e1, os.path.join(base, "e1.parquet"),
                          docid_base=n_base)
-    m1 = add_json_documents(idx, [p1])
+    m1 = add_documents(idx, [p1])
     assert len(m1["tombstoned"]) == n_base // 6
 
     # epoch 2: more new docs + upserts spanning base AND epoch-1 docs
@@ -148,7 +144,7 @@ def test_midscale_epochs_compaction_equals_fresh(ray_session, tmp_path):
           + [_mk_doc(k, rev=2) for k in range(re_lo, re_hi)])
     p2 = docs_to_parquet(e2, os.path.join(base, "e2.parquet"),
                          docid_base=lo2)
-    m2 = add_json_documents(idx, [p2])
+    m2 = add_documents(idx, [p2])
     assert len(m2["tombstoned"]) == re_hi - re_lo
 
     # delete a contiguous live slice by _id (middle of the base — outside
@@ -159,7 +155,7 @@ def test_midscale_epochs_compaction_equals_fresh(ray_session, tmp_path):
     r.add_tombstones([r.lookup_id(i) for i in deleted_ids])
 
     before = _run_mid(idx)
-    compact_json_index(idx)
+    compact_index(idx)
     after = _run_mid(idx)
     assert after == before
 
@@ -202,7 +198,7 @@ def test_not_after_upsert_ignores_tombstoned_lengths(ray_session, tmp_path):
     """Regression: a tombstoned doc's array length must not scatter onto
     the next live doc in NOT's candidate walk — an unrelated upsert used
     to fabricate NOT instances and flip query results."""
-    from noise_ray.build.json_incremental import add_json_documents
+    from noise_ray.build import add_documents
     from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
@@ -223,5 +219,5 @@ def test_not_after_upsert_ignores_tombstoned_lengths(ray_session, tmp_path):
     # upsert doc "t" (tombstones doc 0, whose arr has length 4)
     p2 = docs_to_parquet([{"_id": "t", "arr": [{"x": "zz"}]}],
                          os.path.join(base, "in2.parquet"), docid_base=3)
-    add_json_documents(idx, [p2])
+    add_documents(idx, [p2])
     assert run_json_query(JsonIndexReader(idx), q) == before

@@ -138,7 +138,7 @@ def test_merged_nested_equals_unified(ray_session, tmp_path):
     (zone maps ride the preserved KV metadata), scoring and doc fetch
     must equal the single nested build."""
     from noise_ray.build.json_pipeline import build_json_index
-    from noise_ray.build.merge import merge_json_indexes
+    from noise_ray.build.merge import merge_indexes
     from noise_ray.ops.nested_docs import nested_transcripts_index
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
@@ -156,9 +156,7 @@ def test_merged_nested_equals_unified(ray_session, tmp_path):
         build_json_index(grp, d, local=True)
         dirs.append(d)
     out = str(tmp_path / "merged")
-    for part in ("docmap", "segments", "stats", "values"):
-        os.makedirs(os.path.join(out, part), exist_ok=True)
-    merge_json_indexes(dirs, out)
+    merge_indexes(dirs, out)
     mer = JsonIndexReader(out)
     assert mer.num_docs == uni.num_docs
     q = ('find {turns: [{role: =="assistant", text: ~="of your"}]} '
@@ -175,6 +173,14 @@ def test_merged_nested_equals_unified(ray_session, tmp_path):
     assert mer.doc_id_strs(ids) == uni.doc_id_strs(ids)
     some_id = uni.doc_id_strs(np.array([uni.num_docs - 1]))[0]
     assert mer.lookup_id(some_id) == uni.lookup_id(some_id)
+
+    # one name for both engines: sources of mixed engines still refuse
+    from noise_ray.ops.federated import shard_documents_indexes
+
+    flat = shard_documents_indexes(SF, 3)[0]
+    for mixed in ([dirs[0], flat], [flat, dirs[0]]):
+        with pytest.raises(ValueError, match="disagree on nested"):
+            merge_indexes(mixed, str(tmp_path / "mixed"))
 
 
 def test_split_then_queries_match_shard_builds(ray_session, tmp_path):
@@ -294,7 +300,7 @@ def test_split_json_matches_independent_builds(ray_session, tmp_path):
     — scored array-context queries, values ranges (zone maps
     recomputed), keypath stats, doc fetch."""
     from noise_ray.build.json_pipeline import build_json_index
-    from noise_ray.build.merge import split_json_index
+    from noise_ray.build.merge import split_index
     from noise_ray.ops.nested_docs import nested_transcripts_index
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
@@ -309,7 +315,7 @@ def test_split_json_matches_independent_builds(ray_session, tmp_path):
 
     cut = sum(pq.read_metadata(p).num_rows for p in shards[:half])
     outs = [str(tmp_path / "a"), str(tmp_path / "b")]
-    mans = split_json_index(uni.index_dir, outs,
+    mans = split_index(uni.index_dir, outs,
                             [0, cut, uni.num_docs])
     assert [m["num_docs"] for m in mans] == [cut, uni.num_docs - cut]
 

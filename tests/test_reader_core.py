@@ -59,7 +59,7 @@ def _flat_index(root):
 
 
 def _nested_index(root):
-    from noise_ray.build.json_incremental import add_json_documents
+    from noise_ray.build import add_documents
     from noise_ray.build.json_pipeline import (build_json_index,
                                                docs_to_parquet)
     from noise_ray.query.json_reader import JsonIndexReader
@@ -75,9 +75,9 @@ def _nested_index(root):
                                       os.path.join(root, "j0.parquet"))],
                      idx, num_buckets=4, block_size=2, local=True)
     up = base[1:4] + ["e0", "e1"]
-    add_json_documents(idx, [docs_to_parquet(
+    add_documents(idx, [docs_to_parquet(
         docs(up, 5), os.path.join(root, "j1.parquet"), docid_base=12)])
-    add_json_documents(idx, [docs_to_parquet(
+    add_documents(idx, [docs_to_parquet(
         docs(["e2", "e3"], 9), os.path.join(root, "j2.parquet"),
         docid_base=17)])
     r = JsonIndexReader(idx)

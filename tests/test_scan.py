@@ -130,7 +130,7 @@ def test_delete_by_query_then_scan(ray_session, tmp_path):
 
 
 def test_delete_json_by_query(ray_session, tmp_path):
-    from noise_ray.build import delete_json_by_query
+    from noise_ray.build import delete_by_query
     from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
@@ -145,9 +145,9 @@ def test_delete_json_by_query(ray_session, tmp_path):
     idx = os.path.join(tmp_path, "idx")
     build_json_index([p], idx, num_buckets=8)
 
-    n = delete_json_by_query(idx, 'find {msgs: [{t: ~="fox"}]} ;')
+    n = delete_by_query(idx, 'find {msgs: [{t: ~="fox"}]} ;')
     assert n == 3
-    assert delete_json_by_query(idx, 'find {msgs: [{t: ~="fox"}]} ;') == 0
+    assert delete_by_query(idx, 'find {msgs: [{t: ~="fox"}]} ;') == 0
 
     r = JsonIndexReader(idx)
     assert run_json_query(r, 'find {msgs: [{t: ~="fox"}]} return ._id ;') == []
@@ -155,7 +155,7 @@ def test_delete_json_by_query(ray_session, tmp_path):
     assert run_json_query(r, 'find {n: > 0} return ._id ;') == ["b"]
 
     with pytest.raises(ValueError):
-        delete_json_by_query(idx, 'find {n: > 0} limit 1 ;')
+        delete_by_query(idx, 'find {n: > 0} limit 1 ;')
 
 
 def test_json_index_scan(ray_session, tmp_path):

@@ -1,7 +1,8 @@
 """Segment-group invariants for every producer of segment + stats files.
 
-A fresh flat build, a fresh nested build, a merged epoch, a flat split
-and a nested split must all hold the same format: block rows ordered by
+A fresh flat build, a fresh nested build, a merged flat epoch, a merged
+nested epoch, a flat split and a nested split must all hold the same
+format: block rows ordered by
 (field, term, min_doc); stats rows equal to the per-(field, term) sums of
 the segment's ``c_block`` / ``cnt``; ``noise_postings`` (in both files)
 and ``noise_field_k`` equal to those sums; and the segment schema and
@@ -18,7 +19,7 @@ import pytest
 
 from noise_ray.build import add_documents, build_index, merge_epochs
 from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
-from noise_ray.build.merge import split_index, split_json_index
+from noise_ray.build.merge import split_index
 from noise_ray.sources import generate_transcripts
 
 WORDS = ("fox dog quick brown lazy river stone cloud amber delta echo "
@@ -27,9 +28,9 @@ WORDS = ("fox dog quick brown lazy river stone cloud amber delta echo "
          ).split()
 
 
-def _nested_docs(n: int) -> list[dict]:
-    rng = random.Random(5)
-    return [{"_id": f"d{i:04d}",
+def _nested_docs(n: int, seed: int = 5, prefix: str = "d") -> list[dict]:
+    rng = random.Random(seed)
+    return [{"_id": f"{prefix}{i:04d}",
              "turns": [{"role": rng.choice(("user", "assistant")),
                         "text": " ".join(rng.choices(WORDS, k=12))}
                        for _ in range(rng.randint(1, 4))]}
@@ -66,11 +67,21 @@ def indexes(ray_session, tmp_path_factory):
                             str(root / "docs-00000.parquet"))
     build_json_index([shard], nested, num_buckets=1, block_size=1,
                      local=True)
-    split_json_index(nested, [str(root / "na"), str(root / "nb")])
+    split_index(nested, [str(root / "na"), str(root / "nb")])
+
+    nested_live = str(root / "nested_live")
+    shutil.copytree(nested, nested_live)
+    for ep, seed in ((1, 7), (2, 9)):
+        add_documents(nested_live, [docs_to_parquet(
+            _nested_docs(150, seed, f"e{ep}-"),
+            str(root / f"nested-{ep}.parquet"), docid_base=250 + 150 * ep)])
+    assert merge_epochs(nested_live) is not None
+    nested_merged = os.path.join(nested_live, "epochs", "epoch-0001-0002")
     return {
         "flat_build": (flat, flat),
         "nested_build": (nested, nested),
         "merged_epoch": (merged, flat),
+        "nested_merged_epoch": (nested_merged, nested),
         "flat_split": (str(root / "fa"), flat),
         "nested_split": (str(root / "na"), nested),
     }
@@ -102,7 +113,8 @@ def _fresh_layout(fresh_dir: str):
 
 
 @pytest.mark.parametrize("name", ["flat_build", "nested_build",
-                                  "merged_epoch", "flat_split",
+                                  "merged_epoch", "nested_merged_epoch",
+                                  "flat_split",
                                   "nested_split"])
 def test_segment_group_invariants(indexes, name):
     index_dir, fresh_dir = indexes[name]

@@ -117,6 +117,43 @@ def test_mixed_sidecar_index_prunes_per_partition(geo_index):
         os.rename(one + ".hidden", one)
 
 
+def test_merged_epoch_keeps_sidecars(ray_session, tmp_path):
+    """merge_epochs copies each epoch's spatial sidecar beside its values
+    partition under the matching new name: bbox queries answer the same
+    after the merge, and the merged epoch's reads stay cell-pruned."""
+    from noise_ray.build import add_documents, merge_epochs
+    from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
+    from noise_ray.query.json_executor import run_json_query
+    from noise_ray.query.json_reader import JsonIndexReader
+
+    docs = [_geo_doc(k, -120.0 + (k % 10) * 0.01 + 130.0 * (k // 100),
+                     40.0 + (k % 100 // 10) * 0.01) for k in range(300)]
+    idx = str(tmp_path / "idx")
+    build_json_index([docs_to_parquet(docs[:100],
+                                      str(tmp_path / "in0.parquet"))],
+                     idx, num_buckets=4, local=True)
+    for e in (1, 2):
+        add_documents(idx, [docs_to_parquet(
+            docs[100 * e:100 * (e + 1)], str(tmp_path / f"in{e}.parquet"),
+            docid_base=100 * e)])
+    queries = [
+        'find {geometry: && [-121, 39, -119, 41]} return ._id ;',
+        'find {geometry: && [9, 39, 11, 41]} return ._id ;',
+        'find {geometry: && [139, 39, 141, 41]} return ._id ;',
+    ]
+    want = [run_json_query(JsonIndexReader(idx), q) for q in queries]
+    assert [len(w) for w in want] == [100, 100, 100]
+
+    assert merge_epochs(idx) is not None
+    merged = os.path.join(idx, "epochs", "epoch-0001-0002")
+    assert sorted(os.listdir(os.path.join(merged, "spatial"))) == [
+        "spatial-00000.parquet", "spatial-00001.parquet"]
+    r = JsonIndexReader(idx)
+    assert [run_json_query(r, q) for q in queries] == want
+    docs_hit, _aps, _bb = r.bbox_rows(".geometry", (9.0, 11.0, 39.0, 41.0))
+    assert docs_hit.size == 100  # only the queried epoch's cells
+
+
 def test_random_query_boxes_match_full_scan(geo_index):
     """Property: for ANY query box, the grid path's post-predicate match
     set equals the exact full scan's — including boxes straddling cell
