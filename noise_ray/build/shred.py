@@ -124,16 +124,6 @@ def fill_vkey(kp: str, ap: tuple[int, ...]) -> str:
     return "".join(out)
 
 
-def is_vkey_prefix(prefix: str, vkey: str) -> bool:
-    """``is_kp_value_key_prefix`` (src/key_builder.rs:315-325): ``prefix``
-    addresses ``vkey`` or an ancestor of it (the next char after the prefix
-    must start a new segment)."""
-    if not vkey.startswith(prefix):
-        return False
-    rest = vkey[len(prefix):]
-    return rest == "" or rest[0] in ".$"
-
-
 _GEOJSON_TYPES = frozenset([
     "Point", "MultiPoint", "LineString", "MultiLineString",
     "Polygon", "MultiPolygon",

@@ -119,14 +119,6 @@ def rademacher_tables(n_tables: int, n_planes: int, dim: int,
     return [signs[t] for t in range(n_tables)]
 
 
-def _embed_dim(sf_dir: str) -> int:
-    import pyarrow.parquet as pq
-
-    pf = pq.ParquetFile(f"{sf_dir}/embeddings.parquet")
-    first = next(pf.iter_batches(batch_size=1, columns=["embedding"]))
-    return len(first.column("embedding")[0])
-
-
 def ann_bucketed(sf_dir: str, n_queries: int = 5, k: int = 10,
                  n_planes: int = 6, n_tables: int = 4, seed: int = 777):
     """LSH-bucket-routed ANN top-k: the 100 TB scale path next to

@@ -1,7 +1,11 @@
-"""Query evaluation with exact (float32) reference score parity.
+"""Compiled-query evaluation with exact (float32) reference score parity.
 
-Replicates the reference's filter algebra and TF-IDF scoring operation for
-operation:
+``QueryCore`` is the one filter algebra and scorer of both engines.  The
+flat ``CompiledQuery`` (below: one result row per doc) and the nested
+``CompiledJsonQuery`` (json_engine.py: one row per (doc, arraypath)
+instance) supply only their result type and the leaves that differ.
+
+Scoring replicates the reference's TF-IDF operation for operation:
 
 - scorer init/idf:        /root/reference/src/snapshot.rs:132-151
   ``idf = 1 + ln(K / (C + 1))`` in f32, where C is the merge-summed total
@@ -20,9 +24,17 @@ one slot per word but only the "base" filter's slot receives contributions
 src/filters.rs:175-272; DistanceFilter keeps whichever filter last became
 base, src/filters.rs:588-726 — replicated sequentially below).
 
-Evaluation is vectorized: posting lists are numpy arrays; and/or/not are
-sorted-array set operations; only the proximity filter runs the reference's
-stateful leapfrog literally (its result stream depends on iterator state).
+Evaluation is vectorized: posting lists are numpy arrays and and/or/not
+are sorted-array set operations.  An AND evaluates its selective clauses
+first and pushes the shrinking set of candidate docs (``allowed``) into
+the rest — the vectorized form of AndFilter's leapfrog.  Only the
+proximity filter runs the reference's stateful leapfrog literally: its
+result stream depends on iterator state carried from one doc to the next,
+so it always runs from doc 0 and keeps the keys of its range.
+
+``doc_range=(lo, hi)`` restricts evaluation to that doc_id interval —
+exact under range partitioning (the basis of the distributed query
+fan-out and of ``index_scan`` ranges).
 """
 
 from __future__ import annotations
@@ -32,10 +44,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ..analysis.tokenizer import tokenize
+from ..nputil import sorted_member_mask
 from . import ast
-from .reader import IndexReader, PostingList
+from .reader import _empty_postings
 
 F32 = np.float32
+_NO_DOCS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -51,13 +65,41 @@ class EvalResult:
     # slot ordinal -> (sum f32 aligned to docs, count int32 aligned to docs)
     slots: dict[int, tuple[np.ndarray, np.ndarray]] = dc_field(default_factory=dict)
 
+    def doc_ids(self) -> np.ndarray:
+        return self.docs
 
-class CompiledQuery:
-    """``doc_range=(lo, hi)`` restricts evaluation to that doc_id interval
-    — exact under range partitioning because every filter and score is
-    per-doc independent (the basis of the distributed query fan-out)."""
+    def take(self, idx: np.ndarray) -> "EvalResult":
+        return EvalResult(self.docs[idx], {o: (s[idx], c[idx])
+                                           for o, (s, c) in self.slots.items()})
 
-    def __init__(self, reader: IndexReader, node: ast.Node,
+
+# node type -> evaluator method; a subclass without the method cannot
+# evaluate that node (the flat engine has no BboxQ or Bind)
+_EVALUATORS = {
+    ast.Term: "_eval_term", ast.Phrase: "_eval_phrase",
+    ast.Proximity: "_eval_proximity", ast.Exact: "_eval_exact",
+    ast.RangeQ: "_eval_range", ast.BboxQ: "_eval_bbox",
+    ast.AllDocs: "_eval_all", ast.Boost: "_eval_boost", ast.And: "_eval_and",
+    ast.Or: "_eval_or", ast.Not: "_eval_not", ast.Bind: "_eval_bind",
+}
+
+
+class QueryCore:
+    """What both engines share: slot preparation and the query norm, idf
+    and the f32 term scorer, postings reads under the doc range, the doc
+    universe and tombstone dropping, the Term / Phrase / Proximity /
+    AllDocs / Boost leaves, the one AND and OR, and ``final_scores``.
+
+    A subclass supplies its result type — ``_result``, ``_keyed``,
+    ``_intersect``, ``_union`` and ``_resized`` — plus the not-check, the
+    Exact, RangeQ and Not leaves and, nested only, BboxQ and Bind.  A
+    result has ascending ``docs``, ``slots``, ``take(idx)`` and
+    ``doc_ids()``."""
+
+    _LEAVES = (ast.Term, ast.Phrase, ast.Proximity, ast.Exact, ast.RangeQ,
+               ast.BboxQ)
+
+    def __init__(self, reader, node: ast.Node,
                  doc_range: tuple[int, int] | None = None):
         self.reader = reader
         self.node = node
@@ -87,19 +129,19 @@ class CompiledQuery:
     def _prepare(self, node: ast.Node):
         """DFS ordinal assignment, mirroring prepare_relevancy_scoring."""
         if isinstance(node, ast.Term):
-            node._slot = self._new_slot(self._idf(node.field, _stem_one(node.word)), node.boost)
+            node._slot = self._new_slot(
+                self._idf(node.field, _stem_one(node.word)), node.boost)
         elif isinstance(node, (ast.Phrase, ast.Proximity)):
             node._terms = [t for _, t in tokenize(node.text)]
             node._slots = [
                 self._new_slot(self._idf(node.field, t), node.boost)
                 for t in node._terms
             ]
-        elif isinstance(node, ast.Exact):
+        elif isinstance(node, (ast.Exact, ast.RangeQ, ast.BboxQ)):
             # binary-scored: ordinal with idf contribution 1.0
-            # (src/filters.rs:363-368); inner word scorers stay uninitialized.
+            # (src/filters.rs:363-368, 487-492); inner word scorers stay
+            # uninitialized
             node._slot = self._new_slot(F32(1.0), 1.0)
-        elif isinstance(node, ast.RangeQ):
-            node._slot = self._new_slot(F32(1.0), 1.0)  # src/filters.rs:487-492
         elif isinstance(node, ast.AllDocs):
             self._new_slot(F32(1.0), 1.0)  # src/filters.rs:66-70
         elif isinstance(node, ast.And):
@@ -110,183 +152,142 @@ class CompiledQuery:
             self._prepare(node.right)
         elif isinstance(node, ast.Not):
             pass  # NotFilter.prepare_relevancy_scoring is a no-op
-        elif isinstance(node, ast.Boost):
+        elif isinstance(node, (ast.Boost, ast.Bind)):
             self._prepare(node.inner)
         else:
             raise TypeError(f"unknown node {node!r}")
 
     # ------------------------------------------------------- evaluation
 
-    def evaluate(self) -> EvalResult:
+    def evaluate(self):
         self._check_not_validity(self.node)
-        return self._eval(self.node)
+        return self._resized(self._eval(self.node), 0)
 
-    def _drop_dead(self, r: EvalResult) -> EvalResult:
-        """Filter tombstoned docs out of a leaf result (slots stay
-        aligned).  Compositions (and/or/not) inherit the exclusion because
-        every leaf and the universe exclude them."""
-        t = self.reader.tombstones
-        if t.size == 0 or r.docs.size == 0:
-            return r
-        pos = np.searchsorted(t, r.docs)
-        pos[pos >= t.size] = t.size - 1
-        keep = t[pos] != r.docs
-        if keep.all():
-            return r
-        out = EvalResult(r.docs[keep])
-        for o, (s, c) in r.slots.items():
-            out.slots[o] = (s[keep], c[keep])
-        return out
-
-    def _check_not_validity(self, node: ast.Node):
-        if _is_all_not(node):
-            raise ValueError(
-                "query must contain at least one full match expression"
-            )  # src/query.rs:222-228
-        _check_double_not(node, False)  # src/filters.rs:1051-1061
-
-    def _postings(self, field: str, term: str,
-                  need_positions: bool = True) -> PostingList:
-        # the doc range is pushed into the segment read (block-bound
-        # filters), then sliced exactly — a range worker never decodes
-        # another range's postings
-        pl = self.reader.postings(field, term, need_positions,
-                                  self.doc_range)
-        if self.doc_range is not None:
-            pl = pl.slice_range(*self.doc_range)
-        return pl
-
-    def _universe(self) -> np.ndarray:
-        lo, hi = (self.doc_range if self.doc_range is not None
-                  else (0, self.reader.num_docs))
-        u = np.arange(lo, hi, dtype=np.int64)
-        t = self.reader.tombstones
-        if t.size:
-            u = np.setdiff1d(u, t, assume_unique=True)
-        return u
-
-    def _term_scores(self, pl: PostingList, slot: _Slot) -> np.ndarray:
-        """Vectorized add_match_score over a posting list (f32)."""
-        tf = np.sqrt(pl.tfs.astype(F32))
-        norm = F32(1.0) / np.sqrt(pl.lens.astype(F32))
-        return ((slot.idf * slot.idf) * tf * norm * F32(slot.boost)).astype(F32)
-
-    _LEAVES = (ast.Term, ast.Phrase, ast.Proximity, ast.Exact, ast.RangeQ)
-
-    def _eval(self, node: ast.Node) -> EvalResult:
-        r = self._eval_node(node)
+    def _eval(self, node: ast.Node, allowed: np.ndarray | None = None):
+        """``allowed`` is a sorted array of LIVE doc ids that the result
+        will be intersected with at doc level by an enclosing AND — a
+        pure pruning hint.  Restricting any subtree to a doc SUPERSET of
+        the final intersection is exact (scores and binds of surviving
+        rows are computed from their own postings/values either way), so
+        the selective side of an AND evaluates first and the unselective
+        side only touches the candidates' doc span."""
+        name = _EVALUATORS.get(type(node))
+        if name is None or not hasattr(self, name):
+            raise TypeError(f"unknown node {node!r}")
+        r = getattr(self, name)(node, allowed)
         if isinstance(node, self._LEAVES):
             r = self._drop_dead(r)
         return r
 
-    def _eval_node(self, node: ast.Node) -> EvalResult:
-        reader = self.reader
-        if isinstance(node, ast.Term):
-            # positions are never consulted for a single-term match
-            pl = self._postings(node.field, _stem_one(node.word),
-                                need_positions=False)
-            r = EvalResult(pl.docs)
-            slot = getattr(node, "_slot", None)  # None inside Not: unscored
-            if slot is not None and not np.isnan(slot.idf):
-                r.slots[slot.ordinal] = (
-                    self._term_scores(pl, slot),
-                    np.ones(pl.size, dtype=np.int32),
-                )
-            return r
+    @staticmethod
+    def _keep(r, mask: np.ndarray):
+        return r if mask.all() else r.take(np.flatnonzero(mask))
 
-        if isinstance(node, ast.Phrase):
-            return self._eval_phrase(node)
-
-        if isinstance(node, ast.Proximity):
-            return self._eval_proximity(node)
-
-        if isinstance(node, ast.Exact):
-            return self._eval_exact(node)
-
-        if isinstance(node, ast.RangeQ):
-            return self._eval_range(node)
-
-        if isinstance(node, ast.AllDocs):
-            docs = self._universe()
-            r = EvalResult(docs)
-            # the reference hardcodes ordinal 1 here (src/filters.rs:58-63)
-            r.slots[1] = (np.ones(docs.size, dtype=F32),
-                          np.ones(docs.size, dtype=np.int32))
-            return r
-
-        if isinstance(node, ast.Boost):
-            r = self._eval(node.inner)
-            for o, (s, c) in r.slots.items():
-                r.slots[o] = ((s * F32(node.factor)).astype(F32), c)
-            return r
-
-        if isinstance(node, ast.Or):
-            lr = self._eval(node.left)
-            rr = self._eval(node.right)
-            docs = np.union1d(lr.docs, rr.docs)
-            out = EvalResult(docs)
-            for src in (lr, rr):
-                if not src.slots:
-                    continue
-                idx = np.searchsorted(docs, src.docs)
-                for o, (s, c) in src.slots.items():
-                    sums = np.zeros(docs.size, dtype=F32)
-                    cnts = np.zeros(docs.size, dtype=np.int32)
-                    sums[idx] = s
-                    cnts[idx] = c
-                    out.slots[o] = (sums, cnts)
-            return out
-
-        if isinstance(node, ast.And):
-            positives = [c for c in node.clauses if not _is_all_not(c)]
-            negatives = [c for c in node.clauses if _is_all_not(c)]
-            if positives:
-                results = [self._eval(c) for c in positives]
-                docs = results[0].docs
-                for r in results[1:]:
-                    docs = np.intersect1d(docs, r.docs, assume_unique=True)
-            else:
-                docs = self._universe()
-                results = []
-            for c in negatives:
-                ndocs = self._not_docs(c)  # complement of the negated match
-                docs = docs[np.isin(docs, ndocs)]
-            out = EvalResult(docs)
-            for r in results:
-                if not r.slots:
-                    continue
-                idx = np.searchsorted(r.docs, docs)
-                # docs ⊆ r.docs, so idx addresses exact matches
-                for o, (s, c) in r.slots.items():
-                    out.slots[o] = (s[idx], c[idx])
-            return out
-
-        if isinstance(node, ast.Not):
-            return EvalResult(self._not_docs(node))
-
-        raise TypeError(f"unknown node {node!r}")
-
-    def _not_docs(self, node: ast.Node) -> np.ndarray:
-        """Complement over the doc universe (NotFilter,
-        src/filters.rs:944-1066).  Boolean-mask complement: O(N) with no
-        sort and no arange+setdiff materialization — at 10^7+ docs the
-        sort-based set difference dominated whole queries."""
-        if isinstance(node, ast.Not):
-            inner = self._eval(node.inner).docs
-        else:
-            inner = self._eval(node).docs
-        lo, hi = (self.doc_range if self.doc_range is not None
-                  else (0, self.reader.num_docs))
-        mask = np.ones(hi - lo, dtype=bool)
-        if inner.size:
-            mask[inner - lo] = False
+    def _drop_dead(self, r):
+        """Filter tombstoned docs out of a leaf result (rows stay
+        aligned).  Compositions inherit the exclusion because every leaf
+        and the universe exclude them."""
         t = self.reader.tombstones
-        if t.size:
-            tt = t[(t >= lo) & (t < hi)]
-            mask[tt - lo] = False
+        if t.size == 0 or r.docs.size == 0:
+            return r
+        return self._keep(r, ~sorted_member_mask(t, r.docs))
+
+    def _restrict(self, r, allowed: np.ndarray | None):
+        if allowed is None or r.docs.size == 0:
+            return r
+        return self._keep(r, sorted_member_mask(allowed, r.docs))
+
+    @staticmethod
+    def _span_of(allowed: np.ndarray | None):
+        if allowed is None:
+            return None
+        if allowed.size == 0:
+            return (0, 0)
+        return (int(allowed[0]), int(allowed[-1]) + 1)
+
+    def _clip(self, span: tuple[int, int] | None):
+        """The compiled doc_range narrowed to ``span``; None = every doc."""
+        rng = self.doc_range
+        if span is not None:
+            rng = span if rng is None else (max(rng[0], span[0]),
+                                            min(rng[1], span[1]))
+        return rng
+
+    def _postings(self, field: str, term: str, need_positions: bool = True,
+                  span: tuple[int, int] | None = None):
+        """Postings under the doc range, narrowed to ``span`` (the
+        candidate span of an enclosing AND).  Block bounds push into the
+        segment read, then the decoded list is sliced exactly — a range
+        worker never decodes another range's postings."""
+        return self._read(field, term, need_positions, self._clip(span))
+
+    def _read(self, field, term, need_positions, rng):
+        if rng is not None and rng[0] >= rng[1]:
+            return _empty_postings(
+                self.reader._aps_depth(self.reader._field_key(field)))
+        pl = self.reader.postings(field, term, need_positions, rng)
+        return pl if rng is None else pl.slice_range(*rng)
+
+    def _complement(self, inner: np.ndarray,
+                    allowed: np.ndarray | None = None) -> np.ndarray:
+        """NotFilter at doc granularity (src/filters.rs:944-1066): the
+        live docs of ``allowed``, or of the doc range, that are not in the
+        ascending ``inner``.  Over the range it is a boolean mask — O(N)
+        with no sort and no arange+setdiff materialization (at 10^7+ docs
+        the sort-based set difference dominated whole queries)."""
+        if allowed is not None:
+            return allowed[~sorted_member_mask(inner, allowed)]
+        lo, hi = self.doc_range or (0, self.reader.num_docs)
+        mask = np.ones(hi - lo, dtype=bool)
+        mask[inner - lo] = False
+        t = self.reader.tombstones
+        mask[t[(t >= lo) & (t < hi)] - lo] = False
         return np.flatnonzero(mask) + lo
 
-    # ---------------------------------------------------------- phrase
+    def _live(self, allowed: np.ndarray | None) -> np.ndarray:
+        return allowed if allowed is not None else self._complement(_NO_DOCS)
+
+    def _term_scores(self, tfs: np.ndarray, lens: np.ndarray,
+                     slot: _Slot) -> np.ndarray:
+        """Vectorized add_match_score over postings (f32)."""
+        tf = np.sqrt(tfs.astype(F32))
+        norm = F32(1.0) / np.sqrt(lens.astype(F32))
+        return ((slot.idf * slot.idf) * tf * norm * F32(slot.boost)).astype(F32)
+
+    @staticmethod
+    def _binary(node, r):
+        """Score 1 in the slot of a binary-scored leaf (Exact, RangeQ,
+        BboxQ); unscored inside a Not."""
+        slot = getattr(node, "_slot", None)
+        if slot is not None:
+            r.slots[slot.ordinal] = (np.ones(r.docs.size, dtype=F32),
+                                     np.ones(r.docs.size, dtype=np.int32))
+        return r
+
+    def _at(self, keys: np.ndarray, keymat: np.ndarray | None):
+        """Unscored rows for ``keys`` of ``_keyed`` lists: the keys are
+        the docs (``keymat`` None) or index (doc, *arraypath) rows."""
+        if keymat is None:
+            return self._result(keys)
+        rows = keymat[keys]
+        return self._result(rows[:, 0].copy(), np.ascontiguousarray(rows[:, 1:]))
+
+    # ----------------------------------------------------------- leaves
+
+    def _word(self, field: str, term: str, slot: _Slot | None, allowed):
+        """StemmedWordFilter: one row per posting, scored in ``slot`` —
+        unscored when the leaf sits inside a Not (never prepared) or its
+        idf is NaN.  Positions are never consulted."""
+        pl = self._postings(field, term, False, self._span_of(allowed))
+        r = self._result(pl.docs, pl.aps)
+        if slot is not None and not np.isnan(slot.idf):
+            r.slots[slot.ordinal] = (self._term_scores(pl.tfs, pl.lens, slot),
+                                     np.ones(pl.size, dtype=np.int32))
+        return self._restrict(r, allowed)
+
+    def _eval_term(self, node: ast.Term, allowed):
+        return self._word(node.field, _stem_one(node.word),
+                          getattr(node, "_slot", None), allowed)
 
     def _phrase_meta(self, node):
         """(terms, slots) for a phrase/proximity node; inside a Not the
@@ -302,62 +303,191 @@ class CompiledQuery:
             node._slots = slots
         return terms, slots
 
-    def _phrase_candidates(self, field: str, terms: list[str]):
-        """Docs where all terms occur with adjacent positions (chained),
-        plus the per-term posting lists.  Replicates the surviving-positions
-        chain of src/filters.rs:206-215 (including the saturating_sub(1)
-        quirk at position 0)."""
-        pls = [self._postings(field, t) for t in terms]
-        docs = pls[0].docs
-        for pl in pls[1:]:
-            docs = np.intersect1d(docs, pl.docs, assume_unique=True)
-        if docs.size == 0 or len(pls) == 1:
-            return docs, pls
-        return docs[phrase_chain_survivors(pls, docs)], pls
+    def _phrase_candidates(self, field: str, terms: list[str], allowed):
+        """(surviving keys, key matrix, keyed lists): the keys where every
+        term occurs with chained positions — the surviving-positions chain
+        of src/filters.rs:206-215, incl. the saturating_sub(1) quirk at
+        position 0.  Nested keys are instances, aligned by (doc,
+        arraypath) like StemmedPhraseFilter's DocResult equality."""
+        span = self._span_of(allowed)
+        lists, keymat = self._keyed(
+            [self._postings(field, t, span=span) for t in terms])
+        cand = lists[0].docs
+        for pl in lists[1:]:
+            cand = np.intersect1d(cand, pl.docs, assume_unique=True)
+        if cand.size and len(lists) > 1:
+            cand = cand[phrase_chain_survivors(lists, cand)]
+        return cand, keymat, lists
 
-    def _eval_phrase(self, node: ast.Phrase) -> EvalResult:
+    def _eval_phrase(self, node: ast.Phrase, allowed):
         terms, slots = self._phrase_meta(node)
         if len(terms) == 1:
             # parser emits a plain StemmedWordFilter for one token
-            pl = self._postings(node.field, terms[0], need_positions=False)
-            r = EvalResult(pl.docs)
-            if not np.isnan(slots[0].idf):
-                r.slots[slots[0].ordinal] = (
-                    self._term_scores(pl, slots[0]),
-                    np.ones(pl.size, dtype=np.int32),
-                )
-            return r
-        docs, pls = self._phrase_candidates(node.field, terms)
-        r = EvalResult(docs)
-        if docs.size and not np.isnan(slots[0].idf):
+            return self._word(node.field, terms[0], slots[0], allowed)
+        cand, keymat, lists = self._phrase_candidates(node.field, terms,
+                                                      allowed)
+        r = self._at(cand, keymat)
+        if cand.size and not np.isnan(slots[0].idf):
             # only filters[0]'s DocResult survives the leapfrog
-            idx0 = np.searchsorted(pls[0].docs, docs)
-            scores0 = self._term_scores(pls[0], slots[0])[idx0]
-            r.slots[slots[0].ordinal] = (scores0, np.ones(docs.size, np.int32))
+            i = np.searchsorted(lists[0].docs, cand)
+            r.slots[slots[0].ordinal] = (
+                self._term_scores(lists[0].tfs[i], lists[0].lens[i], slots[0]),
+                np.ones(cand.size, dtype=np.int32))
+        return self._restrict(r, allowed)
+
+    def _eval_proximity(self, node: ast.Proximity, allowed):
+        """DistanceFilter (src/filters.rs:588-726) via the sequential
+        ``distance_filter_stream``.  Its current-filter state carries from
+        one doc to the next, so the stream over postings cut at ``lo``
+        differs from the whole-index stream; a prefix of the stream is
+        exact.  It therefore reads postings over ``[0, hi)`` and keeps
+        the keys from ``lo`` on, for any doc range or AND span."""
+        terms, slots = self._phrase_meta(node)
+        rng = self._clip(self._span_of(allowed))
+        prefix = None if rng is None else (0, rng[1])
+        lists, keymat = self._keyed(
+            [self._read(node.field, t, True, prefix) for t in terms])
+        score_arrays = [
+            None if np.isnan(s.idf) else self._term_scores(pl.tfs, pl.lens, s)
+            for pl, s in zip(lists, slots)
+        ]
+        keys, src, score = distance_filter_stream(lists, score_arrays,
+                                                  node.distance)
+        r = self._at(np.array(keys, dtype=np.int64), keymat)
+        src = np.array(src, dtype=np.int64)
+        score = np.array(score, dtype=F32)
+        for t, (sa, slot) in enumerate(zip(score_arrays, slots)):
+            mask = src == t
+            if sa is not None and mask.any():
+                r.slots[slot.ordinal] = (np.where(mask, score, F32(0.0)),
+                                         mask.astype(np.int32))
+        if rng is not None:
+            r = self._keep(r, r.docs >= rng[0])
+        return self._restrict(r, allowed)
+
+    def _eval_all(self, node: ast.AllDocs, allowed):
+        docs = self._live(allowed)
+        r = self._result(docs)
+        # the reference hardcodes ordinal 1 here (src/filters.rs:58-63)
+        r.slots[1] = (np.ones(docs.size, dtype=F32),
+                      np.ones(docs.size, dtype=np.int32))
         return r
 
-    # ----------------------------------------------------------- exact
+    def _eval_boost(self, node: ast.Boost, allowed):
+        r = self._eval(node.inner, allowed)  # keeps binds and order
+        for o, (s, c) in r.slots.items():
+            r.slots[o] = ((s * F32(node.factor)).astype(F32), c)
+        return r
 
-    def _eval_exact(self, node: ast.Exact) -> EvalResult:
+    def _eval_and(self, node: ast.And, allowed):
+        """AndFilter (src/filters.rs:727-807): selective clauses evaluate
+        first and the shrinking candidate-doc set threads into the rest —
+        the vectorized form of its leapfrog, with identical results."""
+        order = sorted(range(len(node.clauses)),
+                       key=lambda i: _sel_rank(node.clauses[i]))
+        sets: list = [None] * len(node.clauses)
+        for i in order:
+            r = self._resized(self._eval(node.clauses[i], allowed),
+                              node.depth)
+            sets[i] = r
+            docs = r.doc_ids()
+            allowed = docs if allowed is None else \
+                np.intersect1d(allowed, docs, assume_unique=True)
+        return self._intersect(sets)
+
+    def _eval_or(self, node: ast.Or, allowed):
+        return self._union(
+            self._resized(self._eval(node.left, allowed), node.depth),
+            self._resized(self._eval(node.right, allowed), node.depth))
+
+    # ---------------------------------------------------- final scores
+
+    def final_scores(self, result) -> np.ndarray:
+        """compute_relevancy_score vectorized (src/query.rs:463-477)."""
+        n = result.docs.size
+        if self.num_slots == 0:
+            return np.zeros(n, dtype=F32)
+        acc = np.zeros(n, dtype=F32)
+        matched = np.zeros(n, dtype=np.int32)
+        for o in sorted(result.slots):
+            s, c = result.slots[o]
+            has = c > 0
+            with np.errstate(invalid="ignore", divide="ignore"):
+                contrib = np.where(has, s / c.astype(F32), F32(0.0)).astype(F32)
+            acc = (acc + contrib).astype(F32)
+            matched += has.astype(np.int32)
+        return ((self.query_norm * acc).astype(F32)
+                * matched.astype(F32) / F32(self.num_slots)).astype(F32)
+
+
+class CompiledQuery(QueryCore):
+    """The flat engine: one ``EvalResult`` row per doc."""
+
+    def _check_not_validity(self, node: ast.Node):
+        if _is_all_not(node):
+            raise ValueError(
+                "query must contain at least one full match expression"
+            )  # src/query.rs:222-228
+        _check_double_not(node, False)  # src/filters.rs:1051-1061
+
+    @staticmethod
+    def _result(docs: np.ndarray, aps=None) -> EvalResult:
+        return EvalResult(docs)
+
+    @staticmethod
+    def _keyed(pls):
+        return pls, None  # a flat posting's key is its doc
+
+    @staticmethod
+    def _resized(r: EvalResult, depth: int) -> EvalResult:
+        return r
+
+    @staticmethod
+    def _intersect(sets: list[EvalResult]) -> EvalResult:
+        docs = sets[0].docs
+        for r in sets[1:]:
+            docs = np.intersect1d(docs, r.docs, assume_unique=True)
+        out = EvalResult(docs)
+        for r in sets:
+            idx = np.searchsorted(r.docs, docs)  # docs ⊆ r.docs: exact hits
+            for o, (s, c) in r.slots.items():
+                out.slots[o] = (s[idx], c[idx])
+        return out
+
+    @staticmethod
+    def _union(lr: EvalResult, rr: EvalResult) -> EvalResult:
+        docs = np.union1d(lr.docs, rr.docs)
+        out = EvalResult(docs)
+        for src in (lr, rr):
+            idx = np.searchsorted(docs, src.docs)
+            for o, (s, c) in src.slots.items():
+                sums = np.zeros(docs.size, dtype=F32)
+                cnts = np.zeros(docs.size, dtype=np.int32)
+                sums[idx] = s
+                cnts[idx] = c
+                out.slots[o] = (sums, cnts)
+        return out
+
+    def _eval_not(self, node: ast.Not, allowed) -> EvalResult:
+        inner = self._eval(node.inner, allowed).docs
+        return EvalResult(self._complement(inner, allowed))
+
+    def _eval_exact(self, node: ast.Exact, allowed) -> EvalResult:
+        """Phrase candidates, then case-sensitive whole-value equality
+        (src/filters.rs:274-377) — the stored values are fetched only for
+        the candidates left in ``allowed``."""
+        import pyarrow.compute as pc
+
         terms = [t for _, t in tokenize(node.literal)]
-        docs, _pls = self._phrase_candidates(node.field, terms)
+        docs, _, _ = self._phrase_candidates(node.field, terms, allowed)
+        if allowed is not None:
+            docs = docs[sorted_member_mask(allowed, docs)]
         if docs.size:
-            import pyarrow.compute as pc
-
             col = self.reader.fetch_docs(docs, [node.field]).column(node.field)
             keep = pc.fill_null(pc.equal(col, node.literal), False).to_numpy(
                 zero_copy_only=False).astype(bool)
             docs = docs[keep]
-        r = EvalResult(docs)
-        slot = getattr(node, "_slot", None)
-        if slot is not None:
-            r.slots[slot.ordinal] = (
-                np.ones(docs.size, dtype=F32),
-                np.ones(docs.size, dtype=np.int32),
-            )
-        return r
-
-    # ----------------------------------------------------------- range
+        return self._binary(node, EvalResult(docs))
 
     @staticmethod
     def _zone_prunes(reader, path: str, node: ast.RangeQ) -> bool:
@@ -394,26 +524,24 @@ class CompiledQuery:
             return True
         return False
 
-    def _eval_range(self, node: ast.RangeQ) -> EvalResult:
+    def _eval_range(self, node: ast.RangeQ, allowed) -> EvalResult:
+        import pyarrow as pa
+        import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
         reader = self.reader
-        fieldname = node.field
+        rlo, rhi = (self._clip(self._span_of(allowed))
+                    or (0, reader.num_docs))
         docs_parts = []
-        rlo, rhi = (self.doc_range if self.doc_range is not None
-                    else (0, reader.num_docs))
         for dm in reader._docmap:
             if dm["max_doc"] < rlo or dm["min_doc"] >= rhi:
                 continue  # partition outside the evaluated doc range
+            if reader.docmap_zone(dm["path"], node.field)[3] == 0:
+                continue  # the partition has no such column: no row matches
             if self._zone_prunes(reader, dm["path"], node):
                 continue  # footer statistics rule the partition out
-            try:
-                t = pq.read_table(dm["path"], columns=["doc_id", fieldname])
-            except Exception:
-                return EvalResult(np.zeros(0, dtype=np.int64))
-            col = t.column(fieldname)
-            import pyarrow.compute as pc
-
+            t = pq.read_table(dm["path"], columns=["doc_id", node.field])
+            col = t.column(node.field)
             if node.special == "null":
                 mask = pc.is_null(col)
             elif node.special in ("true", "false"):
@@ -422,88 +550,26 @@ class CompiledQuery:
                 except Exception:
                     continue
             else:
-                import pyarrow as pa_
-
                 ctype = col.type
-                if pa_.types.is_timestamp(ctype) or pa_.types.is_date(ctype):
+                if pa.types.is_timestamp(ctype) or pa.types.is_date(ctype):
                     col = col.cast("int64")
                 vals = col.cast("float64", safe=False)
-                mask = None
+                mask = pc.is_valid(vals)
                 if node.min is not None:
-                    m = (pc.greater_equal(vals, node.min)
-                         if node.min_inclusive else pc.greater(vals, node.min))
-                    mask = m
+                    mask = pc.and_(mask, pc.greater_equal(vals, node.min)
+                                   if node.min_inclusive
+                                   else pc.greater(vals, node.min))
                 if node.max is not None:
-                    m = (pc.less_equal(vals, node.max)
-                         if node.max_inclusive else pc.less(vals, node.max))
-                    mask = m if mask is None else pc.and_(mask, m)
-                if mask is None:
-                    mask = pc.is_valid(vals)
-                else:
-                    mask = pc.and_(mask, pc.is_valid(vals))
+                    mask = pc.and_(mask, pc.less_equal(vals, node.max)
+                                   if node.max_inclusive
+                                   else pc.less(vals, node.max))
             sel = t.filter(mask).column("doc_id").to_numpy().astype(np.int64)
             sel = sel[(sel >= rlo) & (sel < rhi)]
             if sel.size:
                 docs_parts.append(sel)
         docs = (np.sort(np.concatenate(docs_parts))
                 if docs_parts else np.zeros(0, dtype=np.int64))
-        r = EvalResult(docs)
-        slot = getattr(node, "_slot", None)
-        if slot is not None:
-            r.slots[slot.ordinal] = (
-                np.ones(docs.size, dtype=F32),
-                np.ones(docs.size, dtype=np.int32),
-            )
-        return r
-
-    # ------------------------------------------------------- proximity
-
-    def _eval_proximity(self, node: ast.Proximity) -> EvalResult:
-        """Literal port of DistanceFilter (src/filters.rs:588-726): the
-        result stream and which filter's DocResult (and hence score slot)
-        survives depend on persistent iterator state, so this runs the
-        reference algorithm sequentially over the decoded posting arrays."""
-        terms, slots = self._phrase_meta(node)
-        pls = [self._postings(node.field, t) for t in terms]
-        score_arrays = [
-            None if np.isnan(s.idf) else self._term_scores(pl, s)
-            for pl, s in zip(pls, slots)
-        ]
-        out_docs, out_slot, out_score = distance_filter_stream(
-            pls, score_arrays, node.distance)
-        docs = np.array(out_docs, dtype=np.int64)
-        r = EvalResult(docs)
-        for t in range(len(pls)):
-            mask = np.array([s == t for s in out_slot], dtype=bool)
-            if mask.any() and score_arrays[t] is not None:
-                sums = np.zeros(docs.size, dtype=F32)
-                cnts = np.zeros(docs.size, dtype=np.int32)
-                sums[mask] = np.array(out_score, dtype=F32)[mask]
-                cnts[mask] = 1
-                r.slots[slots[t].ordinal] = (sums, cnts)
-        return r
-
-    # ---------------------------------------------------- final scores
-
-    def final_scores(self, result: EvalResult) -> np.ndarray:
-        """compute_relevancy_score vectorized (src/query.rs:463-477)."""
-        ndocs = result.docs.size
-        if self.num_slots == 0:
-            return np.zeros(ndocs, dtype=F32)
-        acc = np.zeros(ndocs, dtype=F32)
-        matched = np.zeros(ndocs, dtype=np.int32)
-        for o in sorted(result.slots):
-            s, c = result.slots[o]
-            has = c > 0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                contrib = np.where(has, s / c.astype(F32), F32(0.0)).astype(F32)
-            acc = (acc + contrib).astype(F32)
-            matched += has.astype(np.int32)
-        return (
-            (self.query_norm * acc).astype(F32)
-            * matched.astype(F32)
-            / F32(self.num_slots)
-        ).astype(F32)
+        return self._binary(node, self._restrict(EvalResult(docs), allowed))
 
 
 # ---------------------------------------------------- shared kernels
@@ -660,6 +726,27 @@ def distance_filter_stream(pls, score_arrays, distance: int):
 def _stem_one(word: str) -> str:
     toks = tokenize(word)
     return toks[0][1] if toks else ""
+
+
+def _sel_rank(node) -> int:
+    """Evaluation-order heuristic for AND clauses: postings-backed
+    leaves (bounded by their term's document frequency) before
+    values-scan leaves, with the corpus-wide NOT/AllDocs last."""
+    while isinstance(node, ast.Boost):
+        node = node.inner
+    if isinstance(node, (ast.Term, ast.Phrase, ast.Proximity)):
+        return 0
+    if isinstance(node, ast.BboxQ):
+        return 1
+    if isinstance(node, ast.RangeQ):
+        return 2
+    if isinstance(node, ast.Exact):
+        return 3
+    if isinstance(node, (ast.And, ast.Or, ast.Bind)):
+        return 4
+    if isinstance(node, ast.AllDocs):
+        return 5
+    return 6
 
 
 def _is_all_not(node: ast.Node) -> bool:

@@ -1,10 +1,11 @@
-"""Nested-query evaluation: the (seq, arraypath)-granular filter algebra.
+"""Nested-query evaluation: the (seq, arraypath)-granular result type.
 
-The flat engine (engine.py) evaluates per doc; the reference evaluates per
-DocResult = (seq, arraypath) (/root/reference/src/query.rs:21-26), with
-each boolean operator comparing results truncated/zero-padded to its array
-context depth (AndFilter/OrFilter resize, src/filters.rs:727-942).  This
-module replicates that algebra vectorized over sorted instance-key arrays:
+``engine.QueryCore`` owns the filter algebra and scorer of both engines;
+this module supplies what only the nested engine has.  The flat engine
+keeps one row per doc; the reference evaluates per DocResult = (seq,
+arraypath) (reference src/query.rs:21-26), with each boolean
+operator comparing results truncated/zero-padded to its array context
+depth (AndFilter/OrFilter resize, src/filters.rs:727-942).  So here:
 
 - a filter node evaluates to an :class:`InstSet` — unique (doc, arraypath)
   keys in ascending order with per-slot score columns and optional bind
@@ -16,21 +17,24 @@ module replicates that algebra vectorized over sorted instance-key arrays:
   then keeps the first result per seq, src/query.rs:479-491);
 - and/or intersect/union those key sets, combining scores and binds on
   equal keys (DocResult::combine);
-- NOT enumerates candidates the way NotFilter walks them
-  (src/filters.rs:944-1066): per doc, arraypaths (0,..,0,j) for j = 0 and
-  every j below the array length at the all-zeros prefix, minus the
-  negated filter's keys — j=0 needs only doc existence, j>0 needs the
-  element to exist (is_a_not_match).
+- phrase and proximity postings are keyed by dense instance ordinals, so
+  the core's kernels align instances exactly like doc ids;
+- Exact, RangeQ and BboxQ read the values partitions; NOT enumerates
+  candidates the way NotFilter walks them (src/filters.rs:944-1066): per
+  doc, arraypaths (0,..,0,j) for j = 0 and every j below the array length
+  at the all-zeros prefix, minus the negated filter's keys — j=0 needs
+  only doc existence, j>0 needs the element to exist (is_a_not_match);
+  Bind collects each matched instance's value key per doc.
 
-Scoring is the same f32 TF-IDF kernel as the flat engine, applied per
-string instance (the reference scores each W key instance independently);
-the final per-doc score is the first matching instance's, matching the
-reference's seq-level dedup.
+Scores are the core's f32 TF-IDF kernel applied per string instance (the
+reference scores each W key instance independently); the final per-doc
+score is the first matching instance's, matching the reference's
+seq-level dedup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -38,11 +42,8 @@ from ..analysis.tokenizer import tokenize
 from ..build.shred import fill_vkey, parse_kp
 from ..nputil import sorted_member_mask
 from . import ast
-from .engine import (
-    F32, _Slot, _check_double_not, _is_all_not, _stem_one,
-    distance_filter_stream, phrase_chain_survivors,
-)
-from .json_reader import InstPostings, JsonIndexReader, kp_depth
+from .engine import F32, QueryCore, _check_double_not, _is_all_not
+from .json_reader import InstPostings
 
 
 @dataclass
@@ -71,6 +72,12 @@ class InstSet:
 
     def keys(self) -> np.ndarray:
         return np.hstack([self.docs[:, None], self.aps])
+
+    def doc_ids(self) -> np.ndarray:
+        return np.unique(self.docs)
+
+    def take(self, idx: np.ndarray) -> "InstSet":
+        return _gather(self, idx, self.docs[idx], self.aps[idx])
 
 
 class RowPack:
@@ -280,346 +287,59 @@ def _intersect(sets: list[InstSet]) -> InstSet:
     return out
 
 
-class _PLShim:
-    """Posting-like view whose ``docs`` are instance ordinals — feeds the
-    shared phrase/proximity kernels (engine.py)."""
-
-    __slots__ = ("docs", "tfs", "lens", "pos_concat", "pos_starts")
-
-    def __init__(self, ordinals, pl: InstPostings):
-        self.docs = ordinals
-        self.tfs = pl.tfs
-        self.lens = pl.lens
-        self.pos_concat = pl.pos_concat
-        self.pos_starts = pl.pos_starts
-
-    @property
-    def size(self) -> int:
-        return int(self.docs.size)
-
-    def positions_of(self, i: int) -> np.ndarray:
-        s = self.pos_starts[i]
-        return self.pos_concat[s:s + self.tfs[i]]
-
-
 def _ordinalize(pls: list[InstPostings]):
     """Shared (doc, arraypath) → dense ordinal mapping across posting
-    lists of the same keypath; returns (shims, key_matrix) where
-    key_matrix[ordinal] = (doc, *ap)."""
+    lists of the same keypath; returns (lists keyed by ordinal,
+    key_matrix) where key_matrix[ordinal] = (doc, *ap) — the core's
+    phrase and proximity kernels then align instances like doc ids."""
     mats = [np.hstack([pl.docs[:, None], pl.aps]) for pl in pls]
     uniq, ranks = _rank_rows(mats)
-    shims = [_PLShim(r, pl) for r, pl in zip(ranks, pls)]
-    return shims, uniq
+    return [replace(pl, docs=r) for r, pl in zip(ranks, pls)], uniq
 
 
-class CompiledJsonQuery:
-    """Nested-index analogue of engine.CompiledQuery.  ``doc_range``
-    restricts evaluation to a doc_id interval (exact under range
-    partitioning: every filter and score is per-doc independent)."""
+class CompiledJsonQuery(QueryCore):
+    """The nested engine: ``InstSet`` rows are (doc, arraypath)
+    instances, resized to each boolean operator's array depth."""
 
-    def __init__(self, reader: JsonIndexReader, node: ast.Node,
-                 doc_range: tuple[int, int] | None = None):
-        self.reader = reader
-        self.node = node
-        self.doc_range = doc_range
-        self.num_slots = 0
-        self.sum_idf_sq = F32(0.0)
-        self._prepare(node)
-        if self.num_slots > 0:
-            with np.errstate(divide="ignore"):
-                self.query_norm = F32(1.0) / self.sum_idf_sq
-        else:
-            self.query_norm = F32(0.0)
-
-    # -------------------------------------------------- prepare (slots)
-
-    def _new_slot(self, idf: F32, boost: float) -> _Slot:
-        s = _Slot(self.num_slots, idf, boost)
-        self.num_slots += 1
-        self.sum_idf_sq = F32(self.sum_idf_sq + F32(idf * idf))
-        return s
-
-    def _idf(self, kp: str, term: str) -> F32:
-        c, k = self.reader.term_stats(kp, term)
-        with np.errstate(divide="ignore"):
-            return F32(F32(1.0) + np.log(F32(k) / (F32(c) + F32(1.0))))
-
-    def _prepare(self, node: ast.Node):
-        if isinstance(node, ast.Term):
-            node._slot = self._new_slot(
-                self._idf(node.field, _stem_one(node.word)), node.boost)
-        elif isinstance(node, (ast.Phrase, ast.Proximity)):
-            node._terms = [t for _, t in tokenize(node.text)]
-            node._slots = [
-                self._new_slot(self._idf(node.field, t), node.boost)
-                for t in node._terms
-            ]
-        elif isinstance(node, (ast.Exact, ast.RangeQ, ast.BboxQ)):
-            node._slot = self._new_slot(F32(1.0), 1.0)
-        elif isinstance(node, ast.AllDocs):
-            self._new_slot(F32(1.0), 1.0)
-        elif isinstance(node, ast.And):
-            for c in node.clauses:
-                self._prepare(c)
-        elif isinstance(node, ast.Or):
-            self._prepare(node.left)
-            self._prepare(node.right)
-        elif isinstance(node, ast.Not):
-            pass  # NotFilter.prepare_relevancy_scoring is a no-op
-        elif isinstance(node, (ast.Boost, ast.Bind)):
-            self._prepare(node.inner)
-        else:
-            raise TypeError(f"unknown node {node!r}")
-
-    # ------------------------------------------------------- evaluation
-
-    def evaluate(self) -> InstSet:
+    def _check_not_validity(self, node: ast.Node):
         # double-not before all-not: error precedence matches the
         # reference (src/query.rs:220-228)
-        _check_double_not(self.node, False)
-        if _is_all_not(self.node):
+        _check_double_not(node, False)
+        if _is_all_not(node):
             raise ValueError(
                 "query cannot be made up of only logical not. Must have at "
                 "least one match clause not negated.")
-        return resized(self._eval(self.node), 0)
-
-    def _postings(self, kp: str, term: str,
-                  need_positions: bool = True,
-                  span: tuple[int, int] | None = None) -> InstPostings:
-        """``span`` narrows the read beyond the compiled doc_range (the
-        allowed-candidates span of an enclosing AND): block bounds push
-        into the segment read, then the decoded list is sliced exactly."""
-        rng = self.doc_range
-        if span is not None:
-            if rng is None:
-                rng = span
-            else:
-                rng = (max(rng[0], span[0]), min(rng[1], span[1]))
-            if rng[0] >= rng[1]:
-                from .json_reader import _empty_inst, kp_depth as _kd
-
-                return _empty_inst(_kd(kp))
-        pl = self.reader.postings(kp, term, need_positions, rng)
-        if rng is not None:
-            pl = pl.slice_range(*rng)
-        return pl
-
-    def _doc_universe(self) -> np.ndarray:
-        lo, hi = (self.doc_range if self.doc_range is not None
-                  else (0, self.reader.num_docs))
-        u = np.arange(lo, hi, dtype=np.int64)
-        t = self.reader.tombstones
-        if t.size:
-            u = np.setdiff1d(u, t, assume_unique=True)
-        return u
-
-    def _term_scores(self, tfs, lens, slot: _Slot) -> np.ndarray:
-        tf = np.sqrt(tfs.astype(F32))
-        norm = F32(1.0) / np.sqrt(lens.astype(F32))
-        return ((slot.idf * slot.idf) * tf * norm
-                * F32(slot.boost)).astype(F32)
-
-    _LEAVES = (ast.Term, ast.Phrase, ast.Proximity, ast.Exact,
-               ast.RangeQ, ast.BboxQ)
-
-    def _drop_dead(self, r: InstSet) -> InstSet:
-        """Filter tombstoned docs out of a leaf result (slots/binds stay
-        aligned) — compositions inherit the exclusion because every leaf
-        and the universe exclude them (same design as the flat engine)."""
-        t = self.reader.tombstones
-        if t.size == 0 or r.size == 0:
-            return r
-        keep = ~sorted_member_mask(t, r.docs)
-        if keep.all():
-            return r
-        idx = np.flatnonzero(keep)
-        return _gather(r, idx, r.docs[idx], r.aps[idx])
-
-    def _eval(self, node: ast.Node,
-              allowed: np.ndarray | None = None) -> InstSet:
-        """``allowed`` is a sorted array of LIVE doc ids that the result
-        will be intersected with at doc level by an enclosing AND — a
-        pure pruning hint.  Restricting any subtree to a doc SUPERSET of
-        the final intersection is exact (scores and binds of surviving
-        instances are computed from their own postings/values either
-        way), and it turns the classic leapfrog advantage of the
-        reference's AndFilter into candidate pushdown: the selective
-        side evaluates first and the unselective side (a low-selectivity
-        exact match is otherwise a corpus-wide values scan) only touches
-        the candidates' doc span."""
-        r = self._eval_node(node, allowed)
-        if isinstance(node, self._LEAVES):
-            r = self._drop_dead(r)
-        return r
 
     @staticmethod
-    def _restrict(r: InstSet, allowed: np.ndarray | None) -> InstSet:
-        if allowed is None or r.size == 0:
-            return r
-        keep = sorted_member_mask(allowed, r.docs)
-        if keep.all():
-            return r
-        idx = np.flatnonzero(keep)
-        return _gather(r, idx, r.docs[idx], r.aps[idx])
+    def _result(docs: np.ndarray, aps: np.ndarray | None = None) -> InstSet:
+        if aps is None:
+            aps = np.zeros((docs.size, 0), dtype=np.int64)
+        return InstSet(docs, aps)
 
-    @staticmethod
-    def _span_of(allowed: np.ndarray | None):
-        if allowed is None:
-            return None
-        if allowed.size == 0:
-            return (0, 0)
-        return (int(allowed[0]), int(allowed[-1]) + 1)
+    _keyed = staticmethod(_ordinalize)
+    _resized = staticmethod(resized)
+    _intersect = staticmethod(_intersect)
+    _union = staticmethod(_union)
 
-    def _eval_node(self, node: ast.Node,
-                   allowed: np.ndarray | None = None) -> InstSet:
-        if isinstance(node, ast.Term):
-            pl = self._postings(node.field, _stem_one(node.word),
-                                need_positions=False,
-                                span=self._span_of(allowed))
-            r = InstSet(pl.docs, pl.aps)
-            slot = getattr(node, "_slot", None)
-            if slot is not None and not np.isnan(slot.idf):
-                r.slots[slot.ordinal] = (
-                    self._term_scores(pl.tfs, pl.lens, slot),
-                    np.ones(pl.size, dtype=np.int32))
-            return self._restrict(r, allowed)
+    # ------------------------------------------------ value-backed leaves
 
-        if isinstance(node, ast.Phrase):
-            return self._restrict(self._eval_phrase(node, allowed), allowed)
+    def _values(self, kp: str, allowed):
+        """The values partitions' rows under ``kp``: for exactly the
+        ``allowed`` docs (the candidate pushdown of an AND), else for the
+        doc range."""
+        if allowed is not None:
+            return self.reader.values_kp_for_docs(kp, allowed)
+        return self.reader.values_kp(kp, self.doc_range)
 
-        if isinstance(node, ast.Proximity):
-            return self._restrict(self._eval_proximity(node, allowed),
-                                  allowed)
-
-        if isinstance(node, ast.Exact):
-            return self._eval_exact(node, allowed)
-
-        if isinstance(node, ast.RangeQ):
-            return self._eval_range(node, allowed)
-
-        if isinstance(node, ast.BboxQ):
-            return self._eval_bbox(node, allowed)
-
-        if isinstance(node, ast.AllDocs):
-            docs = allowed if allowed is not None else self._doc_universe()
-            r = InstSet(docs, np.zeros((docs.size, 0), dtype=np.int64))
-            # ordinal 1 hardcoded, like the reference (src/filters.rs:58-63)
-            r.slots[1] = (np.ones(docs.size, dtype=F32),
-                          np.ones(docs.size, dtype=np.int32))
-            return r
-
-        if isinstance(node, ast.Boost):
-            r = self._eval(node.inner, allowed)  # keeps binds + order
-            for o, (s, c) in r.slots.items():
-                r.slots[o] = ((s * F32(node.factor)).astype(F32), c)
-            return r
-
-        if isinstance(node, ast.And):
-            # evaluate selective children first and thread the shrinking
-            # candidate-doc set into the rest — the vectorized form of
-            # AndFilter's leapfrog (results are identical: restricting a
-            # side to a doc superset of the intersection is exact)
-            order = sorted(range(len(node.clauses)),
-                           key=lambda i: _sel_rank(node.clauses[i]))
-            sets: list = [None] * len(node.clauses)
-            cur = allowed
-            for i in order:
-                r = resized(self._eval(node.clauses[i], cur), node.depth)
-                sets[i] = r
-                docs = np.unique(r.docs)
-                cur = docs if cur is None else \
-                    np.intersect1d(cur, docs, assume_unique=True)
-            return _intersect(sets)
-
-        if isinstance(node, ast.Or):
-            lr = resized(self._eval(node.left, allowed), node.depth)
-            rr = resized(self._eval(node.right, allowed), node.depth)
-            return _union(lr, rr)
-
-        if isinstance(node, ast.Not):
-            return self._eval_not(node, allowed)
-
-        if isinstance(node, ast.Bind):
-            return self._eval_bind(node, allowed)
-
-        raise TypeError(f"unknown node {node!r}")
-
-    # ---------------------------------------------------------- phrase
-
-    def _phrase_meta(self, node):
-        terms = getattr(node, "_terms", None)
-        if terms is None:
-            terms = [t for _, t in tokenize(node.text)]
-            node._terms = terms
-        slots = getattr(node, "_slots", None)
-        if slots is None:
-            slots = [_Slot(-1, F32(np.nan), 1.0) for _ in terms]
-            node._slots = slots
-        return terms, slots
-
-    def _phrase_candidates(self, kp: str, terms: list[str],
-                           allowed: np.ndarray | None = None):
-        """(surviving ordinals, ordinal→key matrix, shims) — the
-        instance-granular phrase chain: instances align by
-        (doc, arraypath), exactly the StemmedPhraseFilter equality test
-        on DocResults."""
-        span = self._span_of(allowed)
-        pls = [self._postings(kp, t, span=span) for t in terms]
-        shims, keymat = _ordinalize(pls)
-        cand = shims[0].docs
-        for s in shims[1:]:
-            cand = np.intersect1d(cand, s.docs, assume_unique=True)
-        if cand.size and len(shims) > 1:
-            surv = phrase_chain_survivors(shims, cand)
-            cand = cand[surv]
-        return cand, keymat, shims
-
-    def _eval_phrase(self, node: ast.Phrase,
-                     allowed: np.ndarray | None = None) -> InstSet:
-        terms, slots = self._phrase_meta(node)
-        if len(terms) == 1:
-            pl = self._postings(node.field, terms[0], need_positions=False,
-                                span=self._span_of(allowed))
-            r = InstSet(pl.docs, pl.aps)
-            if not np.isnan(slots[0].idf):
-                r.slots[slots[0].ordinal] = (
-                    self._term_scores(pl.tfs, pl.lens, slots[0]),
-                    np.ones(pl.size, dtype=np.int32))
-            return r
-        cand, keymat, shims = self._phrase_candidates(node.field, terms,
-                                                      allowed)
-        keys = keymat[cand]
-        r = InstSet(keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:]))
-        if cand.size and not np.isnan(slots[0].idf):
-            # only filters[0]'s DocResult survives the leapfrog
-            idx0 = np.searchsorted(shims[0].docs, cand)
-            scores0 = self._term_scores(shims[0].tfs, shims[0].lens,
-                                        slots[0])
-            r.slots[slots[0].ordinal] = (
-                scores0[idx0], np.ones(cand.size, np.int32))
-        return r
-
-    # ----------------------------------------------------------- exact
-
-    def _eval_exact(self, node: ast.Exact,
-                    allowed: np.ndarray | None = None) -> InstSet:
+    def _eval_exact(self, node: ast.Exact, allowed) -> InstSet:
         terms = [t for _, t in tokenize(node.literal)]
-        cand, keymat, _shims = self._phrase_candidates(node.field, terms,
-                                                       allowed)
-        keys = keymat[cand]
-        if allowed is not None and keys.shape[0]:
-            keep = np.searchsorted(allowed, keys[:, 0])
-            keep[keep >= allowed.size] = max(allowed.size - 1, 0)
-            keys = keys[allowed[keep] == keys[:, 0]] if allowed.size \
-                else keys[:0]
-        if keys.shape[0]:
-            if allowed is not None:
-                vdocs, vaps, vcodes, _vnums, vstrs, _vb = \
-                    self.reader.values_kp_for_docs(
-                        node.field, np.unique(keys[:, 0]))
-            else:
-                vdocs, vaps, vcodes, _vnums, vstrs, _vb = \
-                    self.reader.values_kp(node.field, self.doc_range)
+        cand, keymat, _ = self._phrase_candidates(node.field, terms, allowed)
+        if allowed is not None:
+            cand = cand[sorted_member_mask(allowed, keymat[cand, 0])]
+        if cand.size:
+            keys = keymat[cand]
+            vdocs, vaps, vcodes, _, vstrs, _ = self._values(
+                node.field, None if allowed is None else np.unique(keys[:, 0]))
             # restrict the value rows to matching strings FIRST, then a
             # sorted-rank membership test locates the candidates whose
             # stored value equals the literal (the phrase filter already
@@ -627,33 +347,15 @@ class CompiledJsonQuery:
             # src/filters.rs:316-339)
             eq = (vcodes == "s") & (np.asarray(vstrs, dtype=object)
                                     == node.literal)
-            vk = np.hstack([vdocs[eq][:, None], vaps[eq]])
-            keep = _rows_in(keys, vk)
-            keys = keys[keep]
-        r = InstSet(keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:]))
-        slot = getattr(node, "_slot", None)
-        if slot is not None:
-            n = keys.shape[0]
-            r.slots[slot.ordinal] = (np.ones(n, dtype=F32),
-                                     np.ones(n, dtype=np.int32))
-        return r
+            cand = cand[_rows_in(keys, np.hstack([vdocs[eq][:, None],
+                                                  vaps[eq]]))]
+        return self._binary(node, self._at(cand, keymat))
 
-    # ----------------------------------------------------------- range
-
-    def _eval_range(self, node: ast.RangeQ,
-                    allowed: np.ndarray | None = None) -> InstSet:
-        if allowed is not None:
-            docs, aps, codes, nums, _strs, _vb = \
-                self.reader.values_kp_for_docs(node.field, allowed)
-        else:
-            docs, aps, codes, nums, _strs, _vb = self.reader.values_kp(
-                node.field, self.doc_range)
-        if node.special == "true":
-            mask = codes == "T"
-        elif node.special == "false":
-            mask = codes == "F"
-        elif node.special == "null":
-            mask = codes == "N"
+    def _eval_range(self, node: ast.RangeQ, allowed) -> InstSet:
+        docs, aps, codes, nums, _, _ = self._values(node.field, allowed)
+        if node.special is not None:
+            mask = codes == {"true": "T", "false": "F", "null": "N"}[
+                node.special]
         else:
             mask = codes == "f"
             if node.min is not None:
@@ -664,16 +366,9 @@ class CompiledJsonQuery:
                 m = (nums <= node.max if node.max_inclusive
                      else nums < node.max)
                 mask = mask & np.where(np.isnan(nums), False, m)
-        r = InstSet(docs[mask], aps[mask])
-        slot = getattr(node, "_slot", None)
-        if slot is not None:
-            n = r.size
-            r.slots[slot.ordinal] = (np.ones(n, dtype=F32),
-                                     np.ones(n, dtype=np.int32))
-        return r
+        return self._binary(node, InstSet(docs[mask], aps[mask]))
 
-    def _eval_bbox(self, node: ast.BboxQ,
-                   allowed: np.ndarray | None = None) -> InstSet:
+    def _eval_bbox(self, node: ast.BboxQ, allowed) -> InstSet:
         """BboxFilter (src/filters.rs:503-586): stored boxes intersecting
         the query box.  ``order`` records the rtree-iteration rank — the
         rtree column family orders entries by their box, so within a doc
@@ -708,73 +403,22 @@ class CompiledJsonQuery:
             order = np.empty(docs.size, dtype=np.int64)
             order[rank] = np.arange(docs.size)
             r.order = order
-        slot = getattr(node, "_slot", None)
-        if slot is not None:
-            n = r.size
-            r.slots[slot.ordinal] = (np.ones(n, dtype=F32),
-                                     np.ones(n, dtype=np.int32))
-        return r
-
-    # ------------------------------------------------------- proximity
-
-    def _eval_proximity(self, node: ast.Proximity,
-                        allowed: np.ndarray | None = None) -> InstSet:
-        terms, slots = self._phrase_meta(node)
-        span = self._span_of(allowed)
-        pls = [self._postings(node.field, t, span=span) for t in terms]
-        shims, keymat = _ordinalize(pls)
-        score_arrays = [
-            None if np.isnan(s.idf)
-            else self._term_scores(sh.tfs, sh.lens, s)
-            for sh, s in zip(shims, slots)
-        ]
-        out_keys, out_slot, out_score = distance_filter_stream(
-            shims, score_arrays, node.distance)
-        keys = keymat[np.array(out_keys, dtype=np.int64)] if out_keys \
-            else keymat[:0]
-        r = InstSet(keys[:, 0].copy(), np.ascontiguousarray(keys[:, 1:]))
-        n = keys.shape[0]
-        for t in range(len(shims)):
-            mask = np.array([s == t for s in out_slot], dtype=bool)
-            if mask.any() and score_arrays[t] is not None:
-                sums = np.zeros(n, dtype=F32)
-                cnts = np.zeros(n, dtype=np.int32)
-                sums[mask] = np.array(out_score, dtype=F32)[mask]
-                cnts[mask] = 1
-                r.slots[slots[t].ordinal] = (sums, cnts)
-        return r
+        return self._binary(node, r)
 
     # --------------------------------------------------------------- not
 
-    def _eval_not(self, node: ast.Not,
-                  allowed: np.ndarray | None = None) -> InstSet:
+    def _eval_not(self, node: ast.Not, allowed) -> InstSet:
         inner = resized(self._eval(node.inner, allowed), node.depth)
-        docs = allowed if allowed is not None else self._doc_universe()
         d = node.depth
         if d == 0:
-            if inner.size:
-                pos = np.searchsorted(docs, inner.docs)
-                pos = pos[pos < docs.size]
-                mask = np.ones(docs.size, dtype=bool)
-                # inner docs are live (leaves drop tombstones), so every
-                # searchsorted position is an exact hit
-                mask[pos] = False
-            else:
-                mask = np.ones(docs.size, dtype=bool)
-            out_docs = docs[mask]
-            return InstSet(out_docs,
-                           np.zeros((out_docs.size, 0), dtype=np.int64))
+            return self._result(self._complement(inner.docs, allowed))
+        docs = self._live(allowed)
         # candidate walk per doc: j = 0 always (doc existence only), plus
         # j in [1, L) where L is the array length at the all-zeros prefix
         # (src/filters.rs:964-993); minus the negated filter's keys with
         # all-zero middle dims.
-        segs = parse_kp(node.kp)
-        rng = self.doc_range
-        span = self._span_of(allowed)
-        if span is not None:
-            rng = span if rng is None else (max(rng[0], span[0]),
-                                            min(rng[1], span[1]))
-        ldocs, lens = self.reader.zero_prefix_lengths(segs, rng)
+        ldocs, lens = self.reader.zero_prefix_lengths(
+            parse_kp(node.kp), self._clip(self._span_of(allowed)))
         L = np.ones(docs.size, dtype=np.int64)  # j=0 candidate for all
         if ldocs.size:
             # ldocs may contain docs NOT in the universe (tombstoned):
@@ -803,8 +447,7 @@ class CompiledJsonQuery:
 
     # -------------------------------------------------------------- bind
 
-    def _eval_bind(self, node: ast.Bind,
-                   allowed: np.ndarray | None = None) -> InstSet:
+    def _eval_bind(self, node: ast.Bind, allowed) -> InstSet:
         inner = self._eval(node.inner, allowed)
         if inner.size == 0:
             return inner
@@ -839,47 +482,6 @@ class CompiledJsonQuery:
         out.binds = binds
         return out
 
-    # ---------------------------------------------------- final scores
-
-    def final_scores(self, result: InstSet) -> np.ndarray:
-        """compute_relevancy_score vectorized (src/query.rs:463-477)."""
-        n = result.size
-        if self.num_slots == 0:
-            return np.zeros(n, dtype=F32)
-        acc = np.zeros(n, dtype=F32)
-        matched = np.zeros(n, dtype=np.int32)
-        for o in sorted(result.slots):
-            s, c = result.slots[o]
-            has = c > 0
-            with np.errstate(invalid="ignore", divide="ignore"):
-                contrib = np.where(has, s / c.astype(F32),
-                                   F32(0.0)).astype(F32)
-            acc = (acc + contrib).astype(F32)
-            matched += has.astype(np.int32)
-        return ((self.query_norm * acc).astype(F32)
-                * matched.astype(F32) / F32(self.num_slots)).astype(F32)
-
-
-def _sel_rank(node) -> int:
-    """Evaluation-order heuristic for AND children: postings-backed
-    leaves (bounded by their term's document frequency) before
-    values-scan leaves, with the corpus-wide NOT/AllDocs last."""
-    while isinstance(node, ast.Boost):
-        node = node.inner
-    if isinstance(node, (ast.Term, ast.Phrase, ast.Proximity)):
-        return 0
-    if isinstance(node, ast.BboxQ):
-        return 1
-    if isinstance(node, ast.RangeQ):
-        return 2
-    if isinstance(node, ast.Exact):
-        return 3
-    if isinstance(node, (ast.And, ast.Or, ast.Bind)):
-        return 4
-    if isinstance(node, ast.AllDocs):
-        return 5
-    return 6
-
 
 def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row membership of a's rows in b's rows (int64, same width)."""
@@ -887,5 +489,3 @@ def _rows_in(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(a.shape[0], dtype=bool)
     _, (a_ranks, b_ranks) = _rank_rows([a, b])
     return np.isin(a_ranks, np.unique(b_ranks))
-
-

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ast
-from .engine import F32, CompiledQuery, _stem_one
+from .engine import F32, CompiledQuery, EvalResult, _stem_one
 
 _SAFETY = 1.0 + 1e-4  # f64 bound vs f32 arithmetic guard
 
@@ -126,29 +126,17 @@ def _score_interval(cq, infos, lo, hi):
             e = np.searchsorted(docs, hi, side="left")
             if e <= s:
                 continue
-            tf = np.sqrt(tfs[s:e].astype(F32))
-            norm = F32(1.0) / np.sqrt(lens[s:e].astype(F32))
-            sc = ((slot.idf * slot.idf) * tf * norm * F32(slot.boost)).astype(F32)
             d_parts.append(docs[s:e])
-            s_parts.append(sc)
+            s_parts.append(cq._term_scores(tfs[s:e], lens[s:e], slot))
         if d_parts:
             parts.append((slot.ordinal, np.concatenate(d_parts),
                           np.concatenate(s_parts)))
     if not parts:
         z = np.zeros(0, dtype=np.int64)
         return z, np.zeros(0, dtype=F32)
-    union = parts[0][1]
-    for _, d, _ in parts[1:]:
-        union = np.union1d(union, d)
-    from .engine import EvalResult
-
-    res = EvalResult(union)
+    res = None
     for ordinal, d, sc in parts:
-        sums = np.zeros(union.size, dtype=F32)
-        cnts = np.zeros(union.size, dtype=np.int32)
-        idx = np.searchsorted(union, d)
-        sums[idx] = sc
-        cnts[idx] = 1
-        res.slots[ordinal] = (sums, cnts)
+        r = EvalResult(d, {ordinal: (sc, np.ones(d.size, dtype=np.int32))})
+        res = r if res is None else cq._union(res, r)
     res = cq._drop_dead(res)  # tombstoned docs never surface
     return res.docs, cq.final_scores(res)

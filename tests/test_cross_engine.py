@@ -31,6 +31,9 @@ QUERIES = [
     'find {text: ~="quick"^2 || text: ~="brown"} order score() desc '
     "return score() limit 2000 ;",
     'find {turn_idx: >= 3, turn_idx: < 7} return score() limit 2000 ;',
+    # an AND whose clause is an OR of NOTs (itself all-not)
+    'find {text: ~="fox"} && ({text: !~="quick"} || {text: !~="brown"}) '
+    "return score() limit 2000 ;",
 ]
 
 

@@ -116,6 +116,11 @@ def _brute(node, docs) -> set:
         return _brute(node[1], docs) | _brute(node[2], docs)
     if kind == "andnot":
         return _brute(node[1], docs) - _brute(node[2], docs)
+    if kind == "and_ornot":
+        # an AND whose second clause is an OR of two NOTs: itself all-not
+        every = {d["doc_id"] for d in docs}
+        return _brute(node[1], docs) & (
+            (every - _brute(node[2], docs)) | (every - _brute(node[3], docs)))
     raise AssertionError(kind)
 
 
@@ -144,6 +149,10 @@ def _render(node) -> str:
     if kind == "andnot":
         return ("find {" + _render_leaf(node[1]) + "} && !{"
                 + _render_leaf(node[2]) + "} ;")
+    if kind == "and_ornot":
+        return ("find {" + _render_leaf(node[1]) + "} && ({!("
+                + _render_leaf(node[2]) + ")} || {!("
+                + _render_leaf(node[3]) + ")}) ;")
     raise AssertionError(kind)
 
 
@@ -168,6 +177,7 @@ _query = st.one_of(
     st.tuples(st.just("and"), _leaf, _leaf),
     st.tuples(st.just("or"), _leaf, _leaf),
     st.tuples(st.just("andnot"), _leaf, _leaf),
+    st.tuples(st.just("and_ornot"), _leaf, _leaf, _leaf),
 )
 
 

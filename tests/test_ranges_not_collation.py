@@ -79,6 +79,36 @@ def test_eq_bool_null(ranges_index):
     assert got == ["eight", "five", "four", "one", "two"]
 
 
+def test_partition_without_the_column(ray_session, tmp_path):
+    """A docmap partition whose schema lacks the field contributes no
+    rows, for every special, and the other partitions still answer."""
+    from noise_ray.build import add_documents
+
+    def write(name, rows, a_values):
+        cols = {
+            "conv_id": pa.array(rows),
+            "turn_idx": pa.array([0] * len(rows), pa.int32()),
+            "role": pa.array(["r"] * len(rows)),
+            "text": pa.array(["fox"] * len(rows)),
+            "tool": pa.array([None] * len(rows), pa.string()),
+        }
+        if a_values is not None:
+            cols["A"] = pa.array(a_values, pa.float64())
+        os.makedirs(tmp_path / name)
+        p = str(tmp_path / name / "p.parquet")
+        pq.write_table(pa.table(cols), p)
+        return p
+
+    idx = str(tmp_path / "idx")
+    build_index([write("base", ["a", "b"], None)], idx, num_buckets=4)
+    add_documents(idx, [write("delta", ["c", "d"], [5.0, 50.0])])
+    reader = IndexReader(idx)
+    assert ids(reader, "find {A: >10};") == ["d"]
+    assert sorted(ids(reader, "find {A: <=50};")) == ["c", "d"]
+    assert ids(reader, "find {A: ==null};") == []
+    assert ids(reader, 'find {text: ~="fox", A: <10};') == ["c"]
+
+
 # ---- not.noise (flat subset) ------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,12 @@
 """Shredder layout conformance: the reference's shred unit tests
 (/root/reference/src/json_shred.rs:579-741) ported against
 noise_ray.build.shred's W/V key formatters, plus keypath escaping and
-vkey-prefix semantics (src/key_builder.rs:303-412)."""
+value-key filling (src/key_builder.rs:303-412)."""
 
 import pytest
 
 from noise_ray.build.shred import (
-    Entry, ShredError, escape_key, fill_vkey, is_vkey_prefix, parse_kp,
+    Entry, ShredError, escape_key, fill_vkey, parse_kp,
     shred, unescape_segment, v_keys, w_keys,
 )
 
@@ -70,13 +70,9 @@ def test_escape_roundtrip():
         assert parse_kp(seg + "$.z") == [seg, "$", ".z"]
 
 
-def test_fill_and_prefix():
+def test_fill_vkey():
     kp = ".a$.b$"
     assert fill_vkey(kp, (2, 0)) == ".a$2.b$0"
-    assert is_vkey_prefix(".a$2", ".a$2.b$0")
-    assert is_vkey_prefix(".a$2.b$0", ".a$2.b$0")
-    assert not is_vkey_prefix(".a$2", ".a$21.b$0")
-    assert not is_vkey_prefix(".a", ".ab")
 
 
 def test_entries_sorted_by_vkey():
