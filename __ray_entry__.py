@@ -36,10 +36,11 @@ from typing import Any
 def entry() -> Any:
     """Flagship: build the transcript index at sf0.001 scale and run the
     reference scoring query (top-k by relevance)."""
-    from noise_ray.pipelines import search, transcripts_index
+    from noise_ray.pipelines import transcripts_index
+    from noise_ray.query import run_query
 
     reader = transcripts_index("/root/testdata/sf0.001")
-    return search(
+    return run_query(
         reader,
         'find {text: ~="quick" || text: ~="brown" || text: ~="fox"} '
         "order score() desc return score() limit 100 ;",
@@ -90,9 +91,10 @@ def _termdict(name: str):
 
 def _search_documents(query: str, columns=("doc_id",), round_score=False):
     def run(sf_dir: str):
-        from noise_ray.pipelines import documents_index, search
+        from noise_ray.pipelines import documents_index
+        from noise_ray.query import run_query
 
-        t = search(documents_index(sf_dir), query).select(list(columns))
+        t = run_query(documents_index(sf_dir), query).select(list(columns))
         return _round4(t) if round_score else t
 
     return run
@@ -100,9 +102,10 @@ def _search_documents(query: str, columns=("doc_id",), round_score=False):
 
 def _search_transcripts(query: str, columns=None, round_score=False):
     def run(sf_dir: str):
-        from noise_ray.pipelines import search, transcripts_index
+        from noise_ray.pipelines import transcripts_index
+        from noise_ray.query import run_query
 
-        t = search(transcripts_index(sf_dir), query)
+        t = run_query(transcripts_index(sf_dir), query)
         if columns is not None:
             t = t.select(list(columns))
         return _round4(t) if round_score else t

@@ -418,23 +418,23 @@ def delete_by_query(index_dir: str, query: str,
     manifest's ``nested`` flag picks the parser and the evaluator).
     Returns the number of NEWLY deleted docs.
 
-    The matched set is evaluated with the distributed range fan-out above
-    the engine's threshold (``distributed.dist_min_docs()`` flat,
-    ``json_executor.DIST_MIN_DOCS`` nested; same worker pool and
-    per-doc-independence exactness argument as the distributed query
-    paths) and folded into the tombstone sidecar, which every cached
-    reader picks up via its mtime-keyed cache.  The sidecar holds an id
-    list, so a MASS delete (a large corpus fraction) should be followed by
-    ``compact_index()``: compaction rewrites segments without the
-    tombstoned docs and clears the sidecar, restoring O(live) state.
+    The matched set is evaluated on the route every query takes
+    (``distributed.query_ranges``: in-process, or the range fan-out of
+    ``distributed.evaluate_ranges`` on a large index) and folded into the
+    tombstone sidecar, which every cached reader picks up via its
+    mtime-keyed cache.  The sidecar holds an id list, so a MASS delete (a
+    large corpus fraction) should be followed by ``compact_index()``:
+    compaction rewrites segments without the tombstoned docs and clears
+    the sidecar, restoring O(live) state.
     """
     from ..query import ast as qast
+    from ..query.distributed import evaluate_ranges, query_ranges
     from ..query.noise_parser import parse_noise_query, parse_query, ret_leaves
 
     with open(os.path.join(index_dir, MANIFEST_NAME)) as f:
         manifest = json.load(f)
-    nested = bool(manifest.get("nested"))
-    q = (parse_noise_query if nested else parse_query)(query, params)
+    q = (parse_noise_query if manifest.get("nested") else parse_query)(
+        query, params)
     if q.order or q.limit is not None:
         raise ValueError("delete_by_query takes a filter-only query "
                          "(no order/limit)")
@@ -443,32 +443,7 @@ def delete_by_query(index_dir: str, query: str,
                          "(no aggregate return clause)")
 
     reader = _reader_class(manifest)(index_dir)
-    if nested:
-        from ..query import json_executor
-
-        if reader.num_docs >= json_executor.DIST_MIN_DOCS:
-            json_executor.check_distributable(q.filter)
-            docs, _, _ = json_executor._evaluate_distributed(reader,
-                                                             q.filter)
-        else:
-            from ..query.json_engine import CompiledJsonQuery
-
-            docs = CompiledJsonQuery(reader, q.filter).evaluate().docs
-    else:
-        from ..query.distributed import (dist_min_docs, doc_ranges,
-                                         pool_batched, worker_pool)
-
-        if reader.num_docs >= dist_min_docs():
-            parts = pool_batched(worker_pool(), [
-                ("ops_call", (".query.distributed", "_eval_range_impl",
-                              (index_dir, query, params, lo, hi, None)))
-                for lo, hi in doc_ranges(reader.num_docs)])
-            docs = (np.concatenate([d for d, _ in parts]) if parts
-                    else np.zeros(0, np.int64))
-        else:
-            from ..query.engine import CompiledQuery
-
-            docs = CompiledQuery(reader, q.filter).evaluate().docs
+    docs = evaluate_ranges(reader, q.filter, query_ranges(reader), None)[0]
     before = reader.tombstones.size
     if docs.size:
         reader.add_tombstones(docs.tolist())

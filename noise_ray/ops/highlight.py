@@ -31,7 +31,8 @@ def search_highlight(sf_dir: str, term: str = "merge", k: int = 10,
     """(doc_id, score, pos, snippet): one row per occurrence of ``term``
     in each of the top-k scored documents, score rounded to 4dp (the
     oracled-score convention), snippet = the +-ctx token window."""
-    from ..pipelines import documents_index, search
+    from ..pipelines import documents_index
+    from ..query import run_query
     from ..query.engine import _stem_one
 
     reader = documents_index(sf_dir)
@@ -41,7 +42,7 @@ def search_highlight(sf_dir: str, term: str = "merge", k: int = 10,
     # reproduce at a tie-straddling cutoff.  Over-fetch to absorb the
     # boundary tie group, then cut deterministically.
     fetch = max(4 * k, k + 32)
-    top = search(
+    top = run_query(
         reader,
         f'find {{text: ~="{term}"}} order score() desc, .doc_id asc '
         f"return score() limit {fetch} ;")

@@ -146,7 +146,8 @@ def hybrid_search(sf_dir: str, term: str = "merge",
     probed lists off disk, the repeat-query scale path;
     ``vec_index_dir`` reuses an existing index, else one is built and
     cached per (corpus, n_centroids))."""
-    from ..pipelines import documents_index, search
+    from ..pipelines import documents_index
+    from ..query import run_query
 
     # over-fetch 2k by engine order, then rank on the 4dp-ROUNDED score
     # with doc_id tie-break: the engine scores in f32, SQL in f64, and
@@ -160,7 +161,7 @@ def hybrid_search(sf_dir: str, term: str = "merge",
         reader = IndexReader(index_dir)
     else:
         reader = documents_index(sf_dir)
-    t = search(
+    t = run_query(
         reader,
         f'find {{text: ~="{term}"}} order score() desc, .doc_id asc '
         f"return score() limit {2 * k} ;")

@@ -30,7 +30,8 @@ def more_like_this(sf_dir: str, seed_doc: int = 0, k: int = 10) -> pa.Table:
     """(doc_id, score): the k documents most similar to ``seed_doc``
     under the engine's TF-IDF OR scoring of the seed's distinct terms
     (seed itself excluded), score rounded to 4dp."""
-    from ..pipelines import documents_index, search
+    from ..pipelines import documents_index
+    from ..query import run_query
 
     reader = documents_index(sf_dir)
     seed = reader.fetch_docs(np.array([seed_doc], np.int64), ["text"])
@@ -38,7 +39,7 @@ def more_like_this(sf_dir: str, seed_doc: int = 0, k: int = 10) -> pa.Table:
     terms = sorted(set(toks.to_pylist()))
     clause = " || ".join(f'{{text: ~="{t}"}}' for t in terms)
     fetch = max(4 * k, k + 32) + 1          # +1: the seed ranks high
-    top = search(
+    top = run_query(
         reader,
         f"find {clause} order score() desc, .doc_id asc "
         f"return score() limit {fetch} ;")

@@ -61,11 +61,11 @@ def _scored_or_topk(reader, raw_terms: list[str], k: int) -> pa.Table:
     if not raw_terms:
         return pa.table({"doc_id": pa.array([], pa.int64()),
                          "score": pa.array([], pa.float64())})
-    from ..pipelines import search
+    from ..query import run_query
 
     clause = " || ".join(f'{{text: ~="{t}"}}' for t in sorted(set(raw_terms)))
     fetch = max(4 * k, k + 32)
-    top = search(
+    top = run_query(
         reader,
         f"find {clause} order score() desc, .doc_id asc "
         f"return score() limit {fetch} ;")

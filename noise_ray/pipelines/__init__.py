@@ -3,8 +3,7 @@ from .flagship import (
     documents_index,
     transcripts_corpus,
     transcripts_index,
-    search,
 )
 
 __all__ = ["corpus_at", "documents_index", "transcripts_corpus",
-           "transcripts_index", "search"]
+           "transcripts_index"]

@@ -14,7 +14,7 @@ import re
 import threading
 
 from ..build import build_index
-from ..query import IndexReader, run_query
+from ..query import IndexReader
 from ..sources import generate_transcripts
 
 _CACHE_ROOT = os.environ.get("NOISE_RAY_CACHE", "/tmp/noise_ray_cache")
@@ -86,16 +86,3 @@ def _build_cached(paths, idx_dir, *, fields, key_columns) -> IndexReader:
         reader = IndexReader(idx_dir)
         _READERS[idx_dir] = reader
         return reader
-
-
-def search(reader: IndexReader, query: str,
-           distributed_threshold: int = 5_000_000):
-    """Run a query, picking the execution plan by index size: in-process
-    evaluation below ``distributed_threshold`` docs (task dispatch would
-    dominate), range-partitioned Ray fan-out above it (one task per doc
-    range; results identical — see noise_ray/query/distributed.py)."""
-    if reader.num_docs >= distributed_threshold:
-        from ..query import run_query_distributed
-
-        return run_query_distributed(reader.index_dir, query)
-    return run_query(reader, query)

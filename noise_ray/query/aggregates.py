@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterable
 
+from . import ast
 from .results import cmp_json
 
 
@@ -137,20 +138,37 @@ AGG_FINALS: dict[str, Callable] = {"avg": _avg_final}
 
 # ------------------------------------------------------------ buffered merge
 
-def aggregate_order_limit(
-    rows: Iterable[list],
-    orders: list[tuple[bool, int]],
-    limit: int | None,
-    inits: list[tuple[Callable, int]],
-    actions: list[tuple[Callable, Any, int]],
-    finals: list[tuple[Callable, int]],
-) -> list[list]:
+def agg_plan(leaves: list) -> tuple[list, list, list, list]:
+    """The aggregate plan of a return clause's leaf slots: ``orders``
+    (desc, slot) for each group slot, leftmost group first, then
+    ``inits`` (fn, slot), ``actions`` (fn, user_arg, slot) and ``finals``
+    (fn, slot) for each other aggregate slot.  Literal slots stay
+    constant and appear in none of them."""
+    orders, inits, actions, finals = [], [], [], []
+    for n, leaf in enumerate(leaves):
+        if not isinstance(leaf, ast.RetAgg):
+            continue
+        if leaf.fun == "group":
+            orders.append((leaf.desc, n))
+            continue
+        init, action, _ = AGG_IMPLS[leaf.fun]
+        if init is not None:
+            inits.append((init, n))
+        actions.append((action, leaf.sep, n))
+        fin = AGG_FINALS.get(leaf.fun)
+        if fin is not None:
+            finals.append((fin, n))
+    return orders, inits, actions, finals
+
+
+def aggregate_order_limit(rows: Iterable[list], leaves: list,
+                          limit: int | None) -> list[list]:
     """Port of QueryResults::do_ordering_and_ags for the aggregate case.
 
-    ``rows``: mutable slot lists in doc order.  ``orders``: (desc, slot) for
-    each group slot, leftmost group first.  ``inits``/``actions``/``finals``:
-    (fn[, user_arg], slot) per aggregate slot.  Returns grouped rows in
-    output order."""
+    ``rows``: mutable slot lists in doc order, one slot per leaf of
+    ``leaves`` (see ``agg_plan``).  Returns grouped rows in output
+    order."""
+    orders, inits, actions, finals = agg_plan(leaves)
 
     def cmp(a, b):
         for desc, n in orders:

@@ -1,45 +1,59 @@
-"""Distributed query execution: range-partitioned scoring fan-out.
+"""Distributed query execution: the range fan-out of both engines.
 
 The SURVEY §3.2 query path for cluster scale: the doc space is split into
-contiguous doc_id ranges (``doc_ranges``); one call per range on a
+contiguous doc_id ranges (``doc_ranges``) and one call per range on a
 long-lived pool actor (``_RangeWorker``) evaluates the query restricted
-to its range (``CompiledQuery(doc_range=...)``) and returns its
-local candidates — for scored top-k queries only the local top k plus every
-tie at the local k-th score (a doc outside its range's top k is beaten by
->= k docs of that range alone, so it can never reach the global top k; ties
-at the cut are kept so the global tie-break machinery sees every
-contender).  The driver concatenates candidates in doc order and applies
-the SAME buffered order/limit machinery as the local path, so results are
-bit-identical to single-process evaluation.
+to its range.  ``query_ranges`` is the one route rule — in-process, or
+which ranges — of ``run_query``, ``run_json_query`` and
+``delete_by_query``; ``run_query_distributed`` forces the fan-out on
+either engine's index.  Two functions put query and delete bodies on the
+pool, for both engines:
 
-Exactness rests on per-doc independence: every filter decision and every
-score component (tf, field_len, idf from GLOBAL stats, query_norm) depends
-only on the doc itself and index-wide statistics, never on other matched
-docs.  Workers open the manifest independently and cache readers
-process-wide (one open per worker per index version).
+- ``evaluate_ranges`` runs one match body per range and returns the
+  range's candidates: for scored top-k queries only the local top k plus
+  every tie at the local k-th score (a doc outside its range's top k is
+  beaten by >= k docs of that range alone, so it can never reach the
+  global top k; ties at the cut are kept so the global tie-break
+  machinery sees every contender), for unordered limits the local first
+  k.  The driver concatenates candidates in doc order and applies the
+  SAME order/limit machinery as the in-process path, so results are
+  bit-identical to it.
+- ``fold_ranges`` runs an aggregate query as per-range PARTIAL folds in
+  the workers with a driver-side state merge (only one state row per
+  (range, group) crosses the wire).  The merge reproduces the local
+  buffered fold exactly — including array()/concat()'s reversed
+  accumulation order — except that sum/avg reassociate float addition
+  across ranges (deterministic, last-ulp on non-integer data).  An
+  aggregate query WITH a limit streams matches back and folds on the
+  driver instead: the reference's buffered early-cut truncates mid-merge
+  in an order-sensitive way per-range partials cannot reproduce.
 
-Aggregate-return queries run as per-range PARTIAL folds in the workers
-with a driver-side state merge (only one state row per (range, group)
-crosses the wire).  The merge reproduces the local buffered fold exactly
-— including array()/concat()'s reversed accumulation order — except that
-sum/avg reassociate float addition across ranges (deterministic, last-ulp
-on non-integer data).  An aggregate query WITH a limit streams matches
-back and folds on the driver instead: the reference's buffered early-cut
-truncates mid-merge in an order-sensitive way per-range partials cannot
-reproduce.
+Workers receive the parsed query, never its text, and the engine (the
+manifest's ``nested`` flag).  The driver runs the engine's not-check
+once before any pool call, so a malformed filter raises the engine's
+plain error.  Exactness rests on per-doc independence: every filter
+decision, bind collection and score component (tf, field_len, idf from
+GLOBAL stats, query_norm) depends only on the doc itself and index-wide
+statistics, never on other matched docs.  Workers open the manifest
+independently and cache readers process-wide (one open per worker per
+index version).
 """
 
 from __future__ import annotations
 
 import importlib
+import json
+import os
 
 import numpy as np
-import pyarrow as pa
 import ray
 
 from . import ast
+from .aggregates import AGG_IMPLS, agg_plan
 from .engine import F32, CompiledQuery
-from .noise_parser import parse_query, ret_leaves
+from .json_engine import CompiledJsonQuery
+from .json_reader import JsonIndexReader
+from .noise_parser import parse_noise_query, parse_query, ret_leaves
 from .reader import IndexReader
 
 _READER_CACHE: dict[tuple, object] = {}
@@ -51,9 +65,23 @@ def dist_min_docs() -> int:
     ``NOISE_RAY_DIST_MIN_DOCS`` so the correctness harness can force the
     distributed dispatch end-to-end at small scale (the worker bodies
     are equality-tested regardless; this gates the *dispatch* itself)."""
-    import os
-
     return int(os.environ.get("NOISE_RAY_DIST_MIN_DOCS", 5_000_000))
+
+
+def query_ranges(reader) -> list[tuple[int, int]] | None:
+    """The route of a query or delete over ``reader``: None to evaluate
+    in-process, else the doc ranges to fan out over.  A flat index fans
+    out from ``dist_min_docs()`` docs over ``doc_ranges(n)``; a nested
+    one from 2M docs over one range per 250k docs, at most 32 — the split
+    the nested BASELINE rows were measured on.  ``NOISE_RAY_DIST_MIN_DOCS``
+    moves both thresholds."""
+    n = reader.num_docs
+    if not reader.manifest.get("nested"):
+        return doc_ranges(n) if n >= dist_min_docs() else None
+    if n < (dist_min_docs() if "NOISE_RAY_DIST_MIN_DOCS" in os.environ
+            else 2_000_000):
+        return None
+    return doc_ranges(n, min(32, max(1, n // 250_000)))
 
 
 def _cached_reader(index_dir: str, cls: type = IndexReader):
@@ -61,8 +89,6 @@ def _cached_reader(index_dir: str, cls: type = IndexReader):
     (``cls=JsonIndexReader``) distributed paths: one open per worker per
     index version, so repeated range tasks reuse decoded postings /
     values / docmap caches instead of rebuilding them per query."""
-    import os
-
     from ..build.incremental import TOMBSTONES_NAME, _epoch_dirs
 
     try:
@@ -88,6 +114,165 @@ def _cached_reader(index_dir: str, cls: type = IndexReader):
     return r
 
 
+def _engine(nested: bool) -> tuple[type, type]:
+    """(reader class, compiled-query class) of the flat or nested
+    engine."""
+    if nested:
+        return JsonIndexReader, CompiledJsonQuery
+    return IndexReader, CompiledQuery
+
+
+def _match(reader, cq_cls, filter_node, doc_range, keep):
+    """The one match body: ``(docs, f32 scores, binds-or-None, pos, n)``
+    of ``filter_node`` over ``doc_range`` (None: the whole index).  Of
+    the n matches, ``keep`` keeps the top k plus ties at the k-th score
+    (``("score", k)``), the first k (``("head", k)``) or all (None);
+    ``pos`` holds the kept rows' indexes among the n (None when ``keep``
+    is None)."""
+    cq = cq_cls(reader, filter_node, doc_range=doc_range)
+    res = cq.evaluate()
+    docs, scores = res.docs, cq.final_scores(res)
+    binds = getattr(res, "binds", None)
+    n = docs.size
+    pos = None
+    if keep is not None:
+        mode, k = keep
+        if mode == "head" or n <= k:
+            pos = np.arange(min(k, n))
+        else:
+            # float64 view is fine for selection: equal f32s are equal f64s
+            pos = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+        if pos.size < n:
+            docs, scores = docs[pos], scores[pos]
+            if binds is not None:
+                binds = [binds[i] for i in pos]
+    return docs, scores.astype(F32), binds, pos, n
+
+
+def _match_range(index_dir: str, nested: bool, filter_node, lo: int,
+                 hi: int, keep):
+    """Pool body of ``evaluate_ranges``: ``_match`` over ``[lo, hi)``
+    through the worker's cached reader."""
+    reader_cls, cq_cls = _engine(nested)
+    return _match(_cached_reader(index_dir, reader_cls), cq_cls,
+                  filter_node, (lo, hi), keep)
+
+
+def limit_keep(q) -> tuple[str, int] | None:
+    """The worker-side prune a non-aggregate query's order and limit make
+    exact: ``("score", k)`` for ``order score() desc ... limit k``,
+    ``("head", k)`` for an unordered ``limit k`` (matches stream in doc
+    order and ranges ascend, so the global first k lie within the ranges'
+    first k), else None."""
+    if not q.limit:
+        return None
+    if not q.order:
+        return ("head", q.limit)
+    if len(q.order) == 1 and q.order[0].score and q.order[0].desc:
+        return ("score", q.limit)
+    return None
+
+
+def evaluate_ranges(reader, filter_node, ranges, keep):
+    """``(docs, f32 scores, binds-or-None, pos)`` of ``filter_node`` over
+    either engine's ``reader``, in doc order: in-process when ``ranges``
+    is None (``query_ranges``' in-process route), else one pool call per
+    doc range, each pruned to ``keep`` (see ``_match``).  ``pos`` holds
+    each row's index in the unpruned match stream (None when ``keep`` is
+    None): the nested engine's buffered order/limit merges on the
+    stream's arrival batches, which a prune would otherwise shift.  Binds
+    are None for the flat engine."""
+    nested = bool(reader.manifest.get("nested"))
+    cq_cls = _engine(nested)[1]
+    if ranges is None:
+        return _match(reader, cq_cls, filter_node, None, keep)[:4]
+    cq_cls._check_not_validity(filter_node)
+    parts = pool_batched(worker_pool(), [
+        ("ops_call", (".query.distributed", "_match_range",
+                      (reader.index_dir, nested, filter_node, lo, hi, keep)))
+        for lo, hi in ranges])
+    # ranges are disjoint and ascending → already doc-ordered; an empty
+    # index has no ranges
+    docs = np.concatenate([p[0] for p in parts] or [np.zeros(0, np.int64)])
+    scores = np.concatenate([p[1] for p in parts] or [np.zeros(0, F32)])
+    binds = None
+    if any(p[2] is not None for p in parts):
+        binds = [b for p in parts
+                 for b in (p[2] if p[2] is not None else [None] * p[0].size)]
+    pos = None
+    if keep is not None:
+        starts = np.cumsum([0] + [p[4] for p in parts])
+        pos = np.concatenate([p[3] + st for p, st in zip(parts, starts)]
+                             or [np.zeros(0, np.int64)])
+    return docs, scores, binds, pos
+
+
+def _fold_range(index_dir: str, nested: bool, q, lo: int, hi: int):
+    """Pool body of ``fold_ranges``: match, leaf-fetch and partially
+    aggregate ``[lo, hi)`` — docmap reads and the per-row fold never
+    leave the worker."""
+    reader_cls, cq_cls = _engine(nested)
+    reader = _cached_reader(index_dir, reader_cls)
+    docs, scores, binds, _, _ = _match(reader, cq_cls, q.filter, (lo, hi),
+                                       None)
+    leaves = ret_leaves(q.returns)
+    if nested:
+        from .json_executor import _LeafEval
+
+        ev = _LeafEval(reader, leaves, docs, scores, binds)
+        rows = [ev.row(i) for i in range(docs.size)]
+    else:
+        from .executor import _leaf_values
+
+        rows = _leaf_values(reader, leaves, docs, scores)
+    return _partial_fold(leaves, rows)
+
+
+def fold_ranges(reader, q, ranges) -> list:
+    """The final group rows (one value list per group, in output order)
+    of an aggregate query without a limit over either engine's
+    ``reader``: one pool call per doc range folds its matches to one
+    state row per group (``_partial_fold``); the driver merges them in
+    reversed range order, finalizes and orders the groups."""
+    import functools
+
+    from .results import cmp_json
+
+    nested = bool(reader.manifest.get("nested"))
+    _engine(nested)[1]._check_not_validity(q.filter)
+    parts = pool_batched(worker_pool(), [
+        ("ops_call", (".query.distributed", "_fold_range",
+                      (reader.index_dir, nested, q, lo, hi)))
+        for lo, hi in ranges])
+    leaves = ret_leaves(q.returns)
+    orders, _, _, finals = agg_plan(leaves)
+    agg_slots = [(n, l.fun, l.sep) for n, l in enumerate(leaves)
+                 if isinstance(l, ast.RetAgg) and l.fun != "group"]
+    merged: dict = {}
+    for part in reversed(parts):  # reversed range order (see _partial_fold)
+        for key, state in part:
+            cur = merged.get(key)
+            if cur is None:
+                merged[key] = state
+            else:
+                for n, fun, sep in agg_slots:
+                    cur[n] = _merge_states(fun, cur[n], state[n], sep)
+    rows = list(merged.values())
+    for fin, n in finals:
+        for row in rows:
+            row[n] = fin(row[n])
+
+    def cmp(a, b):
+        for desc, n in orders:
+            c = cmp_json(b[n], a[n]) if desc else cmp_json(a[n], b[n])
+            if c:
+                return c
+        return 0
+
+    rows.sort(key=functools.cmp_to_key(cmp))
+    return rows
+
+
 def _merge_states(fun: str, a, b, sep):
     """Merge two per-range partial aggregate states (same group).
 
@@ -95,8 +280,6 @@ def _merge_states(fun: str, a, b, sep):
     merges reuse the ported actions.  sum/avg reassociate float addition
     across ranges (deterministic — fixed range boundaries — but may differ
     from the sequential fold in the last ulp on non-integer data)."""
-    from .aggregates import AGG_IMPLS
-
     if fun == "count" or fun == "sum":
         return a + b
     if fun == "avg":
@@ -119,12 +302,8 @@ def _partial_fold(leaves, rows):
     """Per-range partial aggregation: fold rows (doc order) into one state
     row per group.  Returns [(hashable_group_key, slot_states)] in
     first-seen order."""
-    from .aggregates import AGG_IMPLS
-
-    group_slots = [n for n, l in enumerate(leaves)
-                   if isinstance(l, ast.RetAgg) and l.fun == "group"]
-    agg_slots = [(n, l.fun, l.sep) for n, l in enumerate(leaves)
-                 if isinstance(l, ast.RetAgg) and l.fun != "group"]
+    orders, inits, actions, _ = agg_plan(leaves)
+    group_slots = [n for _, n in orders]
 
     # Type-tagged canonical key: two values collide iff cmp_json treats
     # them as equal.  A bare Python-hash key would merge True with 1.0
@@ -154,50 +333,13 @@ def _partial_fold(leaves, rows):
         state = partial.get(key)
         if state is None:
             state = list(row)
-            for n, fun, _sep in agg_slots:
-                init = AGG_IMPLS[fun][0]
-                if init is not None:
-                    state[n] = init(row[n])
+            for init, n in inits:
+                state[n] = init(row[n])
             partial[key] = state
         else:
-            for n, fun, sep in agg_slots:
-                state[n] = AGG_IMPLS[fun][1](state[n], row[n], sep)
+            for action, sep, n in actions:
+                state[n] = action(state[n], row[n], sep)
     return list(partial.items())
-
-
-def _agg_range_impl(index_dir: str, qtext: str, params: dict | None,
-                    lo: int, hi: int):
-    """Evaluate + leaf-fetch + partial-aggregate one doc range — the heavy
-    per-match work (docmap column reads, per-row fold) never leaves the
-    workers; only one state row per (range, group) reaches the driver."""
-    from . import executor as ex
-
-    reader = _cached_reader(index_dir)
-    q = parse_query(qtext, params)
-    cq = CompiledQuery(reader, q.filter, doc_range=(lo, hi))
-    res = cq.evaluate()
-    docs = res.docs
-    scores = cq.final_scores(res)
-    leaves = ret_leaves(q.returns)
-    rows = ex._leaf_values(reader, leaves, docs, scores)
-    return _partial_fold(leaves, rows)
-
-
-def _eval_range_impl(index_dir: str, qtext: str, params: dict | None,
-                     lo: int, hi: int, keep_topk: int | None):
-    reader = _cached_reader(index_dir)
-    q = parse_query(qtext, params)
-    cq = CompiledQuery(reader, q.filter, doc_range=(lo, hi))
-    res = cq.evaluate()
-    docs = res.docs
-    scores = cq.final_scores(res)
-    if keep_topk is not None and docs.size > keep_topk:
-        # local top-k + ties at the k-th score (float64 view is fine for
-        # selection: equal f32s are equal f64s)
-        kth = np.partition(scores, docs.size - keep_topk)[docs.size - keep_topk]
-        keep = scores >= kth
-        docs, scores = docs[keep], scores[keep]
-    return docs, scores.astype(F32)
 
 
 def _resolve(module: str, fn: str):
@@ -347,109 +489,18 @@ def worker_pool() -> list:
 
 def run_query_distributed(index_dir: str, query: str,
                           params: dict | None = None,
-                          num_partitions: int | None = None) -> pa.Table:
-    """Evaluate ``query`` with one pool-actor call per doc range; results
-    are identical to ``run_query`` on a local reader."""
-    from . import executor as ex
+                          num_partitions: int | None = None):
+    """Evaluate ``query`` on either engine's index with one pool-actor
+    call per doc range (``doc_ranges(n, num_partitions)``), whatever the
+    index size; returns what ``run_query`` (flat) or ``run_json_query``
+    (nested) returns, identically."""
+    from . import executor, json_executor
 
-    reader = _cached_reader(index_dir)
-    q = parse_query(query, params)
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        nested = bool(json.load(f).get("nested"))
+    reader = _cached_reader(index_dir, _engine(nested)[0])
     ranges = doc_ranges(reader.num_docs, num_partitions)
-    pool = worker_pool()
-
-    def eval_ranges(keep_topk):
-        parts = pool_batched(pool, [
-            ("ops_call", (".query.distributed", "_eval_range_impl",
-                          (index_dir, query, params, lo, hi, keep_topk)))
-            for (lo, hi) in ranges])
-        # ranges are disjoint and ascending → already doc-ordered
-        docs = (np.concatenate([d for d, _ in parts])
-                if parts else np.zeros(0, np.int64))
-        scores = (np.concatenate([s for _, s in parts]).astype(F32)
-                  if parts else np.zeros(0, F32))
-        return docs, scores
-
-    agg_leaves = None
-    if isinstance(q.returns, ex._TREE_TYPES):
-        leaves = ret_leaves(q.returns)
-        if any(isinstance(l, ast.RetAgg) for l in leaves):
-            agg_leaves = leaves
-    if agg_leaves is not None:
-        if q.limit is not None:
-            # limit + aggregates: the reference's buffered early-cut is
-            # order-sensitive mid-merge — stream matches back and fold on
-            # the driver so results stay bit-identical to run_query
-            docs, scores = eval_ranges(None)
-            return ex._run_aggregates(reader, q, docs, scores, agg_leaves)
-        parts = pool_batched(pool, [
-            ("ops_call", (".query.distributed", "_agg_range_impl",
-                          (index_dir, query, params, lo, hi)))
-            for (lo, hi) in ranges])
-        return _merge_agg_partials(q, agg_leaves, parts)
-
-    # scored-top-k queries prune to local top-k in the workers
-    keep_topk = None
-    if (q.limit and q.order and len(q.order) == 1 and q.order[0].score
-            and q.order[0].desc):
-        keep_topk = q.limit
-    docs, scores = eval_ranges(keep_topk)
-    docs, scores = ex._apply_order_limit(reader, q, docs, scores)
-    if isinstance(q.returns, ex._TREE_TYPES):
-        return ex._render_tree_table(reader, q.returns, leaves, docs, scores)
-    return ex._materialize(reader, docs, scores, q.returns)
-
-
-def _merge_agg_partials(q, leaves, parts) -> pa.Table:
-    from . import executor as ex
-
-    return ex._rows_to_table(q.returns, leaves, merge_agg_rows(q, leaves, parts))
-
-
-def merge_agg_rows(q, leaves, parts) -> list:
-    """Merge per-range partial aggregate states in reversed range order
-    (see _partial_fold), finalize, order groups, limit; returns the final
-    group rows (one value list per group).  Shared by the flat and nested
-    distributed aggregate paths — only the final rendering differs.
-
-    Only divergence from the local buffered fold: sum/avg reassociate
-    float addition across ranges.  Queries with a limit never reach this
-    path (both distributed paths fall back to the driver-side fold to
-    keep the reference's buffered early-cut semantics)."""
-    import functools
-
-    from .aggregates import AGG_FINALS
-    from .results import cmp_json
-
-    agg_slots = [(n, l.fun, l.sep) for n, l in enumerate(leaves)
-                 if isinstance(l, ast.RetAgg) and l.fun != "group"]
-    merged: dict = {}
-    for part in reversed(parts):  # reversed range order (see _partial_fold)
-        for key, state in part:
-            cur = merged.get(key)
-            if cur is None:
-                merged[key] = state
-            else:
-                for n, fun, sep in agg_slots:
-                    cur[n] = _merge_states(fun, cur[n], state[n], sep)
-    rows = list(merged.values())
-    for n, leaf in enumerate(leaves):
-        if isinstance(leaf, ast.RetAgg):
-            fin = AGG_FINALS.get(leaf.fun)
-            if fin is not None:
-                for row in rows:
-                    row[n] = fin(row[n])
-
-    orders = [(l.desc, n) for n, l in enumerate(leaves)
-              if isinstance(l, ast.RetAgg) and l.fun == "group"]
-
-    def cmp(a, b):
-        for desc, n in orders:
-            c = cmp_json(b[n], a[n]) if desc else cmp_json(a[n], b[n])
-            if c:
-                return c
-        return 0
-
-    rows.sort(key=functools.cmp_to_key(cmp))
-    if q.limit is not None:
-        rows = rows[: q.limit]
-    return rows
+    if nested:
+        return json_executor._execute(
+            reader, parse_noise_query(query, params), ranges)
+    return executor._execute(reader, parse_query(query, params), ranges)

@@ -423,7 +423,8 @@ class QueryCore:
 class CompiledQuery(QueryCore):
     """The flat engine: one ``EvalResult`` row per doc."""
 
-    def _check_not_validity(self, node: ast.Node):
+    @staticmethod
+    def _check_not_validity(node: ast.Node):
         if _is_all_not(node):
             raise ValueError(
                 "query must contain at least one full match expression"
@@ -527,7 +528,6 @@ class CompiledQuery(QueryCore):
     def _eval_range(self, node: ast.RangeQ, allowed) -> EvalResult:
         import pyarrow as pa
         import pyarrow.compute as pc
-        import pyarrow.parquet as pq
 
         reader = self.reader
         rlo, rhi = (self._clip(self._span_of(allowed))
@@ -540,8 +540,9 @@ class CompiledQuery(QueryCore):
                 continue  # the partition has no such column: no row matches
             if self._zone_prunes(reader, dm["path"], node):
                 continue  # footer statistics rule the partition out
-            t = pq.read_table(dm["path"], columns=["doc_id", node.field])
-            col = t.column(node.field)
+            # the reader's cached column; a partition's rows are its
+            # contiguous doc ids from min_doc (as fetch_docs relies on)
+            col = reader._docmap_col(dm["path"], node.field)
             if node.special == "null":
                 mask = pc.is_null(col)
             elif node.special in ("true", "false"):
@@ -563,7 +564,8 @@ class CompiledQuery(QueryCore):
                     mask = pc.and_(mask, pc.less_equal(vals, node.max)
                                    if node.max_inclusive
                                    else pc.less(vals, node.max))
-            sel = t.filter(mask).column("doc_id").to_numpy().astype(np.int64)
+            sel = dm["min_doc"] + np.flatnonzero(
+                mask.fill_null(False).to_numpy(zero_copy_only=False))
             sel = sel[(sel >= rlo) & (sel < rhi)]
             if sel.size:
                 docs_parts.append(sel)

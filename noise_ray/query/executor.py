@@ -12,9 +12,10 @@ import numpy as np
 import pyarrow as pa
 
 from . import ast
-from .aggregates import AGG_FINALS, AGG_IMPLS, aggregate_order_limit
-from .engine import CompiledQuery, F32
-from .noise_parser import parse_query, ret_leaves
+from .aggregates import aggregate_order_limit
+from .distributed import evaluate_ranges, fold_ranges, limit_keep, query_ranges
+from .engine import CompiledQuery
+from .noise_parser import parse_query, render_tree, ret_leaves
 from .reader import IndexReader
 from .results import order_and_limit
 from .wand import wand_topk
@@ -27,35 +28,47 @@ def run_query(reader: IndexReader, q: ast.Query | str,
               params: dict | None = None) -> pa.Table:
     if isinstance(q, str):
         q = parse_query(q, params)
+    return _execute(reader, q, query_ranges(reader))
 
-    compiled = CompiledQuery(reader, q.filter)
 
-    agg_leaves = None
-    if isinstance(q.returns, _TREE_TYPES):
-        leaves = ret_leaves(q.returns)
-        if any(isinstance(l, ast.RetAgg) for l in leaves):
-            agg_leaves = leaves
-
-    # block-max WAND fast path for scored top-k term/OR queries: prunes
-    # whole posting blocks by score upper bound; surviving docs are scored
-    # by the same f32 kernels, so results are identical to the full path
-    pruned = None if agg_leaves is not None else wand_topk(reader, compiled, q)
-    if pruned is not None:
-        compiled._check_not_validity(q.filter)
-        docs, scores = pruned
+def _execute(reader: IndexReader, q: ast.Query, ranges) -> pa.Table:
+    """``run_query`` on a route: in-process when ``ranges`` is None, else
+    fanned out over those doc ranges (query/distributed.py)."""
+    leaves = (ret_leaves(q.returns) if isinstance(q.returns, _TREE_TYPES)
+              else None)
+    agg = leaves is not None and any(isinstance(l, ast.RetAgg)
+                                     for l in leaves)
+    if ranges is None:
+        compiled = CompiledQuery(reader, q.filter)
+        # block-max WAND fast path for scored top-k term/OR queries:
+        # prunes whole posting blocks by score upper bound; surviving docs
+        # are scored by the same f32 kernels, so results are identical to
+        # the full path
+        pruned = None if agg else wand_topk(reader, compiled, q)
+        if pruned is not None:
+            compiled._check_not_validity(q.filter)
+            docs, scores = pruned
+        else:
+            result = compiled.evaluate()
+            docs = result.docs
+            scores = compiled.final_scores(result)
+    elif agg and q.limit is None:
+        return _rows_to_table(q.returns, fold_ranges(reader, q, ranges))
     else:
-        result = compiled.evaluate()
-        docs = result.docs
-        scores = compiled.final_scores(result)
+        # an aggregate WITH a limit folds here: the reference's buffered
+        # early-cut is order-sensitive mid-merge
+        docs, scores, _, _ = evaluate_ranges(reader, q.filter, ranges,
+                                             None if agg else limit_keep(q))
 
-    if agg_leaves is not None:
-        return _run_aggregates(reader, q, docs, scores, agg_leaves)
-    if isinstance(q.returns, _TREE_TYPES):
-        # non-aggregate tree: order/limit per doc, then render the tree
-        docs, scores = _apply_order_limit(reader, q, docs, scores)
-        return _render_tree_table(reader, q.returns, leaves, docs, scores)
-
+    if agg:
+        rows = _leaf_values(reader, leaves, docs, scores)
+        return _rows_to_table(q.returns,
+                              aggregate_order_limit(rows, leaves, q.limit))
     docs, scores = _apply_order_limit(reader, q, docs, scores)
+    if leaves is not None:
+        # non-aggregate tree: order/limit per doc, then render the tree
+        return _rows_to_table(q.returns,
+                              _leaf_values(reader, leaves, docs, scores))
     return _materialize(reader, docs, scores, q.returns)
 
 
@@ -309,53 +322,10 @@ def _leaf_values(reader, leaves, docs, scores):
     return [[value(l, i) for l in leaves] for i in range(docs.size)]
 
 
-def _run_aggregates(reader, q, docs, scores, leaves) -> pa.Table:
-    """Grouped/aggregated return clause (src/query.rs:320-346, 682-764)."""
-    rows = _leaf_values(reader, leaves, docs, scores)
-    orders: list[tuple[bool, int]] = []
-    inits, actions, finals = [], [], []
-    for n, leaf in enumerate(leaves):
-        if not isinstance(leaf, ast.RetAgg):
-            continue  # literal slot: constant, no action
-        if leaf.fun == "group":
-            orders.append((leaf.desc, n))
-            continue
-        init, action, _ = AGG_IMPLS[leaf.fun]
-        if init is not None:
-            inits.append((init, n))
-        actions.append((action, leaf.sep, n))
-        fin = AGG_FINALS.get(leaf.fun)
-        if fin is not None:
-            finals.append((fin, n))
-    out_rows = aggregate_order_limit(rows, orders, q.limit, inits, actions,
-                                     finals)
-    return _rows_to_table(q.returns, leaves, out_rows)
-
-
-def _render_tree_table(reader, tree, leaves, docs, scores) -> pa.Table:
-    rows = _leaf_values(reader, leaves, docs, scores)
-    return _rows_to_table(tree, leaves, rows)
-
-
-def _rows_to_table(tree, leaves, rows) -> pa.Table:
+def _rows_to_table(tree, rows) -> pa.Table:
     """Column convention: top-level object → one column per key; top-level
     array → c0..cN; single expr → one column named after it.  Nested
     structures render as Python values inside the column."""
-    def render(expr, row, pos):
-        # returns (value, next_pos)
-        if isinstance(expr, ast.RetObject):
-            d = {}
-            for name, e in expr.items:
-                d[name], pos = render(e, row, pos)
-            return d, pos
-        if isinstance(expr, ast.RetArray):
-            vs = []
-            for e in expr.items:
-                v, pos = render(e, row, pos)
-                vs.append(v)
-            return vs, pos
-        return row[pos], pos + 1
-
     if isinstance(tree, ast.RetObject):
         names = [name for name, _ in tree.items]
         exprs = [e for _, e in tree.items]
@@ -375,10 +345,9 @@ def _rows_to_table(tree, leaves, rows) -> pa.Table:
 
     cols: dict[str, list] = {n: [] for n in names}
     for row in rows:
-        pos = 0
+        it = iter(row)
         for n, e in zip(names, exprs):
-            v, pos = render(e, row, pos)
-            cols[n].append(v)
+            cols[n].append(render_tree(e, it))
     arrays = {}
     for n in names:
         try:

@@ -301,7 +301,8 @@ class CompiledJsonQuery(QueryCore):
     """The nested engine: ``InstSet`` rows are (doc, arraypath)
     instances, resized to each boolean operator's array depth."""
 
-    def _check_not_validity(self, node: ast.Node):
+    @staticmethod
+    def _check_not_validity(node: ast.Node):
         # double-not before all-not: error precedence matches the
         # reference (src/query.rs:220-228)
         _check_double_not(node, False)

@@ -24,17 +24,13 @@ import pyarrow as pa
 
 from ..build.shred import escape_key, parse_kp, unescape_segment
 from . import ast
-from .aggregates import AGG_FINALS, AGG_IMPLS, aggregate_order_limit
-from .json_engine import CompiledJsonQuery
+from .aggregates import aggregate_order_limit
+from .distributed import evaluate_ranges, fold_ranges, limit_keep, query_ranges
 from .json_reader import JsonIndexReader
-from .noise_parser import parse_noise_query, ret_leaves
-from .results import order_and_limit
+from .noise_parser import parse_noise_query, render_tree, ret_leaves
+from .results import order_and_limit, order_and_limit_batched
 
 _MISSING = object()
-
-# index size (docs) from which nested matching fans out over the range
-# worker pool (run_json_query, incremental.delete_by_query)
-DIST_MIN_DOCS = 2_000_000
 
 
 # --------------------------------------------------------------- fetcher
@@ -183,58 +179,38 @@ class _LeafEval:
 
 # -------------------------------------------------------------- executor
 
-def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
-                   distributed_threshold: int = DIST_MIN_DOCS) -> list:
+def run_json_query(reader: JsonIndexReader, q, params: dict | None = None
+                   ) -> list:
     """Evaluate a nested query; returns the reference's JSON result stream
-    as Python values.
-
-    Above ``distributed_threshold`` docs, matching+scoring fan out as one
-    range-pool call per doc range (exact under range partitioning: every
-    filter, bind collection and score is per-doc independent; idf/stats
-    are global reads, identical in every call).  Fetch/order/limit/aggregate
-    stay on the driver — the result set is already per-doc."""
+    as Python values.  Large indexes fan out over doc ranges
+    (``distributed.query_ranges``); fetch/order/limit stay on the driver —
+    the result set is already per-doc."""
     if isinstance(q, str):
         q = parse_noise_query(q, params)
+    return _execute(reader, q, query_ranges(reader))
+
+
+def _execute(reader: JsonIndexReader, q, ranges) -> list:
+    """``run_json_query`` on a route: in-process when ``ranges`` is None,
+    else fanned out over those doc ranges (query/distributed.py)."""
     leaves = ret_leaves(q.returns)
     has_ags = any(isinstance(l, ast.RetAgg) for l in leaves)
-    if reader.num_docs >= distributed_threshold:
-        check_distributable(q.filter)
-        is_alldocs = isinstance(q.filter, ast.AllDocs)
-        if has_ags and q.limit is None and not is_alldocs:
-            # per-range partial folds: leaf fetch + fold stay in the
-            # workers, one state row per (range, group) crosses the wire
-            # (mirrors the flat path; AllDocs roots fall through — their
-            # string-seq row order isn't range-reconstructible, and
-            # limited aggregates keep the reference's order-sensitive
-            # buffered early-cut on the driver)
-            from .distributed import (doc_ranges, merge_agg_rows,
-                                      pool_batched, worker_pool)
+    is_alldocs = isinstance(q.filter, ast.AllDocs)
+    if ranges is not None and has_ags and q.limit is None and not is_alldocs:
+        # per-range partial folds.  Limited aggregates fold on the driver
+        # (the reference's buffered early-cut is order-sensitive), and so
+        # do AllDocs roots: their string-seq row order isn't
+        # range-reconstructible
+        return [render_tree(q.returns, iter(r))
+                for r in fold_ranges(reader, q, ranges)]
+    keep = None
+    if ranges is not None and not has_ags and not is_alldocs:
+        # (an AllDocs root streams in string-seq order, see below)
+        keep = limit_keep(q)
+    docs, scores, binds, pos = evaluate_ranges(reader, q.filter, ranges,
+                                               keep)
 
-            n = reader.num_docs
-            parts = pool_batched(worker_pool(), [
-                ("ops_call", (".query.json_executor", "_json_agg_range_impl",
-                              (reader.index_dir, q, lo, hi)))
-                for (lo, hi) in doc_ranges(n, min(32, max(1, n // 250_000)))])
-            out_rows = merge_agg_rows(q, leaves, parts)
-            return [_render_tree(q.returns, iter(r)) for r in out_rows]
-        keep = None
-        if not has_ags and q.limit is not None:
-            if (q.order and len(q.order) == 1 and q.order[0].score
-                    and q.order[0].desc):
-                keep = ("score", q.limit)
-            elif not q.order and not is_alldocs:
-                # unordered limit truncates the doc-ordered stream: the
-                # global first k is within each range's first k
-                keep = ("head", q.limit)
-        docs, scores, binds = _evaluate_distributed(reader, q.filter, keep)
-    else:
-        compiled = CompiledJsonQuery(reader, q.filter)
-        result = compiled.evaluate()
-        scores = compiled.final_scores(result)
-        docs = result.docs
-        binds = result.binds
-
-    if isinstance(q.filter, ast.AllDocs) and docs.size:
+    if is_alldocs and docs.size:
         # a bare `find {}` streams the V keyspace, whose seqs are DECIMAL
         # STRINGS — RocksDB iteration yields 1, 10, 11, ..., 2
         # (AllDocsIterator, src/snapshot.rs:435-456; repl-tests/
@@ -261,24 +237,8 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
     n = docs.size
     if has_ags:
         rows = [ev.row(i) for i in range(n)]
-        orders: list[tuple[bool, int]] = []
-        inits, actions, finals = [], [], []
-        for slot, leaf in enumerate(leaves):
-            if not isinstance(leaf, ast.RetAgg):
-                continue
-            if leaf.fun == "group":
-                orders.append((leaf.desc, slot))
-                continue
-            init, action, _ = AGG_IMPLS[leaf.fun]
-            if init is not None:
-                inits.append((init, slot))
-            actions.append((action, leaf.sep, slot))
-            fin = AGG_FINALS.get(leaf.fun)
-            if fin is not None:
-                finals.append((fin, slot))
-        out_rows = aggregate_order_limit(rows, orders, q.limit, inits,
-                                         actions, finals)
-        return [_render_tree(q.returns, iter(r)) for r in out_rows]
+        out_rows = aggregate_order_limit(rows, leaves, q.limit)
+        return [render_tree(q.returns, iter(r)) for r in out_rows]
 
     if q.order:
         score_only = all(k.score for k in q.order)
@@ -305,8 +265,18 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
 
             rows = [tuple(order_key(k, i) for k in q.order) + (i,)
                     for i in range(n)]
-            ordered = order_and_limit(rows, [k.desc for k in q.order],
-                                      q.limit)
+            descs = [k.desc for k in q.order]
+            if pos is None:
+                ordered = order_and_limit(rows, descs, q.limit)
+            else:
+                # a pruned stream merges on the unpruned stream's arrival
+                # batches: the pruned rows sort strictly after every row
+                # that can be output, so the ties come out as in-process
+                batches: dict[int, list] = {}
+                for row, b in zip(rows, (pos // q.limit).tolist()):
+                    batches.setdefault(b, []).append(row)
+                ordered = order_and_limit_batched(
+                    [batches[b] for b in sorted(batches)], descs, q.limit)
             sel = [r[-1] for r in ordered]
     elif q.limit is not None:
         sel = range(min(q.limit, n))
@@ -315,109 +285,8 @@ def run_json_query(reader: JsonIndexReader, q, params: dict | None = None,
 
     out = []
     for i in sel:
-        out.append(_render_tree(q.returns, iter(ev.row(i))))
+        out.append(render_tree(q.returns, iter(ev.row(i))))
     return out
-
-
-def _range_eval(index_dir: str, filter_node, lo: int, hi: int):
-    """One range's (docs, scores, binds) through the per-worker cached
-    reader (distributed.py:_cached_reader — one open per worker per index
-    version, so repeated queries reuse decoded postings/values/docmap
-    caches instead of rebuilding them per task per query)."""
-    from .distributed import _cached_reader
-    from .json_engine import CompiledJsonQuery as _CJQ
-
-    r = _cached_reader(index_dir, JsonIndexReader)
-    c = _CJQ(r, filter_node, doc_range=(lo, hi))
-    s = c.evaluate()
-    return r, s.docs, c.final_scores(s), s.binds
-
-
-def _json_eval_range_impl(index_dir: str, filter_node, lo: int, hi: int,
-                          keep):
-    _, docs, scores, binds = _range_eval(index_dir, filter_node, lo, hi)
-    if keep is not None and docs.size > keep[1]:
-        mode, k = keep
-        if mode == "score":
-            # local top-k + ties at the k-th score: a doc outside its
-            # range's top k is beaten by >= k docs of that range alone
-            # (same exactness argument as the flat path,
-            # distributed.py:_eval_range_impl)
-            kth = np.partition(scores, docs.size - k)[docs.size - k]
-            m = scores >= kth
-            docs, scores = docs[m], scores[m]
-            if binds is not None:
-                binds = [b for b, ok in zip(binds, m) if ok]
-        else:  # "head": first k in doc order — superset of the global k
-            docs, scores = docs[:k], scores[:k]
-            if binds is not None:
-                binds = binds[:k]
-    return docs, scores, binds
-
-
-def _json_agg_range_impl(index_dir: str, q, lo: int, hi: int):
-    """Evaluate + leaf-fetch + partial-aggregate one doc range: docmap
-    json reads and the per-row fold never leave the worker; only one
-    state row per (range, group) reaches the driver (nested analogue of
-    distributed.py:_agg_range_impl)."""
-    from .distributed import _partial_fold
-
-    r, docs, scores, binds = _range_eval(index_dir, q.filter, lo, hi)
-    leaves = ret_leaves(q.returns)
-    ev = _LeafEval(r, leaves, docs, scores, binds)
-    rows = [ev.row(i) for i in range(docs.size)]
-    return _partial_fold(leaves, rows)
-
-
-def check_distributable(filter_node) -> None:
-    """Validate a filter on the driver before a range fan-out: an all-not
-    / double-not query must raise the reference's plain error, not a
-    RayTaskError from every range task."""
-    from .json_engine import _check_double_not, _is_all_not
-
-    _check_double_not(filter_node, False)
-    if _is_all_not(filter_node):
-        raise ValueError(
-            "query cannot be made up of only logical not. Must have "
-            "at least one match clause not negated.")
-
-
-def _evaluate_distributed(reader: JsonIndexReader, filter_node, keep=None):
-    """Range-partitioned filter evaluation: one actor call per doc range,
-    each evaluating the compiled query restricted to its range (slot
-    ordinals are deterministic DFS order, so per-task scoring state is
-    identical) through a per-worker cached reader, and returning its
-    depth-0 (docs, scores, binds) — pruned worker-side to the local top-k
-    + ties (``keep=("score", k)``) or the local head (``keep=("head",
-    k)``) when the driver's order/limit makes that exact.  Ranges are
-    contiguous and ordered, so concatenation preserves global doc order.
-    The proximity filter keeps the reference's sequential iterator inside
-    each range (same caveat as the flat distributed path)."""
-    from .distributed import doc_ranges, pool_batched, worker_pool
-
-    n = reader.num_docs
-    parts = pool_batched(worker_pool(), [
-        ("ops_call", (".query.json_executor", "_json_eval_range_impl",
-                      (reader.index_dir, filter_node, lo, hi, keep)))
-        for (lo, hi) in doc_ranges(n, min(32, max(1, n // 250_000)))])
-    if not parts:  # empty index: no ranges
-        return np.zeros(0, np.int64), np.zeros(0, np.float32), None
-    docs = np.concatenate([p[0] for p in parts])
-    scores = np.concatenate([p[1] for p in parts])
-    binds = None
-    if any(p[2] is not None for p in parts):
-        binds = []
-        for p in parts:
-            binds.extend(p[2] if p[2] is not None else [None] * p[0].size)
-    return docs, scores, binds
-
-
-def _render_tree(expr, it):
-    if isinstance(expr, ast.RetObject):
-        return {name: _render_tree(e, it) for name, e in expr.items}
-    if isinstance(expr, ast.RetArray):
-        return [_render_tree(e, it) for e in expr.items]
-    return next(it)
 
 
 def json_query_table(reader: JsonIndexReader, q, params: dict | None = None

@@ -752,6 +752,16 @@ def ret_leaves(expr) -> list:
     return [expr]
 
 
+def render_tree(expr, it):
+    """Refill a RetExpr tree from an iterator over its leaf values (the
+    inverse of ``ret_leaves``)."""
+    if isinstance(expr, ast.RetObject):
+        return {name: render_tree(e, it) for name, e in expr.items}
+    if isinstance(expr, ast.RetArray):
+        return [render_tree(e, it) for e in expr.items]
+    return next(it)
+
+
 def _validate(q: ast.Query):
     """src/query.rs:242-290: aggregates exclude ordering, and when any
     aggregate is present every fetched leaf must be aggregated/grouped."""

@@ -63,18 +63,17 @@ def test_distributed_avg_reassociates_within_ulp(idx):
         assert math.isclose(a["m"], b["m"], rel_tol=1e-12)
 
 
-def test_search_plan_switch_is_transparent(idx):
-    """search() picks in-process vs distributed by index size; forcing the
-    switch with a tiny threshold must not change any result."""
-    from noise_ray.pipelines import search
-
+def test_run_query_plan_switch_is_transparent(idx, monkeypatch):
+    """run_query picks in-process vs distributed by index size; forcing
+    the switch with a tiny threshold must not change any result."""
     r = IndexReader(idx)
-    for q in ['find {text: ~="fox"} order score() desc return score() '
-              "limit 20 ;",
-              'find {role: =="user"} return {r: group(.role), n: count()} ;']:
-        local = search(r, q, distributed_threshold=10**12).to_pylist()
-        dist = search(r, q, distributed_threshold=1).to_pylist()
-        assert dist == local
+    qs = ['find {text: ~="fox"} order score() desc return score() limit 20 ;',
+          'find {role: =="user"} return {r: group(.role), n: count()} ;',
+          'find {text: ~="time"} return .conv_id limit 7 ;']
+    local = [run_query(r, q).to_pylist() for q in qs]
+    monkeypatch.setenv("NOISE_RAY_DIST_MIN_DOCS", "1")
+    for q, want in zip(qs, local):
+        assert run_query(r, q).to_pylist() == want, q
 
 
 def test_distributed_params(idx):
@@ -266,11 +265,12 @@ def test_nested_distributed_empty_index(ray_session, tmp_path):
     from noise_ray.query import JsonIndexReader, run_json_query
 
     p = docs_to_parquet([], str(tmp_path / "in.parquet"), docid_base=0)
-    build_json_index([p], str(tmp_path / "idx"), num_buckets=2)
-    r = JsonIndexReader(str(tmp_path / "idx"))
+    idx = str(tmp_path / "idx")
+    build_json_index([p], idx, num_buckets=2)
+    r = JsonIndexReader(idx)
     assert r.num_docs == 0
     for q in ['find {n: >= 1} return ._id ;',
               'find {n: >= 1} order score() desc return ._id limit 3 ;',
               'find {msgs: [{t: ~="fox"}]} return {n: count()} ;']:
-        assert run_json_query(r, q, distributed_threshold=0) == \
+        assert run_query_distributed(idx, q, num_partitions=3) == \
             run_json_query(r, q)

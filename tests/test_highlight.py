@@ -29,10 +29,11 @@ def test_positions_match_text(ray_session):
 def test_scores_match_term_topk(ray_session):
     """Highlight rows carry the same 4dp scores as the scored term query
     over the same index."""
-    from noise_ray.pipelines import documents_index, search
+    from noise_ray.pipelines import documents_index
+    from noise_ray.query import run_query
 
     out = search_highlight(SF, term="merge", k=10).to_pandas()
-    top = search(
+    top = run_query(
         documents_index(SF),
         'find {text: ~="merge"} order score() desc, .doc_id asc '
         "return score() limit 10 ;")

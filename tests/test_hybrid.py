@@ -10,9 +10,10 @@ SF = "/root/testdata/sf0.001"
 def _reference_rrf(term="merge", query_vec_id=0, k=50, rrf_k=60, topn=10):
     """Single-process recomputation: engine text ranks + numpy cosine
     ranks, fused the same way."""
-    from noise_ray.pipelines import documents_index, search
+    from noise_ray.pipelines import documents_index
+    from noise_ray.query import run_query
 
-    t = search(
+    t = run_query(
         documents_index(SF),
         f'find {{text: ~="{term}"}} order score() desc, .doc_id asc '
         f"return score() limit {2 * k} ;")

@@ -1,9 +1,11 @@
 """Distributed nested evaluation ≡ in-process evaluation.
 
-The range fan-out (json_executor._evaluate_distributed) is exact because
-every filter, score and bind collection is per-doc independent and term
-stats are global — asserted here by forcing the distributed path on a
-small corpus and comparing full result streams."""
+The range fan-out (distributed.evaluate_ranges / fold_ranges) is exact
+because every filter, score and bind collection is per-doc independent
+and term stats are global — asserted here by forcing the distributed path
+(``run_query_distributed``) on a small corpus over 1, 3 and 7 doc ranges
+and comparing full result streams.  Malformed filters raise the engine's
+plain error on the driver, before any pool call, for both engines."""
 
 from __future__ import annotations
 
@@ -78,14 +80,84 @@ QUERIES = [
 ]
 
 
-def test_distributed_matches_inprocess(ray_session, nested_idx):
+@pytest.mark.parametrize("parts", [1, 3, 7])
+def test_distributed_matches_inprocess(ray_session, nested_idx, parts):
+    from noise_ray.query import run_query_distributed
+    from noise_ray.query.distributed import doc_ranges
     from noise_ray.query.json_executor import run_json_query
     from noise_ray.query.json_reader import JsonIndexReader
 
     r = JsonIndexReader(nested_idx)
-    assert r.num_ranges > 1  # the fan-out actually partitions
+    # the fan-out splits into exactly ``parts`` ranges
+    assert len(doc_ranges(r.num_docs, parts)) == parts
     for q in QUERIES:
         local = run_json_query(r, q)
-        dist = run_json_query(r, q, distributed_threshold=1)
+        dist = run_query_distributed(nested_idx, q, num_partitions=parts)
         assert local == dist, q
         assert local  # non-empty: the comparison is meaningful
+
+
+@pytest.fixture(scope="module")
+def tied_idx(tmp_path_factory):
+    """30 docs: every third scores lower on the OR below, the rest tie."""
+    from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
+
+    base = str(tmp_path_factory.mktemp("njtied"))
+    docs = [{"_id": f"d{i:02d}",
+             "m": [{"t": "fox" if i % 3 == 0 else "fox dog"}]}
+            for i in range(30)]
+    idx = os.path.join(base, "idx")
+    build_json_index([docs_to_parquet(docs, os.path.join(base, "in.parquet"),
+                                      docid_base=0)], idx)
+    return idx
+
+
+@pytest.mark.parametrize("parts", [1, 3, 7])
+def test_pruned_ties_match_inprocess(ray_session, tied_idx, parts):
+    """The worker-side top-k prune drops lower-scored rows; the buffered
+    order/limit still picks the tied rows in-process picks, because it
+    merges on the unpruned stream's arrival batches."""
+    from noise_ray.query import run_query_distributed
+    from noise_ray.query.json_executor import run_json_query
+    from noise_ray.query.json_reader import JsonIndexReader
+
+    r = JsonIndexReader(tied_idx)
+    for k in range(1, 12):
+        q = ('find {m: [{t: ~="fox" || t: ~="dog"}]} order score() desc '
+             f"return [._id, score()] limit {k} ;")
+        assert run_query_distributed(tied_idx, q, num_partitions=parts) == \
+            run_json_query(r, q), q
+
+
+FLAT_NOT = ('find !{text: ~="fox"} ;',
+            "query must contain at least one full match expression")
+NESTED_NOT = ('find !{msgs: [{t: ~="fox"}]} ;',
+              "query cannot be made up of only logical not. Must have at "
+              "least one match clause not negated.")
+
+
+@pytest.mark.parametrize("route", ["run_query_distributed",
+                                   "delete_by_query"])
+@pytest.mark.parametrize("engine", ["flat", "nested"])
+def test_not_check_plain_error_before_fanout(ray_session, small_transcripts,
+                                             nested_idx, tmp_path,
+                                             monkeypatch, engine, route):
+    """An all-not filter raises the engine's own ValueError on the driver,
+    not a Ray-wrapped error from the range workers."""
+    import shutil
+
+    from noise_ray.build import delete_by_query
+    from noise_ray.query import run_query_distributed
+
+    src = small_transcripts["index"] if engine == "flat" else nested_idx
+    q, msg = FLAT_NOT if engine == "flat" else NESTED_NOT
+    idx = str(tmp_path / "idx")  # a copy: a wrong delete must not leak
+    shutil.copytree(src, idx)
+    with pytest.raises(Exception) as e:
+        if route == "run_query_distributed":
+            run_query_distributed(idx, q, num_partitions=3)
+        else:
+            monkeypatch.setenv("NOISE_RAY_DIST_MIN_DOCS", "1")
+            delete_by_query(idx, q)
+    assert type(e.value) is ValueError
+    assert str(e.value) == msg

@@ -175,3 +175,30 @@ def test_collation_total_order():
         assert cmp_json(seq[i + 1], seq[i]) == 1
     for v in seq:
         assert cmp_json(v, v) == 0
+
+
+def test_range_reads_cached_columns(small_transcripts, monkeypatch):
+    """A RangeQ reads its column through the reader's docmap-column cache:
+    a warm repeat makes no parquet read, and the doc ids (partition
+    min_doc + row) equal a scan of the docmap files' doc_id column."""
+    import numpy as np
+
+    from noise_ray.query import CompiledQuery, parse_query
+
+    r = IndexReader(small_transcripts["index"])
+    assert len(r._docmap) > 1
+    q = parse_query("find {turn_idx: >= 3, turn_idx: < 7} ;")
+    dm = pa.concat_tables([pq.read_table(d["path"],
+                                         columns=["doc_id", "turn_idx"])
+                           for d in r._docmap])
+    turn = dm.column("turn_idx").to_numpy()
+    want = np.sort(dm.column("doc_id").to_numpy()[(turn >= 3) & (turn < 7)])
+    first = CompiledQuery(r, q.filter).evaluate().docs
+    calls = []
+    real = pq.read_table
+    monkeypatch.setattr(pq, "read_table",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    again = CompiledQuery(r, q.filter).evaluate().docs
+    assert calls == []
+    assert want.size and np.array_equal(first, want)
+    assert np.array_equal(again, want)
