@@ -43,7 +43,7 @@ import ray
 import ray.data
 
 from .json_pipeline import build_json_index
-from .pipeline import MANIFEST_NAME, build_index
+from .pipeline import MANIFEST_NAME, _one_row_blocks, build_index
 
 
 def _restore_source_schema(t: pa.Table) -> pa.Table:
@@ -97,25 +97,6 @@ def _stage_partition(batch: pa.Table, *, staging_dir: str, tombstones: tuple,
         acks["path"].append(out_path)
         acks["rows"].append(t.num_rows)
     return pa.table(acks)
-
-
-def _empty_manifest(index_dir: str, base: dict) -> dict:
-    """Publish a valid manifest for an index whose docs were all deleted."""
-    manifest = {
-        "version": 1, "analyzer": base.get("analyzer", "noise-porter2-v1"),
-        "fields": base["fields"], "key_columns": base["key_columns"],
-        "num_docs": 0, "doc_id_offset": 0,
-        "num_buckets": base["num_buckets"], "num_ranges": 1, "range_span": 1,
-        "block_size": base.get("block_size", 4096),
-        "field_k": {}, "docmap": [], "segments": [], "stats": [],
-    }
-    for sub in ("docmap", "segments", "stats"):
-        os.makedirs(os.path.join(index_dir, sub), exist_ok=True)
-    tmp = os.path.join(index_dir, f".{MANIFEST_NAME}.tmp-{uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1)
-    os.replace(tmp, os.path.join(index_dir, MANIFEST_NAME))
-    return manifest
 
 
 def compact_index(index_dir: str) -> dict:
@@ -187,10 +168,7 @@ def compact_index(index_dir: str) -> dict:
         acks.append({"part": -1, "path": out_path, "rows": t.num_rows})
     if items:
         cpus = int(ray.cluster_resources().get("CPU", 32))
-        ctx = ray.data.DataContext.get_current()
-        prev_min_block = ctx.target_min_block_size
-        ctx.target_min_block_size = 1
-        try:
+        with _one_row_blocks():
             acks.extend(
                 ray.data.from_items(
                     items,
@@ -203,22 +181,16 @@ def compact_index(index_dir: str) -> dict:
                                "epoch_ref": epoch_ref})
                 .take_all()
             )
-        finally:
-            ctx.target_min_block_size = prev_min_block
 
     base_manifest = reader.manifest
     del reader  # release docmap caches before the swap
 
-    staged = sorted(a["path"] for a in acks)
-    if staged:
-        build_index(staged, new_index,
-                    fields=tuple(base_manifest["fields"]),
-                    key_columns=tuple(key_columns),
-                    num_buckets=int(base_manifest["num_buckets"]),
-                    block_size=int(base_manifest.get("block_size", 4096)))
-    else:
-        os.makedirs(new_index, exist_ok=True)
-        _empty_manifest(new_index, base_manifest)
+    # an empty staged list (every doc deleted) builds the 0-doc index
+    build_index(sorted(a["path"] for a in acks), new_index,
+                fields=tuple(base_manifest["fields"]),
+                key_columns=tuple(key_columns),
+                num_buckets=int(base_manifest["num_buckets"]),
+                block_size=int(base_manifest.get("block_size", 4096)))
 
     # ---- swap (two renames; if interrupted between them the old index
     # survives intact at <dir>.pre-compact — documented recovery point)

@@ -29,25 +29,25 @@ the reference's monotonically increasing seq on add — there is no sort
 key for arbitrary JSON.  The pipeline is one streaming execution with
 the same map-side combiner, gkey = (hash(kp, term) bucket × doc range)
 shuffle, idempotent tmp+rename writes and committed-group resume as the
-flat build.  Only the shred of stages 1+2 (``ShredTokenize``) is
-nested-specific.  Its postings come from the flat build's kernel: every
+flat build.  Only the plan rows (input order) and the shred of stages
+1+2 (``ShredTokenize``) are nested-specific: the driver is the flat
+build's ``pipeline.run_build``, with its one route rule (one ingest
+task's worth runs in the driver), sizing, stage 3 and manifest publish.
+``ShredTokenize``'s postings come from the flat build's kernel: every
 string value of the batch is one instance, ranked by (doc, arraypath),
 tokenized by the flat ``_field_tokens`` and grouped by
-``pipeline.group_postings`` with the keypath as the group.  Stage 3 and
-the build's closing steps (committed-group scan, ack
-assembly, manifest publish) are the flat build's own, and segment groups go
-through the one writer ``pipeline.write_segment_group`` with the nested
-row-group size — its keypath ``field`` strings and the extra ``aps`` /
-``depth`` columns pass through it like any other payload column.  The
-``local`` build sorts the block rows by gkey once and writes the groups
-in-process.
+``pipeline.group_postings`` with the keypath as the group.  Segment
+groups go through the one writer ``pipeline.write_segment_group`` with
+the nested row-group size — its keypath ``field`` strings and the extra
+``aps`` / ``depth`` columns pass through it like any other payload
+column.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import time
 import zlib
 from typing import Any
 
@@ -60,11 +60,9 @@ import ray.data
 
 from .arrow_shred import shred_table_fast
 from .codec import encode_varint
-from .pipeline import (
-    NESTED_ROW_GROUP, _atomic_write_table, _binary_rows, _committed_gkeys,
-    _dict_ranks, _field_tokens, _group_entries, _one_row_blocks,
-    _publish_manifest, _write_groups, encode_posting_blocks, group_postings,
-)
+from .pipeline import (_atomic_write_table, _binary_rows, _dict_ranks,
+                       _field_tokens, encode_posting_blocks, group_postings,
+                       run_build)
 from .shred import shred
 from .spatial import sidecar_path
 
@@ -431,113 +429,29 @@ def build_json_index(
     block_size: int = 4096,
     doc_id_offset: int = 0,
     docs_per_ingest_task: int | None = None,
-    local: bool | None = None,
 ) -> dict[str, Any]:
     """Build (or resume) a nested-JSON index; returns the manifest.
 
     ``input_paths`` are parquet shards with ``(_id, json)`` columns (see
     docs_to_parquet / jsonl_to_doc_parquet).
 
-    ``local=True`` runs the identical stages in-process with no Ray tasks —
-    the REPL path, where a transcript re-indexes a handful of documents
-    between statements and a distributed execution would be all overhead.
-    Defaults to local under 5_000 docs."""
-    t_build_start = time.time()
-    docmap_dir = os.path.join(index_dir, "docmap")
-    values_dir = os.path.join(index_dir, "values")
-    seg_dir = os.path.join(index_dir, "segments")
-    stats_dir = os.path.join(index_dir, "stats")
-    for d in (docmap_dir, values_dir, seg_dir, stats_dir):
-        os.makedirs(d, exist_ok=True)
+    The nested engine's share of ``pipeline.run_build``: plan rows in
+    input order and the one-stage chain ``ShredTokenize``.  A build of at
+    most ``docs_per_ingest_task`` docs (by default ``NESTED_DOCS_PER_TASK``
+    or more) runs in the driver, as the REPL's re-index of a handful of
+    documents between statements does."""
 
-    # metadata-only plan: doc ids by input order
-    offsets, rows_per = [], []
-    off = doc_id_offset
-    for p in input_paths:
-        r = pq.read_metadata(p).num_rows
-        offsets.append(off)
-        rows_per.append(r)
-        off += r
-    num_docs = off - doc_id_offset
+    def plan() -> list[dict]:
+        rows = [pq.read_metadata(p).num_rows for p in input_paths]
+        offsets = itertools.accumulate(rows, initial=doc_id_offset)
+        return [{"path": os.path.abspath(p), "offset": o, "rows": n, "seq": i}
+                for i, (p, o, n) in enumerate(zip(input_paths, offsets, rows))]
 
-    if docs_per_ingest_task is None:
-        # Adaptive, INPUT-ONLY sizing: the ingest-task count bounds the
-        # SORT-INPUT block count, and the groupby shuffle's constant
-        # overhead grows with map-blocks x reduce-partitions.  Measured
-        # at 22M turns / 2M docs / 32 CPUs: 2048 fixed-size tasks ->
-        # 1313 s build (shred itself only 136 s), ~250 adaptive tasks ->
-        # 236 s — identical output, 5.6x.  The target is a fixed 256
-        # tasks (not CPU-proportional: the same input must produce the
-        # same tasks at every parallelism so the two-cluster-size
-        # scaling measurement isolates scheduling), with a floor so
-        # small corpora keep data-proportional granularity.
-        docs_per_ingest_task = max(1024, -(-max(num_docs, 1) // 256))
-    if docs_per_range is None:
-        docs_per_range = 250_000
-    num_ranges = max(1, min(64, -(-max(num_docs, 1) // docs_per_range)))
-    range_span = max(1, -(-max(num_docs, 1) // num_ranges))
-    if num_buckets is None:
-        num_buckets = max(32, min(4096, -(-max(num_docs, 1) // 200_000)))
+    def stages(dirs, sizing):
+        return [ShredTokenize(dirs["docmap"], dirs["values"], **sizing)]
 
-    done_gkeys = _committed_gkeys(seg_dir, stats_dir)
-    num_tasks = max(1, min(len(input_paths),
-                           -(-max(num_docs, 1) // docs_per_ingest_task)))
-    plan_rows = [
-        {"path": os.path.abspath(p), "offset": o, "rows": r, "seq": i}
-        for i, (p, o, r) in enumerate(zip(input_paths, offsets, rows_per))
-    ]
-    shredder = ShredTokenize(docmap_dir, values_dir, num_buckets,
-                             num_ranges, range_span, doc_id_offset,
-                             block_size)
-    if local is None:
-        local = num_docs < 5_000
-    with _one_row_blocks():
-        blocks = (shredder(pa.Table.from_pylist(plan_rows)) if local
-                  else ray.data.from_items(plan_rows,
-                                           override_num_blocks=num_tasks)
-                  .map_batches(shredder, batch_format="pyarrow"))
-        acks = _write_groups(blocks, seg_dir, stats_dir, NESTED_ROW_GROUP,
-                             done_gkeys)
-    field_k, segments, stats = _group_entries(acks, done_gkeys, seg_dir,
-                                              stats_dir, num_ranges, str)
-
-    manifest = {
-        "version": 1,
-        "nested": True,
-        "analyzer": "noise-porter2-v1",
-        "fields": [],
-        "key_columns": ["_id"],
-        "num_docs": num_docs,
-        "doc_id_offset": doc_id_offset,
-        "num_buckets": num_buckets,
-        "num_ranges": num_ranges,
-        "range_span": range_span,
-        "block_size": block_size,
-        "field_k": field_k,
-        "docmap": [
-            {"path": os.path.join(docmap_dir, f"docmap-{i:05d}.parquet"),
-             "rows": r, "min_doc": o, "max_doc": o + r - 1}
-            for i, (o, r) in enumerate(zip(offsets, rows_per))
-        ],
-        "values": [
-            {"path": os.path.join(values_dir, f"values-{i:05d}.parquet"),
-             "min_doc": o, "max_doc": o + r - 1}
-            for i, (o, r) in enumerate(zip(offsets, rows_per))
-        ],
-        "segments": segments,
-        "stats": stats,
-        # build metrics next to the lineage (north-rule: resumable from
-        # checkpoint with per-partition lineage + metrics)
-        "metrics": {
-            "build_wall_sec": round(time.time() - t_build_start, 3),
-            "docs_per_sec": round(
-                num_docs / max(time.time() - t_build_start, 1e-9), 1),
-            "ingest_tasks": len(input_paths),
-            "segment_groups": len(segments),
-            "resumed_groups": len(done_gkeys),
-            "total_postings": sum(e["postings"] for e in segments),
-            "local": bool(local),
-        },
-    }
-    _publish_manifest(manifest, index_dir)
-    return manifest
+    return run_build(index_dir, plan, stages, nested=True, fields=(),
+                     key_columns=("_id",), num_buckets=num_buckets,
+                     docs_per_range=docs_per_range, block_size=block_size,
+                     doc_id_offset=doc_id_offset,
+                     docs_per_ingest_task=docs_per_ingest_task)

@@ -6,7 +6,10 @@ re-expressed as ONE streaming Ray Data execution — or, when the input fits
 one ingest task (``DOCS_PER_TASK`` docs or fewer, e.g. an incremental
 add), as the same stage functions called in the driver, with no Ray Data
 job at all (the reference's in-process ``add`` + flush).  Both routes
-write byte-identical files:
+write byte-identical files.  ``run_build`` is the one driver of both
+engines (sizing, route, stage 3, manifest); ``build_index`` and the
+nested ``json_pipeline.build_json_index`` supply only their plan rows and
+stage chain:
 
   stage 1  ingest+docmap   per input file task: assign dense doc_ids from the
                            metadata plan, verify/establish (conv_id, turn_idx)
@@ -80,6 +83,7 @@ need no configuration.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import time
@@ -111,10 +115,13 @@ MANIFEST_NAME = "manifest.json"
 # transcript corpus.
 FLAT_ROW_GROUP = 64
 NESTED_ROW_GROUP = 2048
-# Docs one ingest task takes at the least.  A flat build (``build_index``)
-# of at most this many docs is one task anyway, so it runs in the driver
-# with no Ray Data job.
+# Docs one ingest task takes at the least, per engine.  A build of at most
+# this many docs is one task anyway, so it runs in the driver with no Ray
+# Data job (``run_build``).  The floors stay apart: the flat one would cut
+# the sf0.1 nested build from 20 ingest tasks to 2, a change in
+# parallelism not yet measured on a many-CPU host.
 DOCS_PER_TASK = 16384
+NESTED_DOCS_PER_TASK = 1024
 
 
 def term_bucket(term: str, num_buckets: int) -> int:
@@ -175,18 +182,11 @@ def tokenize_batch(batch: pa.Table, *, fields: tuple, num_buckets: int,
     would — without actor-pool scale-up lag."""
     tk = TokenizeBatch(fields, num_buckets, num_ranges, range_span, range_base,
                        block_size)
-    tk._bucket_cache = _BUCKET_CACHE_FOR(num_buckets)
+    tk._bucket_cache = _BUCKET_CACHES.setdefault(num_buckets, {})
     return tk(batch)
 
 
 _BUCKET_CACHES: dict[int, dict] = {}
-
-
-def _BUCKET_CACHE_FOR(num_buckets: int) -> dict:
-    c = _BUCKET_CACHES.get(num_buckets)
-    if c is None:
-        c = _BUCKET_CACHES[num_buckets] = {}
-    return c
 
 
 def _field_tokens(col: pa.ChunkedArray, num_rows: int,
@@ -558,10 +558,7 @@ def _write_groups(blocks, seg_dir: str, stats_dir: str, row_group_size: int,
                                     batch_format="pyarrow")
     acks_ds = blocks.groupby("gkey").map_groups(
         _write_segment_group, batch_format="pyarrow", fn_kwargs=kw)
-    acks = acks_ds.take_all()
-    if os.environ.get("NOISE_RAY_BUILD_STATS"):
-        print(acks_ds.stats())
-    return acks
+    return acks_ds.take_all()
 
 
 def _group_entries(acks: list[dict], done: frozenset, seg_dir: str,
@@ -668,55 +665,37 @@ def _repartition_by_key(paths: list[str], key_columns: list[str],
     return _files(out_dir)
 
 
-def build_index(
-    input_paths: list[str],
-    index_dir: str,
-    *,
-    fields: tuple = DEFAULT_FIELDS,
-    key_columns: tuple = ("conv_id", "turn_idx"),
-    num_buckets: int | None = None,
-    docs_per_range: int | None = None,
-    block_size: int = 4096,
-    tokenize_batch_size: int | None = None,
-    tokenize_concurrency: tuple | int | None = None,
-    doc_id_offset: int = 0,
-    docs_per_ingest_task: int | None = None,
-) -> dict[str, Any]:
-    """Build (or resume) an index at ``index_dir``; returns the manifest.
+def run_build(index_dir: str, plan, stages, *, nested: bool,
+              fields: tuple, key_columns: tuple, num_buckets: int | None,
+              docs_per_range: int | None, block_size: int,
+              doc_id_offset: int,
+              docs_per_ingest_task: int | None) -> dict[str, Any]:
+    """The build driver of both engines: plan rows → stage chain → segment
+    groups → manifest publish; returns the manifest.
 
-    ``doc_id_offset`` shifts all assigned doc_ids (used by incremental
-    epochs, noise_ray/build/incremental.py: new docs continue the parent
-    index's seq space, mirroring the reference's monotonically increasing
-    seq across adds, src/index.rs:146-155).
+    ``plan()`` gives the engine's plan rows ``{path, offset, rows, seq}``,
+    one per input file, doc ids contiguous in ``seq`` order.
+    ``stages(dirs, sizing)`` gives its stage chain: callables from a table
+    of plan rows, each feeding the next, to posting-block rows; ``sizing``
+    is the ``num_buckets`` / ``num_ranges`` / ``range_span`` /
+    ``range_base`` / ``block_size`` keywords of both tokenizers.
+    ``nested`` picks the rest: the ``values`` directory, the ingest task
+    floor (``NESTED_DOCS_PER_TASK``), the segment row-group size and the
+    ``field_k`` key type.
 
-    A build of at most ``docs_per_ingest_task`` docs (by default
-    ``DOCS_PER_TASK`` or more) is one ingest task, so it runs in the
-    driver: ``_ingest_emit`` → ``tokenize_batch`` → ``_write_groups`` on
-    the whole plan, the same stage functions the Ray Data chain maps, and
-    the same files.  Larger builds run the Ray Data chain;
-    ``tokenize_batch_size`` and ``tokenize_concurrency`` apply to it only.
-    The manifest's ``metrics["local"]`` records the route."""
+    One route rule: a build of at most ``docs_per_ingest_task`` docs is
+    one ingest task's worth, so the chain runs once over the whole plan in
+    the driver; larger builds map it over ``ray.data.from_items``.  The
+    driver writes the files a one-task Ray job would;
+    ``metrics["local"]`` records the route."""
     t_build_start = time.time()
-    docmap_dir = os.path.join(index_dir, "docmap")
-    seg_dir = os.path.join(index_dir, "segments")
-    stats_dir = os.path.join(index_dir, "stats")
-    for d in (docmap_dir, seg_dir, stats_dir):
+    dirs = {sub: os.path.join(index_dir, sub) for sub in (
+        ("docmap", "values", "segments", "stats") if nested
+        else ("docmap", "segments", "stats"))}
+    for d in dirs.values():
         os.makedirs(d, exist_ok=True)
-
-    # ---- plan: metadata-only doc_id assignment; inputs whose key ranges
-    # overlap first pass through ONE explicit global sort into a
-    # range-partitioned copy (the documented fallback in docids.py — the
-    # normal 100 TB layout is already range-partitioned and skips this)
-    try:
-        plans: list[FilePlan] = plan_doc_ids(list(input_paths),
-                                             list(key_columns))
-    except ValueError:
-        repart = _repartition_by_key(list(input_paths), list(key_columns),
-                                     os.path.join(index_dir, "repartitioned"))
-        plans = plan_doc_ids(repart, list(key_columns))
-    for p in plans:
-        p.offset += doc_id_offset
-    num_docs = sum(p.rows for p in plans)
+    plan_rows = plan()
+    num_docs = sum(r["rows"] for r in plan_rows)
     if docs_per_range is None:
         # doc ranges bound per-group work AND split hot-term buckets (Zipf
         # skew): the hottest stem's postings never concentrate in a single
@@ -728,68 +707,62 @@ def build_index(
         # shuffle fan-out sized to the corpus; floor keeps small builds cheap
         num_buckets = max(32, min(4096, -(-num_docs // 200_000)))
 
-    done_gkeys = _committed_gkeys(seg_dir, stats_dir)
-
-    # ---- single streaming execution: ingest → tokenize → shuffle → write
-    # (or, for one task's worth of docs, the same stages in the driver)
-    # Ingest task granularity is DATA-proportional (~docs_per_ingest_task
-    # rows per task), NOT file- or cluster-proportional.  One task per file
-    # would make the sort shuffle's partition-object count quadratic in file
-    # count (400 files -> 160k tiny objects) and multiply combiner output
-    # rows (each task re-lists the common stems); scaling tasks with
-    # cluster CPUs would make the TOTAL work depend on cluster size, so
-    # the same input must produce the same tasks at every parallelism
-    # (the two-cluster-size scaling criterion measures pure scheduling).
-    # Each task owns a contiguous RUN of files — doc_id ranges stay
-    # contiguous, which the run-merge in the segment writer relies on.
-    # Above ~4.2M docs the per-task size grows so the task count caps at
-    # a fixed 256 (input-only, cluster-agnostic): the shuffle's constant
-    # overhead grows with map-blocks x reduce-partitions, measured at 22M
-    # turns as 172 s with 1343 blocks vs 112 s with 245 (1.53x, same
-    # output).
+    # Ingest tasks are DATA-proportional (~docs_per_ingest_task docs each),
+    # never file- or cluster-proportional: one task per file makes the
+    # shuffle's partition-object count quadratic in file count (400 files
+    # -> 160k tiny objects) and multiplies combiner rows, and CPU-scaled
+    # tasks would make the total work depend on cluster size (the same
+    # input must give the same tasks at every parallelism).  Each task
+    # owns a contiguous run of files, so doc_id ranges stay contiguous for
+    # the segment writer's run-merge.  Above 256 x the floor the task
+    # count caps at 256: shuffle overhead grows with map-blocks x
+    # reduce-partitions (22M turns: 172 s with 1343 blocks vs 112 s with
+    # 245; 2M nested docs on 32 CPUs: 1313 s with 2048 tasks vs 236 s
+    # with ~250; same output).
     if docs_per_ingest_task is None:
-        docs_per_ingest_task = max(DOCS_PER_TASK,
-                                   -(-max(num_docs, 1) // 256))
-    num_tasks = max(1, min(len(plans),
-                           -(-num_docs // docs_per_ingest_task)))
+        docs_per_ingest_task = max(
+            NESTED_DOCS_PER_TASK if nested else DOCS_PER_TASK,
+            -(-max(num_docs, 1) // 256))
     local = num_docs <= docs_per_ingest_task
+    num_tasks = 1 if local else min(len(plan_rows),
+                                    -(-num_docs // docs_per_ingest_task))
 
-    plan_rows = [{"path": p.path, "offset": p.offset, "rows": p.rows, "seq": i}
-                 for i, p in enumerate(plans)]
-    ingest_kw = {"key_columns": key_columns, "docmap_dir": docmap_dir,
-                 "fields": tuple(fields)}
-    tokenize_kw = {"fields": tuple(fields), "num_buckets": num_buckets,
-                   "num_ranges": num_ranges, "range_span": range_span,
-                   "range_base": doc_id_offset, "block_size": block_size}
+    done_gkeys = _committed_gkeys(dirs["segments"], dirs["stats"])
+    chain = stages(dirs, {"num_buckets": num_buckets,
+                          "num_ranges": num_ranges, "range_span": range_span,
+                          "range_base": doc_id_offset,
+                          "block_size": block_size})
     with _one_row_blocks():
         if local:  # one task's worth: the same stages, in the driver
-            postings = tokenize_batch(_ingest_emit(
-                pa.Table.from_pylist(plan_rows), **ingest_kw), **tokenize_kw)
+            blocks = pa.Table.from_pylist(plan_rows)
+            for stage in chain:
+                blocks = stage(blocks)
         else:
-            postings = (
-                ray.data.from_items(plan_rows, override_num_blocks=num_tasks)
-                .map_batches(_ingest_emit, fn_kwargs=ingest_kw,
-                             batch_format="pyarrow")
-                .map_batches(
-                    tokenize_batch,
-                    fn_kwargs=tokenize_kw,
-                    # batch_size=None → per-block batches: the fused
-                    # ingest→tokenize op runs one task per input file.  An
-                    # explicit batch_size would make Ray bundle the 1-row
-                    # plan blocks into a single task to satisfy it,
-                    # serializing the whole pipeline.
-                    batch_size=tokenize_batch_size,
-                    batch_format="pyarrow",
-                    concurrency=tokenize_concurrency,
-                )
-            )
-        acks = _write_groups(postings, seg_dir, stats_dir, FLAT_ROW_GROUP,
+            # map_batches' default batch_size (None) keeps one batch per
+            # plan block, so the fused chain runs one task per block; an
+            # explicit batch_size would bundle the blocks into one task
+            blocks = ray.data.from_items(plan_rows,
+                                         override_num_blocks=num_tasks)
+            for stage in chain:
+                blocks = blocks.map_batches(stage, batch_format="pyarrow")
+        acks = _write_groups(blocks, dirs["segments"], dirs["stats"],
+                             NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP,
                              done_gkeys)
-    field_k, segments, stats = _group_entries(acks, done_gkeys, seg_dir,
-                                              stats_dir, num_ranges)
+    field_k, segments, stats = _group_entries(
+        acks, done_gkeys, dirs["segments"], dirs["stats"], num_ranges,
+        str if nested else int)
+
+    def parts(sub: str, with_rows: bool = False) -> list[dict]:
+        """The manifest entry of each plan row's ``sub`` partition."""
+        return [{"path": os.path.join(dirs[sub],
+                                      f"{sub}-{r['seq']:05d}.parquet"),
+                 **({"rows": r["rows"]} if with_rows else {}),
+                 "min_doc": r["offset"],
+                 "max_doc": r["offset"] + r["rows"] - 1} for r in plan_rows]
 
     manifest = {
         "version": 1,
+        **({"nested": True} if nested else {}),
         "analyzer": "noise-porter2-v1",
         "fields": list(fields),
         "key_columns": list(key_columns),
@@ -800,12 +773,8 @@ def build_index(
         "range_span": range_span,
         "block_size": block_size,
         "field_k": field_k,
-        "docmap": [
-            {"path": os.path.join(docmap_dir, f"docmap-{i:05d}.parquet"),
-             "rows": p.rows, "min_doc": p.offset,
-             "max_doc": p.offset + p.rows - 1}
-            for i, p in enumerate(plans)
-        ],
+        "docmap": parts("docmap", with_rows=True),
+        **({"values": parts("values")} if nested else {}),
         "segments": segments,
         "stats": stats,
         # build metrics next to the lineage (north-rule: resumable from
@@ -813,9 +782,9 @@ def build_index(
         # for THIS invocation, and how much of the work a resume skipped
         "metrics": {
             "build_wall_sec": round(time.time() - t_build_start, 3),
-            "turns_per_sec": round(
+            "docs_per_sec": round(
                 num_docs / max(time.time() - t_build_start, 1e-9), 1),
-            "ingest_tasks": len(plans),
+            "ingest_tasks": num_tasks,
             "segment_groups": len(segments),
             "resumed_groups": len(done_gkeys),
             "total_postings": sum(e["postings"] for e in segments),
@@ -824,3 +793,55 @@ def build_index(
     }
     _publish_manifest(manifest, index_dir)
     return manifest
+
+
+def build_index(
+    input_paths: list[str],
+    index_dir: str,
+    *,
+    fields: tuple = DEFAULT_FIELDS,
+    key_columns: tuple = ("conv_id", "turn_idx"),
+    num_buckets: int | None = None,
+    docs_per_range: int | None = None,
+    block_size: int = 4096,
+    doc_id_offset: int = 0,
+    docs_per_ingest_task: int | None = None,
+) -> dict[str, Any]:
+    """Build (or resume) a flat index at ``index_dir``; returns the
+    manifest.
+
+    ``doc_id_offset`` shifts all assigned doc_ids (used by incremental
+    epochs, noise_ray/build/incremental.py: new docs continue the parent
+    index's seq space, mirroring the reference's monotonically increasing
+    seq across adds, src/index.rs:146-155).
+
+    The flat engine's share of ``run_build``: plan rows from the
+    metadata-only doc_id plan, and the stage chain ``_ingest_emit`` →
+    ``tokenize_batch``."""
+    fields, key_columns = tuple(fields), tuple(key_columns)
+
+    def plan() -> list[dict]:
+        # metadata-only doc_id assignment; inputs whose key ranges overlap
+        # first pass through ONE global sort into a range-partitioned copy
+        # (the fallback in docids.py; the normal layout skips it)
+        try:
+            plans: list[FilePlan] = plan_doc_ids(list(input_paths),
+                                                 list(key_columns))
+        except ValueError:
+            repart = _repartition_by_key(
+                list(input_paths), list(key_columns),
+                os.path.join(index_dir, "repartitioned"))
+            plans = plan_doc_ids(repart, list(key_columns))
+        return [{"path": p.path, "offset": p.offset + doc_id_offset,
+                 "rows": p.rows, "seq": i} for i, p in enumerate(plans)]
+
+    def stages(dirs, sizing):
+        return [functools.partial(_ingest_emit, key_columns=key_columns,
+                                  docmap_dir=dirs["docmap"], fields=fields),
+                functools.partial(tokenize_batch, fields=fields, **sizing)]
+
+    return run_build(index_dir, plan, stages, nested=False, fields=fields,
+                     key_columns=key_columns, num_buckets=num_buckets,
+                     docs_per_range=docs_per_range, block_size=block_size,
+                     doc_id_offset=doc_id_offset,
+                     docs_per_ingest_task=docs_per_ingest_task)

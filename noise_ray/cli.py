@@ -58,7 +58,7 @@ def _cmd_build(a) -> int:
 def _cmd_build_json(a) -> int:
     from .build.json_pipeline import build_json_index
 
-    man = build_json_index(list(a.src), a.index, local=False)
+    man = build_json_index(list(a.src), a.index)
     print(json.dumps({"num_docs": man["num_docs"],
                       "segments": len(man["segments"])}))
     return 0

@@ -89,7 +89,7 @@ class _Index:
             seqs = [s for _, (s, _t) in ordered]
             src = docs_to_parquet(texts, os.path.join(idx_dir, "in.parquet"),
                                   seqs=seqs) if texts else None
-            build_json_index([src] if src else [], idx_dir, local=True)
+            build_json_index([src] if src else [], idx_dir)
         self._reader = JsonIndexReader(idx_dir)
         self._built_key = key
         return self._reader

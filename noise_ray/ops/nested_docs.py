@@ -99,7 +99,7 @@ def _orders_index(sf_dir: str) -> str:
                          batch_size=None)
             .take_all())
     paths = sorted(a["path"] for a in acks)
-    build_json_index(paths, idx_dir, local=False)
+    build_json_index(paths, idx_dir)
     return idx_dir
 
 
@@ -184,10 +184,11 @@ def nested_transcripts_index(sf_dir: str, paths: list[str] | None = None):
 
     from ..build.json_pipeline import build_json_index
 
-    # ingest-task sizing is adaptive in build_json_index: the task count
-    # bounds the sort-input block count, whose shuffle overhead was the
-    # 22M-scale wall when it tracked the fixed 1024-doc shard size
-    build_json_index(shard_paths, idx_dir, local=False)
+    # the build sizes its ingest tasks and picks its route from the doc
+    # count (pipeline.run_build): the task count bounds the sort-input
+    # block count, whose shuffle overhead was the 22M-scale wall when it
+    # tracked the fixed 1024-doc shard size
+    build_json_index(shard_paths, idx_dir)
     return JsonIndexReader(idx_dir)
 
 

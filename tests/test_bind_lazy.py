@@ -68,7 +68,7 @@ def test_limited_bind_equals_unlimited_prefix(docs, word, limit,
     d = tmp_path_factory.mktemp("bindlazy")
     p = docs_to_parquet(docs, os.path.join(str(d), "in.parquet"))
     idx = os.path.join(str(d), "idx")
-    build_json_index([p], idx, num_buckets=4, local=True)
+    build_json_index([p], idx, num_buckets=4)
     r = JsonIndexReader(idx)
 
     q = f'find {{a: x::[ =="{word}" ]}} return {{id: ._id, m: x}}'

@@ -20,8 +20,10 @@ from noise_ray.sources import generate_transcripts
 
 def _hash_dir_files(index_dir):
     out = {}
-    for sub in ("docmap", "segments", "stats"):
+    for sub in ("docmap", "values", "segments", "stats"):
         d = os.path.join(index_dir, sub)
+        if not os.path.isdir(d):  # values: nested indexes only
+            continue
         for f in sorted(os.listdir(d)):
             with open(os.path.join(d, f), "rb") as fh:
                 out[f"{sub}/{f}"] = hashlib.sha256(fh.read()).hexdigest()
@@ -68,8 +70,9 @@ def _num_rows(paths):
 
 
 def _route_kwargs(route, paths):
-    """build_index arguments that take ``route``: the default driver run,
-    or a Ray Data job (an ingest task one doc smaller than the corpus)."""
+    """Build arguments (either engine) that take ``route``: the default
+    driver run, or a Ray Data job (an ingest task one doc smaller than the
+    corpus)."""
     if route == "driver":
         return {}
     return {"docs_per_ingest_task": _num_rows(paths) - 1}
@@ -81,15 +84,37 @@ def _disk_manifest(index_dir):
     return m, m.pop("metrics")
 
 
-def test_driver_and_ray_routes_write_identical_files(ray_session, tmp_path):
-    """A one-file corpus built in the driver (the default below
-    DOCS_PER_TASK docs) and by a one-task Ray Data job writes the same
+def _flat_corpus(root):
+    """A one-file flat corpus and the flat build."""
+    return build_index, generate_transcripts(os.path.join(root, "in"),
+                                             num_convs=40, num_files=1)
+
+
+def _nested_corpus(root):
+    """A one-file nested corpus (arrays of 1-4 objects) and the nested
+    build."""
+    from noise_ray.build.json_pipeline import (build_json_index,
+                                               docs_to_parquet)
+
+    docs = [{"_id": f"d{i}", "n": i,
+             "msgs": [{"t": f"word{(i + j) % 7} text {j}"}
+                      for j in range(1 + i % 4)]} for i in range(60)]
+    os.makedirs(root, exist_ok=True)
+    return build_json_index, [docs_to_parquet(
+        docs, os.path.join(root, "docs.parquet"))]
+
+
+@pytest.mark.parametrize("corpus", [_flat_corpus, _nested_corpus],
+                         ids=["flat", "nested"])
+def test_driver_and_ray_routes_write_identical_files(ray_session, tmp_path,
+                                                     corpus):
+    """A one-file corpus built in the driver (the default at one ingest
+    task's worth of docs) and by a one-task Ray Data job writes the same
     bytes: the two routes run the same stage functions."""
-    paths = generate_transcripts(str(tmp_path / "in"), num_convs=40,
-                                 num_files=1)
+    build, paths = corpus(str(tmp_path))
     local_dir, ray_dir = str(tmp_path / "driver"), str(tmp_path / "ray")
-    build_index(paths, local_dir)
-    build_index(paths, ray_dir, **_route_kwargs("ray", paths))
+    build(paths, local_dir)
+    build(paths, ray_dir, **_route_kwargs("ray", paths))
     m_local, metrics_local = _disk_manifest(local_dir)
     m_ray, metrics_ray = _disk_manifest(ray_dir)
     assert metrics_local["local"] is True
@@ -191,8 +216,7 @@ def _nested_upsert_case(root):
     paths = [docs_to_parquet(docs[i:i + 10],
                              os.path.join(root, f"j{i}.parquet"),
                              docid_base=i) for i in range(0, 40, 10)]
-    m = build_json_index(paths, os.path.join(root, "idx"), num_buckets=4,
-                         local=True)
+    m = build_json_index(paths, os.path.join(root, "idx"), num_buckets=4)
     new_keys = pa.table({"_id": ["d3", "d17", "d39", "fresh"]})
     return m["docmap"], new_keys, ["_id"], m["num_docs"], [3, 17, 39]
 
@@ -214,8 +238,8 @@ def test_shadowed_doc_ids_finds_the_older_colliding_docs(ray_session,
 
 
 def test_partitioning_independence(ray_session, tmp_path):
-    """Index CONTENT must not depend on input file layout or batch size
-    (the sandbox stand-in for cluster-size independence): identical term
+    """Index CONTENT must not depend on input file layout or ingest task
+    size (the sandbox stand-in for cluster-size independence): identical term
     stats (byte-for-byte — they are per-term totals), identical decoded
     posting lists for the whole vocabulary, identical scores.  Segment
     FILES may differ: posting blocks are finished in the mapper, so block
@@ -223,13 +247,12 @@ def test_partitioning_independence(ray_session, tmp_path):
     re-encodes)."""
     p_a = generate_transcripts(str(tmp_path / "a"), num_convs=40, num_files=2)
     p_b = generate_transcripts(str(tmp_path / "b"), num_convs=40, num_files=7)
-    # the batch size applies to the Ray Data route only: keep both builds
-    # on it (a corpus of one task's worth would otherwise run in the driver)
-    per_task = _num_rows(p_a) // 3
+    # both builds take the Ray Data route, with different task sizes (a
+    # corpus of one task's worth would otherwise run in the driver)
     m_a = build_index(p_a, str(tmp_path / "idxa"), num_buckets=8,
-                      tokenize_batch_size=64, docs_per_ingest_task=per_task)
+                      docs_per_ingest_task=_num_rows(p_a) // 3)
     m_b = build_index(p_b, str(tmp_path / "idxb"), num_buckets=8,
-                      tokenize_batch_size=1024, docs_per_ingest_task=per_task)
+                      docs_per_ingest_task=_num_rows(p_b) // 5)
     assert not m_a["metrics"]["local"] and not m_b["metrics"]["local"]
     ha = {k: v for k, v in _hash_dir_files(str(tmp_path / "idxa")).items()
           if k.startswith("stats/")}

@@ -66,11 +66,17 @@ def test_build_deterministic(tmp_path):
     assert a[2] == ["c"]
 
 
-def test_resume_after_partial_output(tmp_path):
-    from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
+# build_json_index arguments per route: the default driver run (a corpus
+# of one ingest task's worth), or a Ray Data job (tasks one doc smaller)
+ROUTES = {"driver": {}, "ray": {"docs_per_ingest_task": len(DOCS) - 1}}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_resume_after_partial_output(ray_session, tmp_path, route):
+    from noise_ray.build.json_pipeline import build_json_index
 
     base = str(tmp_path / "crash")
-    idx = _build(base, DOCS)
+    idx = _build(base, DOCS, **ROUTES[route])
     expected = _run_all(idx)
 
     # simulate a crash: manifest gone, some segments/stats/values/docmap
@@ -87,13 +93,14 @@ def test_resume_after_partial_output(tmp_path):
 
     p1 = os.path.join(base, "in0.parquet")
     p2 = os.path.join(base, "in1.parquet")
-    build_json_index([p1, p2], idx, num_buckets=8)
+    m = build_json_index([p1, p2], idx, num_buckets=8, **ROUTES[route])
+    assert m["metrics"]["local"] is (route == "driver")
     assert _run_all(idx) == expected
 
 
-def test_local_and_ray_builds_identical(tmp_path):
-    a = _run_all(_build(str(tmp_path / "loc"), DOCS, local=True))
-    b = _run_all(_build(str(tmp_path / "ray"), DOCS, local=False))
+def test_local_and_ray_builds_identical(ray_session, tmp_path):
+    a = _run_all(_build(str(tmp_path / "loc"), DOCS, **ROUTES["driver"]))
+    b = _run_all(_build(str(tmp_path / "ray"), DOCS, **ROUTES["ray"]))
     assert a == b
 
 

@@ -193,7 +193,7 @@ def test_boolean_algebra_matches_bruteforce(docs, qt, tmp_path_factory):
     d = tmp_path_factory.mktemp("jprop")
     p = docs_to_parquet(docs, os.path.join(str(d), "in.parquet"))
     idx = os.path.join(str(d), "idx")
-    build_json_index([p], idx, num_buckets=4, local=True)
+    build_json_index([p], idx, num_buckets=4)
     r = JsonIndexReader(idx)
 
     got = run_json_query(r, f"find {{{q_text}}} return ._id ;")

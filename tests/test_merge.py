@@ -153,7 +153,7 @@ def test_merged_nested_equals_unified(ray_session, tmp_path):
     dirs = []
     for i, grp in enumerate((shards[:half], shards[half:])):
         d = str(tmp_path / f"n{i}")
-        build_json_index(grp, d, local=True)
+        build_json_index(grp, d)
         dirs.append(d)
     out = str(tmp_path / "merged")
     merge_indexes(dirs, out)
@@ -322,7 +322,7 @@ def test_split_json_matches_independent_builds(ray_session, tmp_path):
     builds = []
     for i, grp in enumerate((shards[:half], shards[half:])):
         d = str(tmp_path / f"ref{i}")
-        build_json_index(grp, d, local=True)
+        build_json_index(grp, d)
         builds.append(d)
 
     q = ('find {turns: [{role: =="assistant", text: ~="of your"}]} '

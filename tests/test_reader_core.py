@@ -73,7 +73,7 @@ def _nested_index(root):
     idx = os.path.join(root, "nested")
     build_json_index([docs_to_parquet(docs(base, 0),
                                       os.path.join(root, "j0.parquet"))],
-                     idx, num_buckets=4, block_size=2, local=True)
+                     idx, num_buckets=4, block_size=2)
     up = base[1:4] + ["e0", "e1"]
     add_documents(idx, [docs_to_parquet(
         docs(up, 5), os.path.join(root, "j1.parquet"), docid_base=12)])

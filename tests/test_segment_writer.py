@@ -65,8 +65,7 @@ def indexes(ray_session, tmp_path_factory):
     nested = str(root / "nested")
     shard = docs_to_parquet(_nested_docs(400),
                             str(root / "docs-00000.parquet"))
-    build_json_index([shard], nested, num_buckets=1, block_size=1,
-                     local=True)
+    build_json_index([shard], nested, num_buckets=1, block_size=1)
     split_index(nested, [str(root / "na"), str(root / "nb")])
 
     nested_live = str(root / "nested_live")

@@ -39,7 +39,7 @@ def geo_index(ray_session, tmp_path_factory):
               docs_to_parquet(docs[200:], os.path.join(root, "in1.parquet"),
                               docid_base=200)]
     idx = os.path.join(root, "idx")
-    build_json_index(shards, idx, num_buckets=4, local=True)
+    build_json_index(shards, idx, num_buckets=4)
     return idx, docs
 
 
@@ -131,7 +131,7 @@ def test_merged_epoch_keeps_sidecars(ray_session, tmp_path):
     idx = str(tmp_path / "idx")
     build_json_index([docs_to_parquet(docs[:100],
                                       str(tmp_path / "in0.parquet"))],
-                     idx, num_buckets=4, local=True)
+                     idx, num_buckets=4)
     for e in (1, 2):
         add_documents(idx, [docs_to_parquet(
             docs[100 * e:100 * (e + 1)], str(tmp_path / f"in{e}.parquet"),
