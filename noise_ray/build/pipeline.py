@@ -62,7 +62,15 @@ stage chain:
                            since a (field, term) run lives wholly inside
                            its shuffle group).  Only the segment row-group
                            size differs per engine (FLAT_ROW_GROUP,
-                           NESTED_ROW_GROUP).  Idempotent, resumable per
+                           NESTED_ROW_GROUP).  Both files have no
+                           dictionary pages and min/max statistics only
+                           on the columns filtered reads prune row groups
+                           by: field/term/min_doc/max_doc for the postings
+                           reads (SEGMENT_WRITE), field/term for the
+                           stats reads (STATS_WRITE).  Docmap and values
+                           files keep Parquet's defaults: the zone maps,
+                           the doc-id plan and the key lookups read their
+                           footer min/max.  Idempotent, resumable per
                            group (committed groups are filtered before the
                            shuffle); commit order stats→segment so a
                            segment file's presence implies its stats exist.
@@ -115,6 +123,24 @@ MANIFEST_NAME = "manifest.json"
 # transcript corpus.
 FLAT_ROW_GROUP = 64
 NESTED_ROW_GROUP = 2048
+# Parquet writer properties of the two files ``write_segment_group``
+# writes.  No dictionary pages: a block's varint payloads are unique
+# blobs, and most terms have one block row, so a dictionary page per
+# column chunk only adds bytes.  Min/max statistics (page headers and
+# footer) only on the columns that filtered reads prune row groups by:
+# (field, term, max_doc, min_doc) in the postings reads
+# (``ReaderCore.postings``, the split's doc-range read in build/merge.py)
+# and (field, term) in the stats reads (``query.reader._sum_c``, the
+# ``ops/aggs`` df lookups).  No reader looks at the statistics of the
+# multi-KB payload columns (docs, tfs, lens, positions, aps): the flat
+# block index reads whole row groups by ordinal.  Every other file keeps
+# Parquet's defaults: docmap footer min/max feed the reader's zone maps
+# (``IndexReader.docmap_zone``), the doc-id plan (``docids.plan_doc_ids``)
+# and the key lookups, and values files are filtered by kp / doc_id.
+SEGMENT_WRITE = {"use_dictionary": False,
+                 "write_statistics": ["field", "term", "min_doc", "max_doc"]}
+STATS_WRITE = {"use_dictionary": False,
+               "write_statistics": ["field", "term"]}
 # Docs one ingest task takes at the least, per engine.  A build of at most
 # this many docs is one task anyway, so it runs in the driver with no Ray
 # Data job (``run_build``).  The floors stay apart: the flat one would cut
@@ -128,9 +154,18 @@ def term_bucket(term: str, num_buckets: int) -> int:
     return zlib.crc32(term.encode("utf-8")) % num_buckets
 
 
-def _atomic_write_table(table: pa.Table, path: str, row_group_size: int = 2048):
+def _atomic_write_table(table: pa.Table, path: str, row_group_size: int = 2048,
+                        **writer):
+    """Write ``table`` to ``path`` via a temp file and a rename; ``writer``
+    passes Parquet writer properties through.  A failed write removes its
+    temp file and re-raises."""
     tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(table, tmp, row_group_size=row_group_size)
+    try:
+        pq.write_table(table, tmp, row_group_size=row_group_size, **writer)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -491,9 +526,10 @@ def write_segment_group(rows: pa.Table, gkey: int, seg_path: str,
         {**meta, "noise_field_k": json.dumps(field_k, sort_keys=True)})
     seg = seg.rename_columns(["positions" if c == "pos" else c
                               for c in seg.column_names])
-    _atomic_write_table(stats, stats_path, row_group_size=8192)
+    _atomic_write_table(stats, stats_path, row_group_size=8192,
+                        **STATS_WRITE)
     _atomic_write_table(seg.replace_schema_metadata(meta), seg_path,
-                        row_group_size=row_group_size)
+                        row_group_size=row_group_size, **SEGMENT_WRITE)
     return postings, field_k
 
 

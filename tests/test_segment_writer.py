@@ -6,21 +6,35 @@ format: block rows ordered by
 (field, term, min_doc); stats rows equal to the per-(field, term) sums of
 the segment's ``c_block`` / ``cnt``; ``noise_postings`` (in both files)
 and ``noise_field_k`` equal to those sums; and the segment schema and
-row-group size of a fresh build of the same engine.
+row-group size of a fresh build of the same engine.  Every file also has
+the writer layout of ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``: no
+dictionary pages, and min/max statistics only on the columns that
+filtered reads prune row groups by.
+
+Indexes written before that layout (Parquet's defaults) still open: an
+index whose base and first epoch are rewritten in the old layout answers
+and merges like the untouched one.
 """
 
 import json
 import os
 import random
+import re
 import shutil
 
+import numpy as np
 import pyarrow.parquet as pq
 import pytest
 
 from noise_ray.build import add_documents, build_index, merge_epochs
+from noise_ray.build import pipeline
 from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
 from noise_ray.build.merge import split_index
 from noise_ray.sources import generate_transcripts
+
+# the columns filtered reads prune row groups by, per file kind
+SEG_FILTER_COLS = {"field", "term", "min_doc", "max_doc"}
+STATS_FILTER_COLS = {"field", "term"}
 
 WORDS = ("fox dog quick brown lazy river stone cloud amber delta echo "
          "field grain harbor island jungle kettle lemon meadow noble ocean "
@@ -152,4 +166,152 @@ def test_segment_group_invariants(indexes, name):
         assert rgs == [rg_size] * (n // rg_size) + (
             [n % rg_size] if n % rg_size else []), (seg_path, rgs)
         spans_row_groups |= len(rgs) > 1
+
+        _assert_writer_layout(stats_path, STATS_FILTER_COLS)
+        _assert_writer_layout(seg_path, SEG_FILTER_COLS)
+        md = pq.read_metadata(seg_path)
+        names = md.schema.names
+        start = 0
+        for rg, rows in enumerate(rgs):
+            for c in ("min_doc", "max_doc"):
+                st = md.row_group(rg).column(names.index(c)).statistics
+                vals = seg.column(c).to_numpy()[start:start + rows]
+                assert st.has_min_max, (seg_path, rg, c)
+                assert (st.min, st.max) == (vals.min(), vals.max())
+            start += rows
     assert spans_row_groups, "no segment spans two row groups"
+
+
+def _assert_writer_layout(path: str, filter_cols: set) -> None:
+    """No column chunk has a dictionary page; statistics exist exactly on
+    ``filter_cols``."""
+    md = pq.read_metadata(path)
+    assert md.num_row_groups, path
+    for rg in range(md.num_row_groups):
+        for j in range(md.num_columns):
+            c = md.row_group(rg).column(j)
+            assert not c.has_dictionary_page, (path, c.path_in_schema)
+            assert c.is_stats_set == (c.path_in_schema in filter_cols), (
+                path, rg, c.path_in_schema)
+
+
+def test_failed_write_leaves_no_file(indexes, tmp_path, monkeypatch):
+    """A write that raises mid-file removes its temp file and re-raises:
+    neither a temp file nor the segment file is left (the stats file,
+    committed first, may stay; resume needs both files of a group)."""
+    seg_path, _ = _groups(indexes["flat_build"][0])[0]
+    rows = pq.read_table(seg_path)
+    real = pq.write_table
+
+    def failing(table, where, **kw):
+        if os.path.basename(where).startswith("seg-"):
+            with open(where, "wb") as f:
+                f.write(b"PAR1")
+            raise OSError("disk full")
+        real(table, where, **kw)
+
+    monkeypatch.setattr(pipeline.pq, "write_table", failing)
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.write_segment_group(
+            rows, 0, str(tmp_path / "seg-00000000.parquet"),
+            str(tmp_path / "stats-00000000.parquet"), pipeline.FLAT_ROW_GROUP)
+    assert os.listdir(tmp_path) == ["stats-00000000.parquet"]
+
+
+def _rewrite_old_layout(index_dir: str) -> None:
+    """Rewrite the ``segments/`` and ``stats/`` files directly under
+    ``index_dir`` with Parquet's default writer properties (dictionary
+    pages, statistics on every column), keeping their row-group size and
+    schema metadata: the layout of indexes written before
+    ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``."""
+    for sub in ("segments", "stats"):
+        d = os.path.join(index_dir, sub)
+        for f in sorted(os.listdir(d)):
+            p = os.path.join(d, f)
+            md = pq.read_metadata(p)
+            t = pq.read_table(p)
+            pq.write_table(t, p, row_group_size=md.row_group(0).num_rows)
+            old = pq.read_metadata(p)
+            assert old.num_row_groups == md.num_row_groups
+            assert old.row_group(0).column(0).has_dictionary_page
+            assert all(old.row_group(0).column(j).is_stats_set
+                       for j in range(old.num_columns))
+            assert pq.read_table(p).equals(t, check_metadata=True)
+
+
+@pytest.fixture(scope="module")
+def layouts(ray_session, tmp_path_factory):
+    """(untouched index, the same index with its base and first epoch in
+    the old layout), each with a second epoch added after the rewrite."""
+    root = tmp_path_factory.mktemp("oldlayout")
+    new, old = str(root / "new"), str(root / "old")
+    build_index(generate_transcripts(str(root / "in0"), num_convs=60,
+                                     num_files=3), new,
+                num_buckets=4, block_size=4)
+    add_documents(new, generate_transcripts(str(root / "in1"), num_convs=30,
+                                            num_files=2, seed=7))
+    shutil.copytree(new, old)
+    _rewrite_old_layout(old)
+    (epoch,) = [os.path.join(old, "epochs", e)
+                for e in os.listdir(os.path.join(old, "epochs"))]
+    _rewrite_old_layout(epoch)
+    second = generate_transcripts(str(root / "in2"), num_convs=30,
+                                  num_files=2, seed=9)
+    for idx in (new, old):
+        add_documents(idx, second)
+    return new, old
+
+
+def _answers(index_dir: str) -> dict:
+    """Postings (full and doc-range reads, with positions), term stats,
+    BM25 top-k and a phrase query of one index."""
+    from noise_ray.ops.bm25 import bm25_topk
+    from noise_ray.query import IndexReader, run_query
+
+    r = IndexReader(index_dir)
+    fid, n = r.field_id["text"], r.num_docs
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        stats = json.load(f)["stats"]
+    terms = sorted({t for s in stats for t in pq.read_table(
+        os.path.join(index_dir, s["path"]), columns=["term"],
+        filters=[("field", "==", fid)]).column("term").to_pylist()})
+    out: dict = {}
+    for t in terms[::3]:
+        for rng in (None, (0, n), (n // 5, n // 2), (n - n // 7, n)):
+            pl = r.postings(fid, t, True, rng)
+            if rng is not None:
+                pl = pl.slice_range(*rng)
+            out[(t, rng)] = [np.asarray(a).tolist() for a in (
+                pl.docs, pl.tfs, pl.lens, pl.pos_concat)]
+        out[(t, "stats")] = r.term_stats(fid, t)
+    out["bm25"] = bm25_topk("", terms=tuple(terms[:6]), k=50,
+                            index_dir=index_dir).to_pylist()
+    # two adjacent words of the first text that has a pair of plain ones
+    texts = r.fetch_docs(np.arange(min(n, 100)), ["text"]).column("text")
+    phrase = next(m.group(0) for t in texts.to_pylist() if t
+                  for m in [re.search(r"\b[a-z]{4,} [a-z]{4,}\b", t)] if m)
+    out["phrase"] = run_query(
+        r, f'find {{text: ~="{phrase}"}} order score() desc '
+        'return [.conv_id, .turn_idx, score()] ;').to_pylist()
+    return out
+
+
+def test_old_layout_answers_and_merges_the_same(layouts):
+    new, old = layouts
+    want = _answers(new)
+    assert want["bm25"] and want["phrase"]
+    assert _answers(old) == want
+
+    assert all(merge_epochs(idx) is not None for idx in (new, old))
+    dirs = [os.path.join(idx, "epochs", "epoch-0001-0002")
+            for idx in (new, old)]
+    for sub in ("segments", "stats"):
+        names = sorted(os.listdir(os.path.join(dirs[0], sub)))
+        assert names == sorted(os.listdir(os.path.join(dirs[1], sub)))
+        for f in names:
+            a, b = (os.path.join(d, sub, f) for d in dirs)
+            assert pq.read_table(a).equals(pq.read_table(b),
+                                           check_metadata=True), f
+            assert (pq.read_metadata(a).num_row_groups
+                    == pq.read_metadata(b).num_row_groups), f
+    assert _answers(old) == _answers(new)
