@@ -12,7 +12,9 @@ with the SAME pipeline as the base build (``build_index`` for a flat
 index, ``build_json_index`` when the base manifest is ``nested``), doc_ids
 continuing the parent's seq space (``doc_id_offset``); a flat delta of at
 most ``pipeline.DOCS_PER_TASK`` docs builds in the driver with no Ray Data
-job, and the upsert semi-join always runs in the driver.  The root reader
+job, into one term bucket (one segment and one stats file), and the
+upsert semi-join always runs in the driver.  Each epoch records its own
+bucket count, so base and epochs need not share one.  The root reader
 (``IndexReader`` / ``JsonIndexReader``) merges postings / stats / docmaps
 (and nested values) across epochs at query time; upserts tombstone the
 older doc_id (Lucene hidden-doc deletes).  ``merge_epochs`` and
@@ -172,11 +174,11 @@ def add_documents(index_dir: str, new_paths: list[str],
     with open(fp_path, "w") as f:
         json.dump(fp, f)
 
-    # the term -> bucket hash must agree across epochs so a term's
-    # postings are found in every epoch's segment set; block geometry
-    # too, so base and epochs share one posting-block layout
-    geometry = {"num_buckets": int(base["num_buckets"]),
-                "block_size": int(base.get("block_size", 4096)),
+    # the epoch sizes its own bucket count (``pipeline.bucket_count``:
+    # one bucket for a one-task delta) and records it in its manifest;
+    # readers route a term with each epoch's own count.  Block geometry
+    # is the base's, so base and epochs share one posting-block layout
+    geometry = {"block_size": int(base.get("block_size", 4096)),
                 "doc_id_offset": offset}
     if base.get("nested"):
         manifest = build_json_index(list(new_paths), epoch_dir, **geometry)
@@ -193,14 +195,44 @@ def add_documents(index_dir: str, new_paths: list[str],
     return manifest
 
 
+def read_bucket(sources, bucket: int, num_buckets: int,
+                nested: bool) -> pa.Table | None:
+    """The posting-block rows of output ``bucket`` (of ``num_buckets``)
+    in ``sources``, (segment path, its bucket, its index's bucket count)
+    triples; None when there are none.  A crc32 value v has v % n_s == s
+    and v % n == b only if s and b agree modulo gcd(n_s, n), so files
+    that cannot hold the bucket's terms are never read, files that map
+    wholly onto it (n divides n_s) pass through, and the rest are
+    filtered with ``pipeline.row_buckets``."""
+    import math
+
+    from .pipeline import row_buckets
+
+    parts = []
+    for path, src_bucket, src_buckets in sources:
+        g = math.gcd(src_buckets, num_buckets)
+        if src_bucket % g != bucket % g:
+            continue
+        t = pq.read_table(path)
+        if g < num_buckets:
+            t = t.filter(pa.array(row_buckets(t, num_buckets, nested)
+                                  == bucket))
+        if t.num_rows:
+            parts.append(t)
+    return pa.concat_tables(parts) if parts else None
+
+
 def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     """Tiered epoch merge (the Lucene TieredMergePolicy analogue): fold
     the OLDEST published epochs — all but the newest ``keep`` — into one
     equivalent epoch WITHOUT re-tokenizing anything.
 
     Epoch doc ids are append-ordered and never change, so a term's
-    merged posting rows are exactly the source epochs' rows: each
-    bucket's rows go through the build's segment writer
+    merged posting rows are exactly the source epochs' rows.  The merged
+    epoch takes ``pipeline.bucket_count`` of its doc span; each source row
+    goes to its output bucket by its term hash (``read_bucket``: sources
+    may have been written under any count), and each bucket's rows go
+    through the build's segment writer
     (``pipeline.write_segment_group``), which re-sorts them by (field,
     term, min_doc) with encoded payload bytes untouched and recomputes
     the bucket's stats (and its segment / stats metadata) from the block
@@ -221,16 +253,18 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     merge leaves an invisible unpublished dir that the next call wipes.
 
     Scale shape: one Ray Data fan-out with a task per bucket (each task
-    reads only its bucket's segment files across the source epochs and
+    reads only the source segment files that can hold its terms and
     writes the merged pair); the calling process handles only manifests
-    and the docmap file copies.  Returns the merged manifest, or None when
-    fewer than two epochs would merge."""
+    and the docmap file copies.  A one-bucket merge (a span of at most one
+    ingest task) runs in the calling process, with no Ray Data job.
+    Returns the merged manifest, or None when fewer than two epochs would
+    merge."""
     import shutil
     import uuid
 
     import ray.data as rd
 
-    from .pipeline import (FLAT_ROW_GROUP, NESTED_ROW_GROUP,
+    from .pipeline import (FLAT_ROW_GROUP, NESTED_ROW_GROUP, bucket_count,
                            write_segment_group)
     from .spatial import sidecar_path
 
@@ -256,7 +290,7 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     m0 = manifests[0]
     for m in manifests[1:]:
         for key in ("version", "nested", "analyzer", "fields",
-                    "key_columns", "num_buckets", "block_size"):
+                    "key_columns", "block_size"):
             if m.get(key) != m0.get(key):
                 raise ValueError(f"epochs disagree on {key}: "
                                  f"{m.get(key)!r} != {m0.get(key)!r}")
@@ -271,26 +305,28 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
             ("values", "spatial") if nested else ()):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
-    num_buckets = int(m0["num_buckets"])
+    offset = min(int(m.get("doc_id_offset", 0)) for m in manifests)
+    high = max(int(m.get("doc_id_offset", 0)) + int(m["num_docs"])
+               for m in manifests)
+    # the merged epoch sizes its bucket count like a build of its span;
+    # sources written under other counts are re-bucketed row by row
+    num_buckets = bucket_count(high - offset, nested)
     row_group_size = NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP
-    seg_by_bucket: dict[int, list[str]] = {b: [] for b in range(num_buckets)}
-    for ed, m in zip(eds, manifests):
-        nr = int(m["num_ranges"])
-        for s in m["segments"]:
-            seg_by_bucket[int(s["gkey"]) // nr].append(
-                os.path.join(ed, s["path"]))
+    sources = [(os.path.join(ed, s["path"]),
+                int(s["gkey"]) // int(m["num_ranges"]),
+                int(m["num_buckets"]))
+               for ed, m in zip(eds, manifests) for s in m["segments"]]
 
     def merge_bucket(batch: pa.Table) -> pa.Table:
         outs = []
         for bucket in batch.column("bucket").to_pylist():
-            segs = seg_by_bucket[bucket]
-            if not segs:
+            rows = read_bucket(sources, bucket, num_buckets, nested)
+            if rows is None:
                 continue
             seg_rel = f"segments/seg-{bucket:08d}.parquet"
             stats_rel = f"stats/stats-{bucket:08d}.parquet"
             postings, _ = write_segment_group(
-                pa.concat_tables([pq.read_table(p) for p in segs]), bucket,
-                os.path.join(out_dir, seg_rel),
+                rows, bucket, os.path.join(out_dir, seg_rel),
                 os.path.join(out_dir, stats_rel), row_group_size)
             outs.append({"bucket": bucket, "seg": seg_rel,
                          "stats": stats_rel, "postings": postings})
@@ -300,11 +336,14 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
              "stats": pa.array([], pa.string()),
              "postings": pa.array([], pa.int64())})
 
-    acks = sorted(
-        rd.from_items([{"bucket": b} for b in range(num_buckets)],
-                      override_num_blocks=num_buckets)
-        .map_batches(merge_bucket, batch_format="pyarrow")
-        .take_all(), key=lambda a: a["bucket"])
+    buckets = [{"bucket": b} for b in range(num_buckets)]
+    if num_buckets == 1:  # one group: no Ray Data job, like a one-task build
+        acks = merge_bucket(pa.Table.from_pylist(buckets)).to_pylist()
+    else:
+        acks = sorted(
+            rd.from_items(buckets, override_num_blocks=num_buckets)
+            .map_batches(merge_bucket, batch_format="pyarrow")
+            .take_all(), key=lambda a: a["bucket"])
 
     def copy(src: str, dst: str) -> None:
         shutil.copyfile(src, dst + ".tmp")
@@ -330,9 +369,6 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
             values_entries.append({"path": rel, "min_doc": v["min_doc"],
                                    "max_doc": v["max_doc"]})
 
-    offset = min(int(m.get("doc_id_offset", 0)) for m in manifests)
-    high = max(int(m.get("doc_id_offset", 0)) + int(m["num_docs"])
-               for m in manifests)
     field_k: dict[str, int] = {}
     for m in manifests:
         for fid, kv in m["field_k"].items():

@@ -19,9 +19,15 @@ concatenated source rows — while never touching raw text:
   gkey ``bucket·NR + (Σ_{j<i} nr_j + rng)``.  The reader walks rngs in
   order and sources occupy ascending doc spans, so concatenated blocks
   stay globally doc-sorted — the invariant every posting consumer relies
-  on.  Requires equal ``num_buckets`` (same term → bucket routing).
-- **stats**: sidecar rows carry no doc ids; files copy through and the
-  reader's sum-across-files semantics merges dfs exactly.  ``field_k``
+  on.  The merged index takes the sources' largest ``num_buckets``.  A
+  source at that count copies through as above; any other source is
+  re-bucketed: each (bucket, source range) group reads the source files
+  that can hold the bucket's terms, keeps the rows whose term hashes to
+  it (``incremental.read_bucket``), shifts them and hands them to the
+  build's segment writer, which also writes the group's stats.
+- **stats**: sidecar rows carry no doc ids; a copied-through source's
+  files copy through and the reader's sum-across-files semantics merges
+  dfs exactly.  ``field_k``
   (per-field token totals) sums per field, so merged idf/avgdl equal the
   unified build's — which is why merged BM25 scores are f64-bit-equal.
 - **docmap**: partitions are rewritten with the shifted ``doc_id``
@@ -71,7 +77,8 @@ import pyarrow.parquet as pq
 
 from .codec import (decode_position_lists, decode_varint, encode_deltas,
                     encode_position_lists, encode_varint)
-from .incremental import _epoch_dirs, add_tombstones, read_tombstones
+from .incremental import (_epoch_dirs, add_tombstones, read_bucket,
+                          read_tombstones)
 from .pipeline import (FLAT_ROW_GROUP, MANIFEST_NAME, NESTED_ROW_GROUP,
                        read_group_meta, write_segment_group)
 
@@ -88,18 +95,23 @@ def _shift_first_varint(buf, offset: int) -> bytes:
     return head + b[i + 1:]
 
 
+def _shift_blocks(t: pa.Table, offset: int) -> pa.Table:
+    """Posting-block rows moved ``offset`` doc ids up: each block's first
+    ``docs`` varint and its min_doc/max_doc."""
+    if not offset:
+        return t
+    docs = [_shift_first_varint(v, offset)
+            for v in t.column("docs").to_pylist()]
+    return (t.set_column(t.schema.get_field_index("docs"), "docs",
+                         pa.array(docs, pa.binary()))
+            .set_column(t.schema.get_field_index("min_doc"), "min_doc",
+                        pa.compute.add(t.column("min_doc"), offset))
+            .set_column(t.schema.get_field_index("max_doc"), "max_doc",
+                        pa.compute.add(t.column("max_doc"), offset)))
+
+
 def _patch_segment(src: str, dst: str, offset: int) -> None:
-    t = pq.read_table(src)
-    if offset:
-        docs = [_shift_first_varint(v, offset)
-                for v in t.column("docs").to_pylist()]
-        t = (t.set_column(t.schema.get_field_index("docs"), "docs",
-                          pa.array(docs, pa.binary()))
-             .set_column(t.schema.get_field_index("min_doc"), "min_doc",
-                         pa.compute.add(t.column("min_doc"), offset))
-             .set_column(t.schema.get_field_index("max_doc"), "max_doc",
-                         pa.compute.add(t.column("max_doc"), offset)))
-    pq.write_table(t, dst + ".tmp")
+    pq.write_table(_shift_blocks(pq.read_table(src), offset), dst + ".tmp")
     os.replace(dst + ".tmp", dst)
 
 
@@ -121,6 +133,30 @@ def _copy_file(src: str, dst: str) -> None:
         os.replace(dst + ".tmp", dst)
 
 
+def _rebucket_group(row: dict, num_buckets: int,
+                    nested: bool) -> list[dict]:
+    """One re-bucketed merge group: the rows of output bucket
+    ``row["bucket"]`` in one source range's segment files
+    (``incremental.read_bucket``), moved into the merged doc-id space and
+    written by the build's segment writer.  Returns its ack, or nothing
+    when the group is empty; a committed group is read back (resume)."""
+    seg = row["dst"]
+    stats = os.path.join(os.path.dirname(os.path.dirname(seg)), "stats",
+                         os.path.basename(seg).replace("seg-", "stats-"))
+    if os.path.exists(seg) and os.path.exists(stats):
+        postings = read_group_meta(stats)[0]
+    else:
+        rows = read_bucket(json.loads(row["src"]), row["bucket"],
+                           num_buckets, nested)
+        if rows is None:
+            return []
+        postings = write_segment_group(
+            _shift_blocks(rows, row["off"]), row["gkey"], seg, stats,
+            NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP)[0]
+    return [{"gkey": row["gkey"], "bucket": row["bucket"], "seg": seg,
+             "stats": stats, "postings": postings}]
+
+
 def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
     """Merge sealed indexes of one engine into ``out_dir`` (module
     docstring).  Returns the merged manifest."""
@@ -135,10 +171,13 @@ def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
     base = mans[0]
     nested = bool(base.get("nested"))
     for key in ("version", "nested", "analyzer", "fields", "key_columns",
-                "num_buckets", "block_size"):
+                "block_size"):
         vals = {json.dumps(m.get(key)) for m in mans}
         if len(vals) != 1:
             raise ValueError(f"sources disagree on {key}: {vals}")
+    # the merged index takes the sources' largest bucket count: sources
+    # at it copy through, the others are re-bucketed into it
+    nb = max(int(m["num_buckets"]) for m in mans)
 
     # doc-id space layout: source i shifts by the size of all earlier
     # sources' id spaces (offset + num_docs = the span queries can see)
@@ -160,42 +199,56 @@ def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
 
     items, man_docmap, man_segments, man_stats = [], [], [], []
     man_values: list = []
+
+    def item(kind: str, src: str, rel: str, off: int = 0, gkey: int = -1,
+             bucket: int = -1) -> None:
+        # one key set for every work item: Ray Data rows share a schema
+        items.append({"kind": kind, "src": src, "off": off, "gkey": gkey,
+                      "bucket": bucket, "dst": os.path.join(out_dir, rel)})
+
     for i, (d, m) in enumerate(zip(src_dirs, mans)):
         off = offsets[i]
         for e in m["docmap"]:
             rel = f"docmap/m{i:02d}-{os.path.basename(e['path'])}"
-            items.append({"kind": "docmap", "off": off,
-                          "src": os.path.join(d, e["path"]),
-                          "dst": os.path.join(out_dir, rel)})
+            item("docmap", os.path.join(d, e["path"]), rel, off)
             man_docmap.append({"path": rel, "rows": e["rows"],
                                "min_doc": e["min_doc"] + off,
                                "max_doc": e["max_doc"] + off})
         for e in m.get("values", []):
             rel = f"values/m{i:02d}-{os.path.basename(e['path'])}"
-            items.append({"kind": "docmap", "off": off,  # same patch
-                          "src": os.path.join(d, e["path"]),
-                          "dst": os.path.join(out_dir, rel)})
+            item("docmap", os.path.join(d, e["path"]), rel, off)  # same patch
             man_values.append({"path": rel,
                                "min_doc": e["min_doc"] + off,
                                "max_doc": e["max_doc"] + off})
         nr_i = nrs[i]
+        if int(m["num_buckets"]) != nb:
+            # one re-bucketed group per (output bucket, source range)
+            for b in range(nb):
+                for rng in range(nr_i):
+                    gkey = b * nr_merged + rng_base[i] + rng
+                    item("rebucket", json.dumps([
+                        (os.path.join(d, e["path"]), int(e["gkey"]) // nr_i,
+                         int(m["num_buckets"]))
+                        for e in m["segments"]
+                        if int(e["gkey"]) % nr_i == rng]),
+                         f"segments/m{i:02d}-seg-{gkey:08d}.parquet", off,
+                         gkey, b)
+            continue
         for e in m["segments"]:
             bucket, rng = divmod(int(e["gkey"]), nr_i)
             rel = f"segments/m{i:02d}-{os.path.basename(e['path'])}"
-            items.append({"kind": "segment", "off": off,
-                          "src": os.path.join(d, e["path"]),
-                          "dst": os.path.join(out_dir, rel)})
+            item("segment", os.path.join(d, e["path"]), rel, off)
             man_segments.append(
                 {"gkey": bucket * nr_merged + rng_base[i] + rng,
                  "path": rel, "postings": e.get("postings", 0)})
         for e in m["stats"]:
             rel = f"stats/m{i:02d}-{os.path.basename(e['path'])}"
-            items.append({"kind": "stats", "off": 0,
-                          "src": os.path.join(d, e["path"]),
-                          "dst": os.path.join(out_dir, rel)})
+            item("stats", os.path.join(d, e["path"]), rel)
             man_stats.append({"bucket": e["bucket"], "path": rel})
 
     def work(row: dict) -> list[dict]:
+        if row["kind"] == "rebucket":
+            return _rebucket_group(row, nb, nested)
         if not os.path.exists(row["dst"]):  # resume: skip finished files
             if row["kind"] == "segment":
                 _patch_segment(row["src"], row["dst"], row["off"])
@@ -203,10 +256,16 @@ def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
                 _patch_docmap(row["src"], row["dst"], row["off"])
             else:
                 _copy_file(row["src"], row["dst"])
-        return [{"dst": row["dst"]}]
+        return []
 
-    (ray.data.from_items(items, override_num_blocks=max(1, len(items)))
-     .flat_map(work).count())
+    for a in sorted((ray.data.from_items(items,
+                                         override_num_blocks=max(1, len(items)))
+                     .flat_map(work).take_all()), key=lambda a: a["gkey"]):
+        man_segments.append({"gkey": a["gkey"],
+                             "path": os.path.relpath(a["seg"], out_dir),
+                             "postings": a["postings"]})
+        man_stats.append({"bucket": a["bucket"],
+                          "path": os.path.relpath(a["stats"], out_dir)})
 
     # merged field_k: per-field token totals sum (exact avgdl inputs)
     field_k: dict[str, int] = {}
@@ -223,6 +282,7 @@ def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
     man.update({
         "num_docs": int(sum(sizes)),
         "doc_id_offset": 0,
+        "num_buckets": nb,
         "num_ranges": nr_merged,
         "range_span": max(int(m.get("range_span", 0)) for m in mans),
         "field_k": field_k,

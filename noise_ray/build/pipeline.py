@@ -63,11 +63,12 @@ stage chain:
                            its shuffle group).  Only the segment row-group
                            size differs per engine (FLAT_ROW_GROUP,
                            NESTED_ROW_GROUP).  Both files have no
-                           dictionary pages and min/max statistics only
-                           on the columns filtered reads prune row groups
-                           by: field/term/min_doc/max_doc for the postings
-                           reads (SEGMENT_WRITE), field/term for the
-                           stats reads (STATS_WRITE).  Docmap and values
+                           dictionary pages (but the stats ``field``
+                           column's) and min/max statistics only on the
+                           columns filtered reads prune row groups by:
+                           field/term/min_doc/max_doc for the split's
+                           reads (SEGMENT_WRITE), field/term for the df
+                           lookups (STATS_WRITE).  Docmap and values
                            files keep Parquet's defaults: the zone maps,
                            the doc-id plan and the key lookups read their
                            footer min/max.  Idempotent, resumable per
@@ -82,10 +83,17 @@ stage chain:
 Hot-term skew is handled structurally: the shuffle key includes the doc
 range, so a hot term's postings split across `num_ranges` groups, each
 bounded; the per-term posting list is the doc-ordered concatenation of its
-blocks across range files (a streaming merge at query time).  At 10^12-turn
-scale, tune ``docs_per_range`` (group memory bound) and ``num_buckets``
-(shuffle fan-out) together; both are recorded in the manifest so readers
-need no configuration.
+blocks across range files (a streaming merge at query time).
+
+``num_buckets`` (the shuffle fan-out) defaults to ``bucket_count``: one
+bucket for a build of at most one ingest task's docs, so a small epoch is
+one segment file and one stats file, else one per 200k docs (32 to
+4096).  Every index and epoch records its own count (and
+``docs_per_range``, the group memory bound) in its manifest, and readers
+route a term with each manifest's own count, so an epoch need not share
+its base's count; merges re-bucket rows written under another count
+(``row_buckets``).  At 10^12-turn scale, tune ``docs_per_range`` and
+``num_buckets`` together.
 """
 
 from __future__ import annotations
@@ -126,20 +134,24 @@ NESTED_ROW_GROUP = 2048
 # Parquet writer properties of the two files ``write_segment_group``
 # writes.  No dictionary pages: a block's varint payloads are unique
 # blobs, and most terms have one block row, so a dictionary page per
-# column chunk only adds bytes.  Min/max statistics (page headers and
-# footer) only on the columns that filtered reads prune row groups by:
-# (field, term, max_doc, min_doc) in the postings reads
-# (``ReaderCore.postings``, the split's doc-range read in build/merge.py)
-# and (field, term) in the stats reads (``query.reader._sum_c``, the
-# ``ops/aggs`` df lookups).  No reader looks at the statistics of the
-# multi-KB payload columns (docs, tfs, lens, positions, aps): the flat
-# block index reads whole row groups by ordinal.  Every other file keeps
+# column chunk only adds bytes.  The one exception is the stats file's
+# ``field`` column (a few field ids or keypaths over many rows): its
+# dictionary took a one-bucket flat 8k-turn build's stats from 99.7 to
+# 98.1 KB and the nested 40k-turn one's from 350.9 to 335.0 KB.  Min/max
+# statistics (page headers and footer) only on the columns that filtered
+# reads prune row groups by: (field, term, max_doc, min_doc) in the
+# split's doc-range read (build/merge.py) and (field, term) in the
+# ``ops/aggs`` df lookups.  The reader reads the key columns whole into
+# a per-file index and payload row groups by ordinal
+# (``query.reader._SegBlockIndex`` / ``_StatsIndex``), so no reader looks
+# at the statistics of the multi-KB payload columns (docs, tfs, lens,
+# positions, aps).  Every other file keeps
 # Parquet's defaults: docmap footer min/max feed the reader's zone maps
 # (``IndexReader.docmap_zone``), the doc-id plan (``docids.plan_doc_ids``)
 # and the key lookups, and values files are filtered by kp / doc_id.
 SEGMENT_WRITE = {"use_dictionary": False,
                  "write_statistics": ["field", "term", "min_doc", "max_doc"]}
-STATS_WRITE = {"use_dictionary": False,
+STATS_WRITE = {"use_dictionary": ["field"],
                "write_statistics": ["field", "term"]}
 # Docs one ingest task takes at the least, per engine.  A build of at most
 # this many docs is one task anyway, so it runs in the driver with no Ray
@@ -152,6 +164,43 @@ NESTED_DOCS_PER_TASK = 1024
 
 def term_bucket(term: str, num_buckets: int) -> int:
     return zlib.crc32(term.encode("utf-8")) % num_buckets
+
+
+def bucket_count(num_docs: int, nested: bool) -> int:
+    """The term-bucket count of a build (or merged epoch) of ``num_docs``
+    docs: 1 up to the engine's one-task size (``DOCS_PER_TASK`` flat,
+    ``NESTED_DOCS_PER_TASK`` nested), where there is no shuffle for
+    buckets to spread and each bucket only adds a segment and a stats
+    file; above it, one bucket per 200k docs, floor 32, cap 4096.  The
+    rule reads only the doc count, never the route, so the driver and
+    Ray routes of one corpus write the same files."""
+    if num_docs <= (NESTED_DOCS_PER_TASK if nested else DOCS_PER_TASK):
+        return 1
+    return max(32, min(4096, -(-num_docs // 200_000)))
+
+
+def row_buckets(rows: pa.Table, num_buckets: int, nested: bool) -> np.ndarray:
+    """Each posting-block row's term bucket under ``num_buckets``:
+    ``term_bucket`` of its term (flat) or ``kp_term_bucket`` of its
+    (keypath, term) (nested).  Hashes each distinct (field, term) once.
+    Merges use it to re-bucket rows written under another count."""
+    if num_buckets == 1 or not rows.num_rows:
+        return np.zeros(rows.num_rows, dtype=np.int64)
+    from .json_pipeline import kp_term_bucket
+
+    fenc = pc.dictionary_encode(rows.column("field").combine_chunks())
+    tenc = pc.dictionary_encode(rows.column("term").combine_chunks())
+    pair = (fenc.indices.to_numpy().astype(np.int64) * len(tenc.dictionary)
+            + tenc.indices.to_numpy())
+    uniq, inv = np.unique(pair, return_inverse=True)
+    fields = fenc.dictionary.to_pylist()
+    terms = tenc.dictionary.to_pylist()
+    nt = len(terms)
+    hashed = np.fromiter(
+        (kp_term_bucket(fields[u // nt], terms[u % nt], num_buckets)
+         if nested else term_bucket(terms[u % nt], num_buckets)
+         for u in uniq.tolist()), dtype=np.int64, count=uniq.size)
+    return hashed[inv]
 
 
 def _atomic_write_table(table: pa.Table, path: str, row_group_size: int = 2048,
@@ -740,8 +789,10 @@ def run_build(index_dir: str, plan, stages, *, nested: bool,
     num_ranges = max(1, min(64, -(-num_docs // docs_per_range)))
     range_span = max(1, -(-num_docs // num_ranges))
     if num_buckets is None:
-        # shuffle fan-out sized to the corpus; floor keeps small builds cheap
-        num_buckets = max(32, min(4096, -(-num_docs // 200_000)))
+        # sized from the doc count alone (never the route), so both
+        # routes write the same files: 1 bucket up to one ingest task,
+        # else the shuffle fan-out sized to the corpus
+        num_buckets = bucket_count(num_docs, nested)
 
     # Ingest tasks are DATA-proportional (~docs_per_ingest_task docs each),
     # never file- or cluster-proportional: one task per file makes the

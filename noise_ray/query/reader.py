@@ -2,10 +2,11 @@
 
 The query-side analogue of the reference's ``Snapshot``
 (/root/reference/src/snapshot.rs:17-67): a reader binds to one immutable
-manifest version; all lookups are Parquet reads pruned by row-group
-statistics (segment files are sorted by (field, term), so a (field, term)
-filter touches only matching row groups — the columnar stand-in for RocksDB
-prefix seeks).
+manifest version.  Segment and stats files are sorted by (field, term);
+each file's key columns are read once into a per-file index
+(``_SegBlockIndex`` / ``_StatsIndex``), a (field, term) resolves to a row
+range by binary search, and only the row groups that range spans are
+read — the columnar stand-in for RocksDB prefix seeks.
 
 Both engines write the same ``segments/`` + ``stats/`` layout, so one
 ``ReaderCore`` serves both: it binds the manifest and its epochs, owns
@@ -20,6 +21,7 @@ keypath) adds the values partitions and the stored-JSON fetchers.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 from collections import OrderedDict
@@ -154,19 +156,81 @@ class LazyBlock:
         return self._docs_raw is not None
 
 
-class _SegBlockIndex:
-    """In-memory skip index of ONE segment file: the small metadata
-    columns of every block row (field/term/min_doc/max_doc/cnt/
-    max_tf_norm and, in the round-3 format, max_tf/min_len), a
-    ``(field, term) -> row range`` lookup, and a footer-parsed
-    ``ParquetFile`` handle for per-row-group payload fetches.
+def _offsets(arr) -> np.ndarray:
+    """The value offsets of a (large_)string / (large_)binary Arrow
+    array, as a numpy view (len + 1 entries)."""
+    import pyarrow as pa
 
-    The footer and metadata columns are read ONCE per reader process and
-    serve every query; payload bytes (docs/tfs/lens, the heavy columns)
-    are fetched per ROW GROUP only when a block actually decodes —
-    repeated ``pq.read_table(filters=...)`` calls would re-parse the
-    footer and re-evaluate filters on every block fetch, which dominated
-    cold WAND latency at 22M docs."""
+    wide = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(
+        arr.type)
+    dt = np.int64 if wide else np.int32
+    return np.frombuffer(arr.buffers()[1], dtype=dt, count=len(arr) + 1,
+                         offset=arr.offset * np.dtype(dt).itemsize)
+
+
+def _blob(col) -> list:
+    """The concatenated values of a binary column, one bytes-like slice
+    per chunk: no Python object per row."""
+    out = []
+    for ch in col.chunks:
+        data = ch.buffers()[2]
+        if len(ch) and data is not None:
+            o = _offsets(ch)
+            out.append(memoryview(data)[int(o[0]):int(o[-1])])
+    return out
+
+
+class _KeyIndex:
+    """(field, term) → row range of one file whose rows are sorted by
+    (field, term): segment files (several block rows per key) and stats
+    files (one row per key).  Each distinct field keeps its row span (a
+    dict no larger than the field count), and a term resolves within it
+    by binary search over the term column's UTF-8 bytes, the order the
+    writer sorted by — no Python object or dict entry per row."""
+
+    def _index_keys(self, field, term) -> None:
+        n = len(term)
+        self.fields: dict = {}
+        if n:
+            enc = pc.dictionary_encode(field)
+            codes = enc.indices.to_numpy()
+            starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+            vals = enc.dictionary.to_pylist()
+            for s, e in zip(starts.tolist(), np.r_[starts[1:], n].tolist()):
+                self.fields[vals[codes[s]]] = (s, e)
+            data = term.buffers()[2]
+            self._term_offs = memoryview(_offsets(term))
+            self._term_data = b"" if data is None else data.to_pybytes()
+
+    def key_rows(self, fkey, term: str) -> tuple[int, int]:
+        """[start, end) of the rows of (fkey, term); empty when absent."""
+        span = self.fields.get(fkey)
+        if span is None:
+            return 0, 0
+        offs, data = self._term_offs, self._term_data
+        rows, key = range(*span), term.encode("utf-8")
+
+        def term_of(i: int) -> bytes:
+            return data[offs[i]:offs[i + 1]]
+
+        return (span[0] + bisect.bisect_left(rows, key, key=term_of),
+                span[0] + bisect.bisect_right(rows, key, key=term_of))
+
+
+class _SegBlockIndex(_KeyIndex):
+    """In-memory index of ONE segment file, for both engines: the small
+    metadata columns of every block row (field/term/min_doc/max_doc/cnt/
+    max_tf_norm and, in the round-3 flat format, max_tf/min_len), the
+    (field, term) → row range search of ``_KeyIndex``, and a
+    footer-parsed ``ParquetFile`` handle for row-group payload reads.
+
+    The footer and metadata columns are read ONCE per reader and serve
+    every query; payload bytes (docs/tfs/lens/positions/aps, the heavy
+    columns) are read per ROW GROUP, only for the groups a term's rows
+    span: ``read`` for a whole posting list, ``fetch`` for one WAND
+    block.  A ``pq.read_table(filters=...)`` per term would re-parse the
+    footer and re-evaluate the filter over the whole file on every
+    call."""
 
     _PAYLOAD = ["docs", "tfs", "lens"]
 
@@ -180,7 +244,6 @@ class _SegBlockIndex:
         if self.has_bounds:
             cols += ["max_tf", "min_len"]
         t = self.pf.read(columns=cols)
-        self.field = t.column("field").to_numpy()
         self.min_doc = t.column("min_doc").to_numpy()
         self.max_doc = t.column("max_doc").to_numpy()
         self.cnt = t.column("cnt").to_numpy()
@@ -191,30 +254,32 @@ class _SegBlockIndex:
         else:
             self.max_tf = np.zeros(t.num_rows, np.int64)
             self.min_len = np.zeros(t.num_rows, np.int64)
-        # rows are (field, term, min_doc)-sorted: record each (field,
-        # term) run's [start, end) once, vectorized over change points.
-        # dictionary codes stand in for the strings (equal term ⇔ equal
-        # code), so only the distinct-term dictionary leaves Arrow
-        n = t.num_rows
-        self.runs: dict[tuple[int, str], tuple[int, int]] = {}
-        if n:
-            enc = pc.dictionary_encode(t.column("term").combine_chunks())
-            codes = enc.indices.to_numpy().astype(np.int64)
-            dict_vals = enc.dictionary.to_pylist()
-            new = np.empty(n, dtype=bool)
-            new[0] = True
-            new[1:] = ((self.field[1:] != self.field[:-1])
-                       | (codes[1:] != codes[:-1]))
-            starts = np.flatnonzero(new)
-            ends = np.append(starts[1:], n)
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                self.runs[(int(self.field[s]),
-                           dict_vals[codes[s]])] = (s, e)
+        self._index_keys(t.column("field").combine_chunks(),
+                         t.column("term").combine_chunks())
         # uniform row groups (last may be short): ordinal -> group is a
         # division, no per-group scan
         self._rg_rows = (self.pf.metadata.row_group(0).num_rows
                          if self.pf.metadata.num_row_groups else 1)
         self._rg_cache: OrderedDict[int, object] = OrderedDict()
+
+    def rows(self, fkey, term: str,
+             doc_range: tuple[int, int] | None = None) -> tuple[int, int]:
+        """[start, end) of the block rows of (fkey, term), narrowed to
+        the blocks overlapping ``doc_range`` (block-granular: a run's
+        min_doc and max_doc both ascend, its blocks being disjoint)."""
+        s, e = self.key_rows(fkey, term)
+        if doc_range is not None and e > s:
+            lo, hi = doc_range
+            s, e = (s + int(np.searchsorted(self.max_doc[s:e], lo)),
+                    s + int(np.searchsorted(self.min_doc[s:e], hi)))
+        return s, e
+
+    def read(self, s: int, e: int, cols: list[str]):
+        """Columns ``cols`` of rows [s, e): only the row groups the rows
+        span are read."""
+        g0, g1 = s // self._rg_rows, (e - 1) // self._rg_rows
+        t = self.pf.read_row_groups(list(range(g0, g1 + 1)), columns=cols)
+        return t.slice(s - g0 * self._rg_rows, e - s)
 
     def fetch(self, blk: "LazyBlock", row: int,
               positions: bool = False) -> None:
@@ -238,6 +303,24 @@ class _SegBlockIndex:
         blk._lens_raw = tbl.column("lens")[off].as_py()
         if positions:
             blk._pos_raw = tbl.column("positions")[off].as_py()
+
+
+class _StatsIndex(_KeyIndex):
+    """In-memory index of ONE stats file: (field, term, c) read once,
+    C of a (field, term) by ``_KeyIndex`` search, and the per-field Σ c
+    (token totals)."""
+
+    def __init__(self, path: str):
+        t = pq.read_table(path, columns=["field", "term", "c"])
+        self.c = t.column("c").to_numpy()
+        self._index_keys(t.column("field").combine_chunks(),
+                         t.column("term").combine_chunks())
+        self.field_c = {f: int(self.c[s:e].sum())
+                        for f, (s, e) in self.fields.items()}
+
+    def term_c(self, fkey, term: str) -> int:
+        s, e = self.key_rows(fkey, term)
+        return int(self.c[s:e].sum())
 
 
 class _BlockFetch:
@@ -300,15 +383,17 @@ def _starts(tfs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_blocks(cnts: list[int], bufs: dict[str, list[bytes]],
+def _decode_blocks(cnts: np.ndarray, bufs: dict[str, list],
                    depth: int | None) -> PostingList:
-    """Decode a term's raw block rows (doc order) in one vectorized pass
-    per stream over the concatenated buffers: block doc deltas restart
-    absolute at each block, recovered with a segmented-cumsum reset
-    rather than a per-block Python loop.  ``aps`` is decoded only when
-    ``depth`` is not None; positions only when ``bufs`` carries them."""
-    total = int(sum(cnts))
-    blk_starts = _starts(np.asarray(cnts, dtype=np.int64))
+    """Decode a term's raw block rows (doc order; ``bufs`` holds each
+    stream's bytes as concatenated chunks) in one vectorized pass per
+    stream: block doc deltas restart absolute at each block, recovered
+    with a segmented-cumsum reset rather than a per-block Python loop.
+    ``aps`` is decoded only when ``depth`` is not None; positions only
+    when ``bufs`` carries them."""
+    cnts = np.asarray(cnts, dtype=np.int64)
+    total = int(cnts.sum())
+    blk_starts = _starts(cnts)
     run = np.cumsum(decode_varint(b"".join(bufs["docs"]), total)
                     .astype(np.int64))
     # each block's first delta is its absolute min_doc: subtract the
@@ -340,17 +425,6 @@ def _concat(parts: list[PostingList], need_positions: bool) -> PostingList:
     return PostingList(np.concatenate([p.docs for p in parts]), tfs,
                        np.concatenate([p.lens for p in parts]), pos, starts,
                        aps)
-
-
-def _sum_c(paths, filters) -> int:
-    """Σ of the stats column ``c`` over the rows of ``paths`` matching
-    ``filters``."""
-    c = 0
-    for path in paths:
-        t = pq.read_table(path, columns=["c"], filters=filters)
-        if t.num_rows:
-            c += int(pc.sum(t.column("c")).as_py())
-    return c
 
 
 class ReaderCore:
@@ -416,6 +490,9 @@ class ReaderCore:
         self._postings_cache: dict[tuple, PostingList] = {}
         self._stats_cache: dict[tuple, tuple[int, int]] = {}
         self._token_totals: dict = {}
+        # per-file indexes (key columns read once), built on first use
+        self._seg_index_cache: dict[str, _SegBlockIndex] = {}
+        self._stats_index_cache: dict[str, _StatsIndex] = {}
         # tombstoned doc_ids (Lucene-style deletes: hidden from every query,
         # stats unchanged until a rebuild — the segment-tombstone design
         # SURVEY §2.10 reserves for the reference's Index::delete,
@@ -444,18 +521,43 @@ class ReaderCore:
 
     # ---------------------------------------------------------- postings
 
+    def _seg_index(self, path: str) -> _SegBlockIndex:
+        """Per-segment-file index (footer + small key and block-metadata
+        columns), built once per reader and shared by every lookup."""
+        idx = self._seg_index_cache.get(path)
+        if idx is None:
+            idx = self._seg_index_cache[path] = _SegBlockIndex(path)
+        return idx
+
+    def _stats_index(self, path: str) -> _StatsIndex:
+        """Per-stats-file index, built once per reader."""
+        idx = self._stats_index_cache.get(path)
+        if idx is None:
+            idx = self._stats_index_cache[path] = _StatsIndex(path)
+        return idx
+
+    def _seg_paths(self, fkey, term: str) -> list[str]:
+        """The segment files of (fkey, term)'s bucket, in range order."""
+        bucket = self._bucket(fkey, term)
+        return [p for p in (self._seg_by_gkey.get(bucket * self.num_ranges
+                                                  + rng)
+                            for rng in range(self.num_ranges))
+                if p is not None]
+
     def postings(self, field, term: str, need_positions: bool = True,
                  doc_range: tuple[int, int] | None = None) -> PostingList:
         """Decoded postings of one (field, term), doc-ascending.
 
         ``need_positions=False`` (term / boolean / range evaluation) skips
         reading AND decoding the positions column — roughly half the bytes
-        of a stopword's postings.  ``doc_range=(lo, hi)`` pushes block
-        bounds into the segment read (``max_doc >= lo``, ``min_doc < hi``)
-        so a range-partitioned worker decodes only its slice of each
-        posting list, not the whole corpus's.  Reads are block-granular
-        SUPERSETS of the range (a cached full list serves every range as
-        is): callers slice to ``[lo, hi)``."""
+        of a stopword's postings.  ``doc_range=(lo, hi)`` narrows the
+        term's block rows to those overlapping the range (``max_doc >=
+        lo``, ``min_doc < hi``) so a range-partitioned worker decodes only
+        its slice of each posting list, not the whole corpus's.  Each
+        segment file resolves the rows through its cached index
+        (``_SegBlockIndex``) and reads only the row groups they span.
+        Reads are block-granular SUPERSETS of the range (a cached full
+        list serves every range as is): callers slice to ``[lo, hi)``."""
         fkey = self._field_key(field)
         if fkey is None:
             return _empty_postings()
@@ -468,28 +570,23 @@ class ReaderCore:
                                     or hit.size == 0):
                 return hit
         depth = self._aps_depth(fkey)
-        cols = ["cnt", "docs", "tfs", "lens"]
+        cols = ["docs", "tfs", "lens"]
         if depth is not None:
             cols.append("aps")
         if need_positions:
             cols.append("positions")
-        filters = [("field", "==", fkey), ("term", "==", term)]
-        if doc_range is not None:
-            filters.append(("max_doc", ">=", doc_range[0]))
-            filters.append(("min_doc", "<", doc_range[1]))
-        cnts: list[int] = []
-        bufs: dict[str, list[bytes]] = {c: [] for c in cols[1:]}
-        bucket = self._bucket(fkey, term)
-        for rng in range(self.num_ranges):
-            path = self._seg_by_gkey.get(bucket * self.num_ranges + rng)
-            if path is None:
-                continue
-            t = pq.read_table(path, columns=cols, filters=filters)
-            if t.num_rows:
-                cnts.extend(t.column("cnt").to_pylist())
+        cnts: list[np.ndarray] = []
+        bufs: dict[str, list] = {c: [] for c in cols}
+        for path in self._seg_paths(fkey, term):
+            seg = self._seg_index(path)
+            s, e = seg.rows(fkey, term, doc_range)
+            if e > s:
+                cnts.append(seg.cnt[s:e])
+                t = seg.read(s, e, cols)
                 for c in bufs:
-                    bufs[c].extend(t.column(c).to_pylist())
-        parts = [_decode_blocks(cnts, bufs, depth)] if cnts else []
+                    bufs[c].extend(_blob(t.column(c)))
+        parts = ([_decode_blocks(np.concatenate(cnts), bufs, depth)]
+                 if cnts else [])
         # epoch postings: every epoch's doc_ids exceed all earlier ones,
         # so appending in epoch order preserves global doc order
         for e in self._epochs:
@@ -522,7 +619,7 @@ class ReaderCore:
         hit = self._stats_cache.get(key)
         if hit is None:
             paths = self._stats_by_bucket.get(self._bucket(fkey, term), ())
-            c = _sum_c(paths, [("field", "==", fkey), ("term", "==", term)])
+            c = sum(self._stats_index(p).term_c(fkey, term) for p in paths)
             c += sum(e.term_stats(fkey, term)[0] for e in self._epochs)
             # field_k was merged across epochs at construction time
             hit = (c, int(self.field_k.get(fkey, 0)))
@@ -532,16 +629,16 @@ class ReaderCore:
     def token_total(self, field) -> int:
         """Σ term-occurrence counts (stats ``c``) under one field: its
         corpus token total, the BM25 avgdl numerator (``field_k`` is the
-        reference's K = distinct (instance, stem) count, not this).  One
-        filtered column read per stats partition (term-cardinality-sized,
+        reference's K = distinct (instance, stem) count, not this).  The
+        per-field sums of each stats file's index (term-cardinality-sized,
         no posting payload), memoized; epochs recurse."""
         fkey = self._field_key(field)
         if fkey is None:
             return 0
         hit = self._token_totals.get(fkey)
         if hit is None:
-            hit = _sum_c([p for ps in self._stats_by_bucket.values()
-                          for p in ps], [("field", "==", fkey)])
+            hit = sum(self._stats_index(p).field_c.get(fkey, 0)
+                      for ps in self._stats_by_bucket.values() for p in ps)
             hit += sum(e.token_total(fkey) for e in self._epochs)
             self._token_totals[fkey] = hit
         return hit
@@ -567,7 +664,6 @@ class IndexReader(ReaderCore):
         self.fields: list[str] = self.manifest["fields"]
         self.field_id = {f: i for i, f in enumerate(self.fields)}
         self._block_cache: dict[tuple, list] = {}
-        self._seg_index_cache: dict[str, _SegBlockIndex] = {}
         self._docmap_col_cache: OrderedDict = OrderedDict()
         self._docmap_cache_bytes = 0
         # zone maps: per-(docmap partition, column) footer statistics
@@ -600,14 +696,6 @@ class IndexReader(ReaderCore):
 
     # ------------------------------------------------- lazy posting blocks
 
-    def _seg_index(self, path: str) -> "_SegBlockIndex":
-        """Per-segment-file skip index (footer + small metadata columns),
-        built once per reader and shared by every term lookup."""
-        idx = self._seg_index_cache.get(path)
-        if idx is None:
-            idx = self._seg_index_cache[path] = _SegBlockIndex(path)
-        return idx
-
     def term_blocks(self, field: str | int, term: str,
                     doc_range: tuple[int, int] | None = None
                     ) -> list["LazyBlock"]:
@@ -637,25 +725,9 @@ class IndexReader(ReaderCore):
                     self._block_cache[key] = sub
                 return sub
         blocks: list[LazyBlock] = []
-        bucket = term_bucket(term, self.num_buckets)
-        for rng in range(self.num_ranges):
-            path = self._seg_by_gkey.get(bucket * self.num_ranges + rng)
-            if path is None:
-                continue
+        for path in self._seg_paths(fid, term):
             seg = self._seg_index(path)
-            run = seg.runs.get((fid, term))
-            if run is None:
-                continue
-            s, e = run
-            if doc_range is not None:
-                # narrow to overlapping blocks (min_doc sorted in the run)
-                s = s + int(np.searchsorted(seg.min_doc[s:e], doc_range[0],
-                                            side="left"))
-                # max_doc is equally sorted (blocks are disjoint)
-                while s > run[0] and seg.max_doc[s - 1] >= doc_range[0]:
-                    s -= 1
-                e = run[0] + int(np.searchsorted(seg.min_doc[run[0]:run[1]],
-                                                 doc_range[1], side="left"))
+            s, e = seg.rows(fid, term, doc_range)
             for row in range(s, e):
                 blocks.append(LazyBlock(
                     min_doc=int(seg.min_doc[row]),

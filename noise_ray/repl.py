@@ -287,28 +287,33 @@ class Repl:
         """`dumpkeys ;` — dump the posting keyspace in the reference's key
         shape (`W<keypath>!<stem>#<seq>` / `C<keypath>!<stem>`,
         src/key_builder.rs:64-93; debug surface of Index::all_keys,
-        src/index.rs:229-236).  One line per posting block / stats row."""
+        src/index.rs:229-236).  One line per posting block / stats row,
+        in key order per manifest: W rows by (field name, term, min_doc),
+        C rows by (field name, term), whatever the bucket layout."""
         r = self._reader_or_err()
         if r is None:
             return
         import pyarrow.parquet as pq
 
+        def rows(m, part, cols, key):
+            out = []
+            for s in m[part]:
+                for row in pq.read_table(s["path"], columns=cols).to_pylist():
+                    row["field"] = r.fields[row["field"]]
+                    out.append(row)
+            return sorted(out, key=lambda row: [row[c] for c in key])
+
         manifests = [r.manifest] + [e.manifest for e in r._epochs]
         for m in manifests:
-            for s in sorted(m["segments"], key=lambda s: s["gkey"]):
-                t = pq.read_table(s["path"],
-                                  columns=["field", "term", "min_doc",
-                                           "max_doc", "cnt"])
-                for row in t.to_pylist():
-                    f = r.fields[row["field"]]
-                    self._p(f"W.{f}!{row['term']}#{row['min_doc']}"
-                            f"..{row['max_doc']},{row['cnt']}")
+            for row in rows(m, "segments", ["field", "term", "min_doc",
+                                            "max_doc", "cnt"],
+                            ("field", "term", "min_doc")):
+                self._p(f"W.{row['field']}!{row['term']}#{row['min_doc']}"
+                        f"..{row['max_doc']},{row['cnt']}")
         for m in manifests:
-            for s in sorted(m["stats"], key=lambda s: s["gkey"]):
-                t = pq.read_table(s["path"], columns=["field", "term", "c"])
-                for row in t.to_pylist():
-                    f = r.fields[row["field"]]
-                    self._p(f"C.{f}!{row['term']},{row['c']}")
+            for row in rows(m, "stats", ["field", "term", "c"],
+                            ("field", "term")):
+                self._p(f"C.{row['field']}!{row['term']},{row['c']}")
 
     def cmd_dumpstats(self, rest: str):
         r = self._reader_or_err()

@@ -9,7 +9,8 @@ and ``noise_field_k`` equal to those sums; and the segment schema and
 row-group size of a fresh build of the same engine.  Every file also has
 the writer layout of ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``: no
 dictionary pages, and min/max statistics only on the columns that
-filtered reads prune row groups by.
+filtered reads prune row groups by; the one dictionary is the stats
+file's ``field`` column.
 
 Indexes written before that layout (Parquet's defaults) still open: an
 index whose base and first epoch are rewritten in the old layout answers
@@ -167,7 +168,7 @@ def test_segment_group_invariants(indexes, name):
             [n % rg_size] if n % rg_size else []), (seg_path, rgs)
         spans_row_groups |= len(rgs) > 1
 
-        _assert_writer_layout(stats_path, STATS_FILTER_COLS)
+        _assert_writer_layout(stats_path, STATS_FILTER_COLS, {"field"})
         _assert_writer_layout(seg_path, SEG_FILTER_COLS)
         md = pq.read_metadata(seg_path)
         names = md.schema.names
@@ -182,15 +183,17 @@ def test_segment_group_invariants(indexes, name):
     assert spans_row_groups, "no segment spans two row groups"
 
 
-def _assert_writer_layout(path: str, filter_cols: set) -> None:
-    """No column chunk has a dictionary page; statistics exist exactly on
-    ``filter_cols``."""
+def _assert_writer_layout(path: str, filter_cols: set,
+                          dict_cols: set = frozenset()) -> None:
+    """Only the ``dict_cols`` column chunks have a dictionary page;
+    statistics exist exactly on ``filter_cols``."""
     md = pq.read_metadata(path)
     assert md.num_row_groups, path
     for rg in range(md.num_row_groups):
         for j in range(md.num_columns):
             c = md.row_group(rg).column(j)
-            assert not c.has_dictionary_page, (path, c.path_in_schema)
+            assert c.has_dictionary_page == (
+                c.path_in_schema in dict_cols), (path, c.path_in_schema)
             assert c.is_stats_set == (c.path_in_schema in filter_cols), (
                 path, rg, c.path_in_schema)
 
