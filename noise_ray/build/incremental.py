@@ -264,8 +264,7 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
 
     import ray.data as rd
 
-    from .pipeline import (FLAT_ROW_GROUP, NESTED_ROW_GROUP, bucket_count,
-                           write_segment_group)
+    from .pipeline import bucket_count, write_segment_group
     from .spatial import sidecar_path
 
     edir = os.path.join(index_dir, "epochs")
@@ -311,7 +310,6 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
     # the merged epoch sizes its bucket count like a build of its span;
     # sources written under other counts are re-bucketed row by row
     num_buckets = bucket_count(high - offset, nested)
-    row_group_size = NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP
     sources = [(os.path.join(ed, s["path"]),
                 int(s["gkey"]) // int(m["num_ranges"]),
                 int(m["num_buckets"]))
@@ -327,7 +325,7 @@ def merge_epochs(index_dir: str, *, keep: int = 0) -> dict | None:
             stats_rel = f"stats/stats-{bucket:08d}.parquet"
             postings, _ = write_segment_group(
                 rows, bucket, os.path.join(out_dir, seg_rel),
-                os.path.join(out_dir, stats_rel), row_group_size)
+                os.path.join(out_dir, stats_rel))
             outs.append({"bucket": bucket, "seg": seg_rel,
                          "stats": stats_rel, "postings": postings})
         return pa.Table.from_pylist(outs) if outs else pa.table(

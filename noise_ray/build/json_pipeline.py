@@ -37,10 +37,10 @@ task's worth runs in the driver), sizing, stage 3 and manifest publish.
 string value of the batch is one instance, ranked by (doc, arraypath),
 tokenized by the flat ``_field_tokens`` and grouped by
 ``pipeline.group_postings`` with the keypath as the group.  Segment
-groups go through the one writer ``pipeline.write_segment_group`` with
-the nested row-group size — its keypath ``field`` strings and the extra
-``aps`` / ``depth`` columns pass through it like any other payload
-column.
+groups go through the one writer ``pipeline.write_segment_group``,
+which gives rows with ``aps`` the nested row-group size — their keypath
+``field`` strings and the extra ``aps`` / ``depth`` columns pass through
+it like any other payload column.
 """
 
 from __future__ import annotations
@@ -396,10 +396,11 @@ class ShredTokenize:
             pa.string()).combine_chunks()
         terms = list(term_id)
         key_term = [terms[t] for t in tid[first].tolist()]
-        bucket = np.fromiter(
-            (self._bucket(f, t)
-             for f, t in zip(key_field.to_pylist(), key_term)),
-            np.int64, len(key_term))
+        bucket = (np.zeros(len(key_term), np.int64)
+                  if self.num_buckets == 1 else np.fromiter(
+                      (self._bucket(f, t)
+                       for f, t in zip(key_field.to_pylist(), key_term)),
+                      np.int64, len(key_term)))
         bounds, cols = encode_posting_blocks(
             p_key, inst.column("doc_id").to_numpy()[p_inst], tfs,
             flen[p_inst], pos, bucket, num_ranges=self.num_ranges,

@@ -79,8 +79,7 @@ from .codec import (decode_position_lists, decode_varint, encode_deltas,
                     encode_position_lists, encode_varint)
 from .incremental import (_epoch_dirs, add_tombstones, read_bucket,
                           read_tombstones)
-from .pipeline import (FLAT_ROW_GROUP, MANIFEST_NAME, NESTED_ROW_GROUP,
-                       read_group_meta, write_segment_group)
+from .pipeline import MANIFEST_NAME, read_group_meta, write_segment_group
 
 
 def _shift_first_varint(buf, offset: int) -> bytes:
@@ -151,8 +150,7 @@ def _rebucket_group(row: dict, num_buckets: int,
         if rows is None:
             return []
         postings = write_segment_group(
-            _shift_blocks(rows, row["off"]), row["gkey"], seg, stats,
-            NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP)[0]
+            _shift_blocks(rows, row["off"]), row["gkey"], seg, stats)[0]
     return [{"gkey": row["gkey"], "bucket": row["bucket"], "seg": seg,
              "stats": stats, "postings": postings}]
 
@@ -363,9 +361,7 @@ def _split_bucket(src_dir: str, man: dict, bucket: int, lo: int, hi: int,
             f = t.schema.field(c)
             t = t.set_column(t.schema.get_field_index(c), f,
                              pa.array(v, f.type))
-    return write_segment_group(
-        t, bucket, out_seg, out_stats,
-        NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP)
+    return write_segment_group(t, bucket, out_seg, out_stats)
 
 
 def _split_part(src: str, dst: str, lo: int, hi: int, values: bool) -> None:

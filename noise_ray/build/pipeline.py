@@ -61,11 +61,15 @@ stage chain:
                            src/key_builder.rs:84-102, computed locally
                            since a (field, term) run lives wholly inside
                            its shuffle group).  Only the segment row-group
-                           size differs per engine (FLAT_ROW_GROUP,
-                           NESTED_ROW_GROUP).  Both files have no
-                           dictionary pages (but the stats ``field``
-                           column's) and min/max statistics only on the
-                           columns filtered reads prune row groups by:
+                           size differs per engine (``segment_row_group``):
+                           a flat file's groups hold ~64 KiB of payload
+                           each (perfbench block rows carry 49 B on
+                           average, 5 B at the median), a nested file's
+                           2048 rows (NESTED_ROW_GROUP).  Both files
+                           have no dictionary pages (but the stats
+                           ``field`` column's) and min/max statistics
+                           only on the columns filtered reads prune row
+                           groups by:
                            field/term/min_doc/max_doc for the split's
                            reads (SEGMENT_WRITE), field/term for the df
                            lookups (STATS_WRITE).  Docmap and values
@@ -122,14 +126,19 @@ from .docids import FilePlan, plan_doc_ids, sorted_key_indices
 
 DEFAULT_FIELDS = ("role", "text", "tool")
 MANIFEST_NAME = "manifest.json"
-# Segment row-group sizes, passed by each engine's callers.  Flat readers
-# fetch one row group per WAND block (query/reader.py ``_SegBlockIndex``):
-# a block row is ~block_size×2B of payload, so 64 rows ≈ 0.5 MB and a
-# min_doc-filtered fetch prunes to one group instead of the term's whole
-# run.  Nested readers read a (keypath, term) run with one filtered read,
-# and 64-row groups would grow nested segments 3.4 → 6.3 MB on a 40k-turn
-# transcript corpus.
-FLAT_ROW_GROUP = 64
+# Segment row-group sizes (``segment_row_group``).  A flat file's row
+# groups are sized by its own payload bytes: readers read payload by row
+# group (query/reader.py ``_SegBlockIndex``), and a row group's bytes
+# follow its rows' postings, not ``block_size``.  On the perfbench
+# transcripts most terms are rare, so a block row's payload (docs + tfs
+# + lens + positions) is 5 B at the median (1 B of positions) and 49 B
+# on average in an 8k-turn build: fixed 64-row groups held ~3 KB each,
+# 146 of them in a 985 KB file with a 112 KB footer.  64 KiB groups make
+# it 8 groups of 1328 rows in 630 KB, and rows of a hot term at
+# block_size 4096 (KBs each) still get groups of a few rows.  Nested
+# files keep 2048 rows (64-row groups grew nested segments 3.4 → 6.3 MB
+# on a 40k-turn transcript corpus).
+FLAT_ROW_GROUP_BYTES = 64 * 1024
 NESTED_ROW_GROUP = 2048
 # Parquet writer properties of the two files ``write_segment_group``
 # writes.  No dictionary pages: a block's varint payloads are unique
@@ -177,6 +186,23 @@ def bucket_count(num_docs: int, nested: bool) -> int:
     if num_docs <= (NESTED_DOCS_PER_TASK if nested else DOCS_PER_TASK):
         return 1
     return max(32, min(4096, -(-num_docs // 200_000)))
+
+
+def segment_row_group(seg: pa.Table) -> int:
+    """Rows per row group of one segment file (uniform per file: the
+    reader finds a row's group by division).  Nested files (their rows
+    carry ``aps``): ``NESTED_ROW_GROUP``.  Flat files: the row count
+    that holds ``FLAT_ROW_GROUP_BYTES`` of payload (docs + tfs + lens +
+    positions) at the file's mean row size, within [1, rows].  Read
+    only from the rows, so every route and merge writes the same file."""
+    if "aps" in seg.column_names:
+        return NESTED_ROW_GROUP
+    rows = seg.num_rows
+    payload = sum(pc.sum(pc.binary_length(seg.column(c))).as_py() or 0
+                  for c in ("docs", "tfs", "lens", "positions"))
+    if not payload:
+        return max(rows, 1)
+    return max(1, min(rows, -(-FLAT_ROW_GROUP_BYTES * rows // payload)))
 
 
 def row_buckets(rows: pa.Table, num_buckets: int, nested: bool) -> np.ndarray:
@@ -377,8 +403,10 @@ class TokenizeBatch:
         lens = field_len[key_field[p_key], p_row]
         terms = list(term_id)
         key_terms = [terms[t] for t in tid[first].tolist()]
-        bucket = np.fromiter((self._bucket(t) for t in key_terms), np.int64,
-                             len(key_terms))
+        bucket = (np.zeros(len(key_terms), np.int64)
+                  if self.num_buckets == 1 else
+                  np.fromiter((self._bucket(t) for t in key_terms), np.int64,
+                              len(key_terms)))
         bounds, cols = encode_posting_blocks(
             p_key, docs, tfs, lens, pos, bucket,
             num_ranges=self.num_ranges, range_span=self.range_span,
@@ -532,11 +560,11 @@ def _dict_ranks(col) -> np.ndarray:
 
 
 def write_segment_group(rows: pa.Table, gkey: int, seg_path: str,
-                        stats_path: str,
-                        row_group_size: int) -> tuple[int, dict]:
+                        stats_path: str) -> tuple[int, dict]:
     """The one writer of the segment / stats format: posting-block
     ``rows`` of one group → ``seg_path`` + its term-stats partition
-    ``stats_path``.  Returns (postings, field_k).
+    ``stats_path``, the segment in row groups of ``segment_row_group``
+    rows.  Returns (postings, field_k).
 
     Rows are ordered by (field, term, min_doc) and otherwise pass through
     (``gkey`` dropped, ``pos`` renamed ``positions``): every block's
@@ -578,13 +606,13 @@ def write_segment_group(rows: pa.Table, gkey: int, seg_path: str,
     _atomic_write_table(stats, stats_path, row_group_size=8192,
                         **STATS_WRITE)
     _atomic_write_table(seg.replace_schema_metadata(meta), seg_path,
-                        row_group_size=row_group_size, **SEGMENT_WRITE)
+                        row_group_size=segment_row_group(seg),
+                        **SEGMENT_WRITE)
     return postings, field_k
 
 
 def _write_segment_group(group: pa.Table, seg_dir: str, stats_dir: str,
-                         block_size: int | None = None,
-                         row_group_size: int = FLAT_ROW_GROUP) -> pa.Table:
+                         block_size: int | None = None) -> pa.Table:
     """Stage-3 ``map_groups`` adapter: one shuffle group (term bucket ×
     doc range) → ``write_segment_group``, skipped when the group is
     already committed (resume), → one ack row.  ``block_size`` is unused
@@ -597,7 +625,7 @@ def _write_segment_group(group: pa.Table, seg_dir: str, stats_dir: str,
         postings, field_k = read_group_meta(stats_path)
     else:
         postings, field_k = write_segment_group(group, gkey, seg_path,
-                                                stats_path, row_group_size)
+                                                stats_path)
     return _ack(gkey, seg_path, stats_path, postings, field_k)
 
 
@@ -619,15 +647,14 @@ def _drop_done(batch: pa.Table, done: np.ndarray) -> pa.Table:
                                          done, invert=True)))
 
 
-def _write_groups(blocks, seg_dir: str, stats_dir: str, row_group_size: int,
+def _write_groups(blocks, seg_dir: str, stats_dir: str,
                   done: frozenset) -> list[dict]:
     """Stage 3 for either engine: one ``_write_segment_group`` call per
     gkey, minus the groups in ``done``.  ``blocks`` is a Ray Dataset
     (shuffled by ``groupby``) or an in-process table (sorted by gkey once
     and sliced).  Returns the writer acks."""
     done_arr = np.fromiter(done, dtype=np.int64, count=len(done))
-    kw = {"seg_dir": seg_dir, "stats_dir": stats_dir,
-          "row_group_size": row_group_size}
+    kw = {"seg_dir": seg_dir, "stats_dir": stats_dir}
     if isinstance(blocks, pa.Table):
         blocks = _drop_done(blocks, done_arr)
         gkeys = blocks.column("gkey").to_numpy()
@@ -765,8 +792,7 @@ def run_build(index_dir: str, plan, stages, *, nested: bool,
     is the ``num_buckets`` / ``num_ranges`` / ``range_span`` /
     ``range_base`` / ``block_size`` keywords of both tokenizers.
     ``nested`` picks the rest: the ``values`` directory, the ingest task
-    floor (``NESTED_DOCS_PER_TASK``), the segment row-group size and the
-    ``field_k`` key type.
+    floor (``NESTED_DOCS_PER_TASK``) and the ``field_k`` key type.
 
     One route rule: a build of at most ``docs_per_ingest_task`` docs is
     one ingest task's worth, so the chain runs once over the whole plan in
@@ -833,7 +859,6 @@ def run_build(index_dir: str, plan, stages, *, nested: bool,
             for stage in chain:
                 blocks = blocks.map_batches(stage, batch_format="pyarrow")
         acks = _write_groups(blocks, dirs["segments"], dirs["stats"],
-                             NESTED_ROW_GROUP if nested else FLAT_ROW_GROUP,
                              done_gkeys)
     field_k, segments, stats = _group_entries(
         acks, done_gkeys, dirs["segments"], dirs["stats"], num_ranges,

@@ -28,6 +28,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
@@ -232,12 +233,14 @@ class _SegBlockIndex(_KeyIndex):
     footer and re-evaluate the filter over the whole file on every
     call."""
 
-    _PAYLOAD = ["docs", "tfs", "lens"]
-
     def __init__(self, path: str):
         self.path = path
         self.pf = pq.ParquetFile(path)
         names = self.pf.schema_arrow.names
+        # every column a read or fetch takes but positions (the heaviest,
+        # cached apart): nested files add their arraypaths
+        self._payload = ["docs", "tfs", "lens"] + (
+            ["aps"] if "aps" in names else [])
         self.has_bounds = "max_tf" in names
         cols = ["field", "term", "min_doc", "max_doc", "cnt",
                 "max_tf_norm"]
@@ -274,29 +277,45 @@ class _SegBlockIndex(_KeyIndex):
                     s + int(np.searchsorted(self.min_doc[s:e], hi)))
         return s, e
 
+    def _groups(self, g0: int, g1: int, positions: bool) -> list:
+        """Payload tables of row groups g0..g1 (with the positions column
+        when ``positions``), through a small LRU of recently read groups
+        keyed (group, positions): ``read`` and ``fetch`` share it, so the
+        many short runs that share a row group read it once.  Missing
+        groups are read in one call."""
+        cache, want = self._rg_cache, range(g0, g1 + 1)
+        got = {g: cache.get((g, positions)) for g in want}
+        miss = [g for g, t in got.items() if t is None]
+        for g in want:
+            if got[g] is not None:
+                cache.move_to_end((g, positions))
+        if miss:
+            t = self.pf.read_row_groups(
+                miss, columns=self._payload + (["positions"] if positions
+                                               else []))
+            rg = self._rg_rows  # only the file's last group is short
+            for i, g in enumerate(miss):
+                got[g] = cache[(g, positions)] = t.slice(i * rg, rg)
+                if len(cache) > 8:
+                    cache.popitem(last=False)
+        return [got[g] for g in want]
+
     def read(self, s: int, e: int, cols: list[str]):
-        """Columns ``cols`` of rows [s, e): only the row groups the rows
-        span are read."""
+        """Columns ``cols`` (payload, optionally ``positions``) of rows
+        [s, e): only the row groups the rows span are read."""
         g0, g1 = s // self._rg_rows, (e - 1) // self._rg_rows
-        t = self.pf.read_row_groups(list(range(g0, g1 + 1)), columns=cols)
+        t = pa.concat_tables(self._groups(g0, g1, "positions" in cols))
         return t.slice(s - g0 * self._rg_rows, e - s)
 
     def fetch(self, blk: "LazyBlock", row: int,
               positions: bool = False) -> None:
         """Assign one block row's payload bytes from its row group
-        (footer already parsed; small LRU of recently read groups).
+        (footer already parsed; the row-group LRU of ``_groups``).
         ``positions=True`` additionally loads the positions column —
         cached separately so position-free access paths never pay for
         the heaviest column."""
         gid = row // self._rg_rows
-        key = (gid, positions)
-        tbl = self._rg_cache.get(key)
-        if tbl is None:
-            cols = self._PAYLOAD + (["positions"] if positions else [])
-            tbl = self.pf.read_row_groups([gid], columns=cols)
-            self._rg_cache[key] = tbl
-            if len(self._rg_cache) > 8:
-                self._rg_cache.popitem(last=False)
+        tbl = self._groups(gid, gid, positions)[0]
         off = row - gid * self._rg_rows
         blk._docs_raw = tbl.column("docs")[off].as_py()
         blk._tfs_raw = tbl.column("tfs")[off].as_py()

@@ -10,7 +10,9 @@ written under different counts, and the reader's per-file index.
   answers every (field, term) like a brute-force filtered read of every
   segment and stats file, on 1-bucket and 32-bucket indexes with epochs
   (the 32-bucket one has the layout of indexes whose epochs shared the
-  base's count), and the two layouts answer, and merge, the same.
+  base's count) and on one whose segments are in 3-row groups (reads
+  through the per-file row-group cache), and the two bucket layouts
+  answer, and merge, the same.
 """
 
 import contextlib
@@ -166,17 +168,20 @@ def _nested_part(root: str, name: str, n: int, seed: int, base: int
                             docid_base=base)]
 
 
-def _layout_index(root: str, engine: str, buckets: int) -> str:
+def _layout_index(root: str, engine: str, buckets: int,
+                  block_size: int = 4096) -> str:
     """A base and two epochs (upserts and new docs), every part written
     under ``buckets`` buckets."""
     idx = os.path.join(root, f"{engine}{buckets}")
     with _buckets(buckets):
         if engine == "flat":
-            build_index(_flat_part(root, "in0", 30, 3), idx)
+            build_index(_flat_part(root, "in0", 30, 3), idx,
+                        block_size=block_size)
             for ep, seed in ((1, 7), (2, 9)):
                 add_documents(idx, _flat_part(root, f"in{ep}", 12, seed))
         else:
-            build_json_index(_nested_part(root, "base", 120, 3, 0), idx)
+            build_json_index(_nested_part(root, "base", 120, 3, 0), idx,
+                             block_size=block_size)
             for ep, seed in ((1, 7), (2, 9)):
                 docs = (_nested_docs(20, seed, "base-")
                         + _nested_docs(20, seed, f"e{ep}-"))
@@ -186,12 +191,32 @@ def _layout_index(root: str, engine: str, buckets: int) -> str:
     return idx
 
 
+def _small_row_groups(idx: str) -> str:
+    """Rewrite index ``idx``'s segment files (epochs included) in 3-row
+    groups: with 2-posting blocks, a term's rows span several groups and
+    a file more groups than the reader's per-file row-group cache
+    keeps."""
+    for d in [idx] + _epoch_dirs(idx):
+        for s in _manifest(d)["segments"]:
+            p = os.path.join(d, s["path"])
+            t = pq.read_table(p)
+            pq.write_table(t, p, row_group_size=3, **pipeline.SEGMENT_WRITE)
+            assert pq.read_metadata(p).num_row_groups == -(-t.num_rows // 3)
+    return idx
+
+
 @pytest.fixture(scope="module")
 def layouts(ray_session, tmp_path_factory):
-    """(engine, buckets) -> index dir, for 1 and 32 buckets."""
+    """(engine, buckets) -> index dir, for 1 and 32 buckets, and
+    (engine, "rg3"): a 1-bucket index of 2-posting blocks in 3-row
+    segment row groups."""
     root = str(tmp_path_factory.mktemp("layouts"))
-    return {(e, b): _layout_index(os.path.join(root, str(b)), e, b)
-            for e in ("flat", "nested") for b in (1, 32)}
+    out = {(e, b): _layout_index(os.path.join(root, str(b)), e, b)
+           for e in ("flat", "nested") for b in (1, 32)}
+    for e in ("flat", "nested"):
+        out[(e, "rg3")] = _small_row_groups(_layout_index(
+            os.path.join(root, "rg3"), e, 1, block_size=2))
+    return out
 
 
 # ------------------------------------------------------ sizing rule
@@ -353,8 +378,10 @@ def _brute_postings(rows, positions: bool, rng, depth):
 
 
 @pytest.mark.parametrize("key", [("flat", 1), ("flat", 32), ("nested", 1),
-                                 ("nested", 32)],
-                         ids=["flat1", "flat32", "nested1", "nested32"])
+                                 ("nested", 32), ("flat", "rg3"),
+                                 ("nested", "rg3")],
+                         ids=["flat1", "flat32", "nested1", "nested32",
+                              "flat1rg3", "nested1rg3"])
 def test_per_file_index_matches_brute_force(layouts, key):
     idx = layouts[key]
     blocks, stats, field_k = _brute(idx)

@@ -5,16 +5,20 @@ nested epoch, a flat split and a nested split must all hold the same
 format: block rows ordered by
 (field, term, min_doc); stats rows equal to the per-(field, term) sums of
 the segment's ``c_block`` / ``cnt``; ``noise_postings`` (in both files)
-and ``noise_field_k`` equal to those sums; and the segment schema and
-row-group size of a fresh build of the same engine.  Every file also has
+and ``noise_field_k`` equal to those sums; the segment schema of a
+fresh build of the same engine; and the engine's row-group size: 2048
+rows nested, and flat the row count that holds
+``pipeline.FLAT_ROW_GROUP_BYTES`` of payload at the file's mean row
+size, uniform per file (a file of hot-term rows at block_size 4096 gets
+groups of a few rows).  Every file also has
 the writer layout of ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``: no
 dictionary pages, and min/max statistics only on the columns that
 filtered reads prune row groups by; the one dictionary is the stats
 file's ``field`` column.
 
-Indexes written before that layout (Parquet's defaults) still open: an
-index whose base and first epoch are rewritten in the old layout answers
-and merges like the untouched one.
+Indexes written before that layout (Parquet's defaults, 64-row flat
+row groups) still open: an index whose base and first epoch are
+rewritten in the old layout answers and merges like the untouched one.
 """
 
 import json
@@ -24,6 +28,7 @@ import re
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -91,6 +96,18 @@ def indexes(ray_session, tmp_path_factory):
             str(root / f"nested-{ep}.parquet"), docid_base=250 + 150 * ep)])
     assert merge_epochs(nested_live) is not None
     nested_merged = os.path.join(nested_live, "epochs", "epoch-0001-0002")
+
+    # hot terms at the default block_size 4096: block rows of KBs each
+    heavy = str(root / "heavy")
+    rng = np.random.default_rng(3)
+    pq.write_table(pa.table({
+        "conv_id": [f"c{i:05d}" for i in range(8000)],
+        "turn_idx": np.zeros(8000, np.int64),
+        "role": ["user"] * 8000,
+        "text": [" ".join(rng.choice(WORDS[:8], 20)) for _ in range(8000)],
+        "tool": [None] * 8000}), str(root / "heavy.parquet"))
+    build_index([str(root / "heavy.parquet")], heavy, num_buckets=1)
+    split_index(heavy, [str(root / "ha"), str(root / "hb")])
     return {
         "flat_build": (flat, flat),
         "nested_build": (nested, nested),
@@ -98,6 +115,8 @@ def indexes(ray_session, tmp_path_factory):
         "nested_merged_epoch": (nested_merged, nested),
         "flat_split": (str(root / "fa"), flat),
         "nested_split": (str(root / "na"), nested),
+        "flat_heavy": (heavy, flat),
+        "flat_heavy_split": (str(root / "ha"), flat),
     }
 
 
@@ -116,23 +135,31 @@ def _row_groups(path: str) -> list[int]:
     return [md.row_group(i).num_rows for i in range(md.num_row_groups)]
 
 
-def _fresh_layout(fresh_dir: str):
-    """The fresh build's segment schema and row-group size (read from a
-    segment long enough to span more than one row group)."""
-    segs = [s for s, _ in _groups(fresh_dir)]
-    multi = [s for s in segs if len(_row_groups(s)) > 1]
-    assert multi, "fresh build too small to show its row-group size"
-    return (pq.read_schema(segs[0]).remove_metadata(),
-            _row_groups(multi[0])[0])
+def _rule_row_group(seg) -> int:
+    """The flat byte rule, recomputed from a segment table's values: the
+    rows that hold ``FLAT_ROW_GROUP_BYTES`` of docs + tfs + lens +
+    positions at the file's mean row size, within [1, rows]."""
+    n = seg.num_rows
+    payload = sum(len(v) for c in ("docs", "tfs", "lens", "positions")
+                  for v in seg.column(c).to_pylist())
+    return max(1, min(n, -(-pipeline.FLAT_ROW_GROUP_BYTES * n // payload)))
+
+
+# producers whose fixture files are long enough to span row groups (the
+# other flat files hold under 64 KiB of payload: one group each)
+SPANNING = {"nested_build", "nested_merged_epoch", "nested_split",
+            "flat_heavy", "flat_heavy_split"}
 
 
 @pytest.mark.parametrize("name", ["flat_build", "nested_build",
                                   "merged_epoch", "nested_merged_epoch",
                                   "flat_split",
-                                  "nested_split"])
+                                  "nested_split", "flat_heavy",
+                                  "flat_heavy_split"])
 def test_segment_group_invariants(indexes, name):
     index_dir, fresh_dir = indexes[name]
-    schema, rg_size = _fresh_layout(fresh_dir)
+    schema = pq.read_schema(_groups(fresh_dir)[0][0]).remove_metadata()
+    nested = name.startswith("nested")
     spans_row_groups = False
     for seg_path, stats_path in _groups(index_dir):
         seg = pq.read_table(seg_path)
@@ -164,8 +191,12 @@ def test_segment_group_invariants(indexes, name):
         assert seg.schema.remove_metadata() == schema
         rgs = _row_groups(seg_path)
         n = seg.num_rows
+        rg_size = (pipeline.NESTED_ROW_GROUP if nested
+                   else _rule_row_group(seg))
         assert rgs == [rg_size] * (n // rg_size) + (
             [n % rg_size] if n % rg_size else []), (seg_path, rgs)
+        if name.startswith("flat_heavy"):
+            assert rg_size <= 8, (seg_path, rgs)
         spans_row_groups |= len(rgs) > 1
 
         _assert_writer_layout(stats_path, STATS_FILTER_COLS, {"field"})
@@ -180,7 +211,8 @@ def test_segment_group_invariants(indexes, name):
                 assert st.has_min_max, (seg_path, rg, c)
                 assert (st.min, st.max) == (vals.min(), vals.max())
             start += rows
-    assert spans_row_groups, "no segment spans two row groups"
+    assert spans_row_groups or name not in SPANNING, (
+        "no segment spans two row groups")
 
 
 def _assert_writer_layout(path: str, filter_cols: set,
@@ -217,25 +249,28 @@ def test_failed_write_leaves_no_file(indexes, tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         pipeline.write_segment_group(
             rows, 0, str(tmp_path / "seg-00000000.parquet"),
-            str(tmp_path / "stats-00000000.parquet"), pipeline.FLAT_ROW_GROUP)
+            str(tmp_path / "stats-00000000.parquet"))
     assert os.listdir(tmp_path) == ["stats-00000000.parquet"]
 
 
 def _rewrite_old_layout(index_dir: str) -> None:
     """Rewrite the ``segments/`` and ``stats/`` files directly under
     ``index_dir`` with Parquet's default writer properties (dictionary
-    pages, statistics on every column), keeping their row-group size and
-    schema metadata: the layout of indexes written before
-    ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``."""
+    pages, statistics on every column) and 64-row segment row groups,
+    keeping the stats files' row-group size and every file's schema
+    metadata: the layout of indexes written before
+    ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE`` and
+    ``pipeline.segment_row_group``."""
     for sub in ("segments", "stats"):
         d = os.path.join(index_dir, sub)
         for f in sorted(os.listdir(d)):
             p = os.path.join(d, f)
             md = pq.read_metadata(p)
             t = pq.read_table(p)
-            pq.write_table(t, p, row_group_size=md.row_group(0).num_rows)
+            rg = 64 if sub == "segments" else md.row_group(0).num_rows
+            pq.write_table(t, p, row_group_size=rg)
             old = pq.read_metadata(p)
-            assert old.num_row_groups == md.num_row_groups
+            assert old.num_row_groups == -(-t.num_rows // rg)
             assert old.row_group(0).column(0).has_dictionary_page
             assert all(old.row_group(0).column(j).is_stats_set
                        for j in range(old.num_columns))
@@ -301,6 +336,11 @@ def _answers(index_dir: str) -> dict:
 
 def test_old_layout_answers_and_merges_the_same(layouts):
     new, old = layouts
+    # the rewritten base holds 64-row groups where the byte rule wrote
+    # fewer, larger ones
+    pairs = [(a, os.path.join(old, os.path.relpath(a, new)))
+             for a, _ in _groups(new)]
+    assert any(len(_row_groups(b)) > len(_row_groups(a)) for a, b in pairs)
     want = _answers(new)
     assert want["bm25"] and want["phrase"]
     assert _answers(old) == want
