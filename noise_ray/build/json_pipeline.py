@@ -396,11 +396,10 @@ class ShredTokenize:
             pa.string()).combine_chunks()
         terms = list(term_id)
         key_term = [terms[t] for t in tid[first].tolist()]
-        bucket = (np.zeros(len(key_term), np.int64)
-                  if self.num_buckets == 1 else np.fromiter(
-                      (self._bucket(f, t)
-                       for f, t in zip(key_field.to_pylist(), key_term)),
-                      np.int64, len(key_term)))
+        bucket = np.fromiter(
+            (self._bucket(f, t)
+             for f, t in zip(key_field.to_pylist(), key_term)),
+            np.int64, len(key_term))
         bounds, cols = encode_posting_blocks(
             p_key, inst.column("doc_id").to_numpy()[p_inst], tfs,
             flen[p_inst], pos, bucket, num_ranges=self.num_ranges,

@@ -64,8 +64,9 @@ stage chain:
                            size differs per engine (``segment_row_group``):
                            a flat file's groups hold ~64 KiB of payload
                            each (perfbench block rows carry 49 B on
-                           average, 5 B at the median), a nested file's
-                           2048 rows (NESTED_ROW_GROUP).  Both files
+                           average, 5 B at the median) but at least 64
+                           rows (FLAT_ROW_GROUP), a nested file's 2048
+                           rows (NESTED_ROW_GROUP).  Both files
                            have no dictionary pages (but the stats
                            ``field`` column's) and min/max statistics
                            only on the columns filtered reads prune row
@@ -134,11 +135,15 @@ MANIFEST_NAME = "manifest.json"
 # + lens + positions) is 5 B at the median (1 B of positions) and 49 B
 # on average in an 8k-turn build: fixed 64-row groups held ~3 KB each,
 # 146 of them in a 985 KB file with a 112 KB footer.  64 KiB groups make
-# it 8 groups of 1328 rows in 630 KB, and rows of a hot term at
-# block_size 4096 (KBs each) still get groups of a few rows.  Nested
+# it 8 groups of 1328 rows in 630 KB.  Files of heavier rows keep the
+# 64-row floor (FLAT_ROW_GROUP): the sf0.1 bench build's 32 bucket files
+# (hot terms at block_size 4096, ~3.3 KB per block row) would get ~20-row
+# groups, 267 in 14.07 MB against 76 in 13.69 MB at 64 rows, and each
+# group costs fixed write time in the small key columns.  Nested
 # files keep 2048 rows (64-row groups grew nested segments 3.4 → 6.3 MB
 # on a 40k-turn transcript corpus).
 FLAT_ROW_GROUP_BYTES = 64 * 1024
+FLAT_ROW_GROUP = 64
 NESTED_ROW_GROUP = 2048
 # Parquet writer properties of the two files ``write_segment_group``
 # writes.  No dictionary pages: a block's varint payloads are unique
@@ -193,8 +198,9 @@ def segment_row_group(seg: pa.Table) -> int:
     reader finds a row's group by division).  Nested files (their rows
     carry ``aps``): ``NESTED_ROW_GROUP``.  Flat files: the row count
     that holds ``FLAT_ROW_GROUP_BYTES`` of payload (docs + tfs + lens +
-    positions) at the file's mean row size, within [1, rows].  Read
-    only from the rows, so every route and merge writes the same file."""
+    positions) at the file's mean row size, at least ``FLAT_ROW_GROUP``
+    and at most the file's rows.  Read only from the rows, so every
+    route and merge writes the same file."""
     if "aps" in seg.column_names:
         return NESTED_ROW_GROUP
     rows = seg.num_rows
@@ -202,7 +208,8 @@ def segment_row_group(seg: pa.Table) -> int:
                   for c in ("docs", "tfs", "lens", "positions"))
     if not payload:
         return max(rows, 1)
-    return max(1, min(rows, -(-FLAT_ROW_GROUP_BYTES * rows // payload)))
+    return max(1, min(rows, max(FLAT_ROW_GROUP,
+                                -(-FLAT_ROW_GROUP_BYTES * rows // payload))))
 
 
 def row_buckets(rows: pa.Table, num_buckets: int, nested: bool) -> np.ndarray:
@@ -403,10 +410,8 @@ class TokenizeBatch:
         lens = field_len[key_field[p_key], p_row]
         terms = list(term_id)
         key_terms = [terms[t] for t in tid[first].tolist()]
-        bucket = (np.zeros(len(key_terms), np.int64)
-                  if self.num_buckets == 1 else
-                  np.fromiter((self._bucket(t) for t in key_terms), np.int64,
-                              len(key_terms)))
+        bucket = np.fromiter((self._bucket(t) for t in key_terms), np.int64,
+                             len(key_terms))
         bounds, cols = encode_posting_blocks(
             p_key, docs, tfs, lens, pos, bucket,
             num_ranges=self.num_ranges, range_span=self.range_span,

@@ -9,8 +9,10 @@ and ``noise_field_k`` equal to those sums; the segment schema of a
 fresh build of the same engine; and the engine's row-group size: 2048
 rows nested, and flat the row count that holds
 ``pipeline.FLAT_ROW_GROUP_BYTES`` of payload at the file's mean row
-size, uniform per file (a file of hot-term rows at block_size 4096 gets
-groups of a few rows).  Every file also has
+size but at least ``pipeline.FLAT_ROW_GROUP`` (64), uniform per file.
+Light transcript files get one group wider than 64 rows; a hot-term
+build at block_size 4096, its split and its merged epochs get 64-row
+groups and span several.  Every file also has
 the writer layout of ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``: no
 dictionary pages, and min/max statistics only on the columns that
 filtered reads prune row groups by; the one dictionary is the stats
@@ -97,17 +99,33 @@ def indexes(ray_session, tmp_path_factory):
     assert merge_epochs(nested_live) is not None
     nested_merged = os.path.join(nested_live, "epochs", "epoch-0001-0002")
 
-    # hot terms at the default block_size 4096: block rows of KBs each
+    # hot terms at the default block_size 4096: each of 100 words is in
+    # ~40% of the docs, so block rows carry KBs of payload and the 64-row
+    # floor sets the row groups of the base, its split halves and its
+    # merged epochs (~100 rows per file, ~200 merged)
     heavy = str(root / "heavy")
     rng = np.random.default_rng(3)
-    pq.write_table(pa.table({
-        "conv_id": [f"c{i:05d}" for i in range(8000)],
-        "turn_idx": np.zeros(8000, np.int64),
-        "role": ["user"] * 8000,
-        "text": [" ".join(rng.choice(WORDS[:8], 20)) for _ in range(8000)],
-        "tool": [None] * 8000}), str(root / "heavy.parquet"))
-    build_index([str(root / "heavy.parquet")], heavy, num_buckets=1)
+    hot = [f"hot{i:03d}" for i in range(100)]
+
+    def hot_docs(n: int, first: int, path) -> str:
+        pq.write_table(pa.table({
+            "conv_id": [f"c{first + i:05d}" for i in range(n)],
+            "turn_idx": np.zeros(n, np.int64),
+            "role": ["user"] * n,
+            "text": [" ".join(rng.choice(hot, 50)) for _ in range(n)],
+            "tool": [None] * n}), str(path))
+        return str(path)
+
+    build_index([hot_docs(8000, 0, root / "heavy.parquet")], heavy,
+                num_buckets=1)
     split_index(heavy, [str(root / "ha"), str(root / "hb")])
+    heavy_live = str(root / "heavy_live")
+    shutil.copytree(heavy, heavy_live)
+    for ep in (1, 2):
+        add_documents(heavy_live, [hot_docs(
+            2000, 8000 * ep, root / f"heavy-{ep}.parquet")])
+    assert merge_epochs(heavy_live) is not None
+    heavy_merged = os.path.join(heavy_live, "epochs", "epoch-0001-0002")
     return {
         "flat_build": (flat, flat),
         "nested_build": (nested, nested),
@@ -117,6 +135,7 @@ def indexes(ray_session, tmp_path_factory):
         "nested_split": (str(root / "na"), nested),
         "flat_heavy": (heavy, flat),
         "flat_heavy_split": (str(root / "ha"), flat),
+        "flat_heavy_merged": (heavy_merged, flat),
     }
 
 
@@ -135,32 +154,31 @@ def _row_groups(path: str) -> list[int]:
     return [md.row_group(i).num_rows for i in range(md.num_row_groups)]
 
 
-def _rule_row_group(seg) -> int:
-    """The flat byte rule, recomputed from a segment table's values: the
-    rows that hold ``FLAT_ROW_GROUP_BYTES`` of docs + tfs + lens +
-    positions at the file's mean row size, within [1, rows]."""
-    n = seg.num_rows
+def _byte_rows(seg) -> int:
+    """The rows that hold ``FLAT_ROW_GROUP_BYTES`` of docs + tfs + lens +
+    positions at a segment table's mean row size, recomputed from its
+    values."""
     payload = sum(len(v) for c in ("docs", "tfs", "lens", "positions")
                   for v in seg.column(c).to_pylist())
-    return max(1, min(n, -(-pipeline.FLAT_ROW_GROUP_BYTES * n // payload)))
+    return -(-pipeline.FLAT_ROW_GROUP_BYTES * seg.num_rows // payload)
 
 
-# producers whose fixture files are long enough to span row groups (the
-# other flat files hold under 64 KiB of payload: one group each)
-SPANNING = {"nested_build", "nested_merged_epoch", "nested_split",
-            "flat_heavy", "flat_heavy_split"}
+# flat producers whose fixture files hold light rows: under 64 KiB of
+# payload per file, so one row group each, wider than the 64-row floor.
+# Every other producer's files must span row groups.
+LIGHT = {"flat_build", "merged_epoch", "flat_split"}
 
 
 @pytest.mark.parametrize("name", ["flat_build", "nested_build",
                                   "merged_epoch", "nested_merged_epoch",
                                   "flat_split",
                                   "nested_split", "flat_heavy",
-                                  "flat_heavy_split"])
+                                  "flat_heavy_split", "flat_heavy_merged"])
 def test_segment_group_invariants(indexes, name):
     index_dir, fresh_dir = indexes[name]
     schema = pq.read_schema(_groups(fresh_dir)[0][0]).remove_metadata()
     nested = name.startswith("nested")
-    spans_row_groups = False
+    spans_row_groups, widest = False, 0
     for seg_path, stats_path in _groups(index_dir):
         seg = pq.read_table(seg_path)
         keys = list(zip(*(seg.column(c).to_pylist()
@@ -191,13 +209,14 @@ def test_segment_group_invariants(indexes, name):
         assert seg.schema.remove_metadata() == schema
         rgs = _row_groups(seg_path)
         n = seg.num_rows
-        rg_size = (pipeline.NESTED_ROW_GROUP if nested
-                   else _rule_row_group(seg))
+        rg_size = (pipeline.NESTED_ROW_GROUP if nested else max(1, min(
+            n, max(pipeline.FLAT_ROW_GROUP, _byte_rows(seg)))))
         assert rgs == [rg_size] * (n // rg_size) + (
             [n % rg_size] if n % rg_size else []), (seg_path, rgs)
-        if name.startswith("flat_heavy"):
-            assert rg_size <= 8, (seg_path, rgs)
+        if name.startswith("flat_heavy"):  # the floor, not the bytes
+            assert _byte_rows(seg) < rg_size == pipeline.FLAT_ROW_GROUP
         spans_row_groups |= len(rgs) > 1
+        widest = max(widest, rgs[0])
 
         _assert_writer_layout(stats_path, STATS_FILTER_COLS, {"field"})
         _assert_writer_layout(seg_path, SEG_FILTER_COLS)
@@ -211,8 +230,10 @@ def test_segment_group_invariants(indexes, name):
                 assert st.has_min_max, (seg_path, rg, c)
                 assert (st.min, st.max) == (vals.min(), vals.max())
             start += rows
-    assert spans_row_groups or name not in SPANNING, (
-        "no segment spans two row groups")
+    if name in LIGHT:
+        assert widest > pipeline.FLAT_ROW_GROUP, "no byte-sized row group"
+    else:
+        assert spans_row_groups, "no segment spans two row groups"
 
 
 def _assert_writer_layout(path: str, filter_cols: set,
