@@ -24,9 +24,10 @@ Three segmenters implement that one rule, and tests pin them equal:
 - ``_ASCII_SEG_RE`` (stdlib ``re``): the per-text fast path for ASCII
   text; equal to ``_SEG_RE`` on every ASCII string
   (``test_ascii_fast_path_equals_unicode_engine``).
-- ``ascii_word_tokens`` (Arrow compute, RE2): the ASCII rows of a whole
-  string column at once, as the index build runs it; returns exactly
-  ``_ASCII_SEG_RE``'s kept word runs with their row indices
+- ``ascii_word_tokens`` (numpy byte classes over the column's UTF-8
+  buffer, no regex): the ASCII rows of a whole string column at once, as
+  the index build runs it; returns exactly ``_ASCII_SEG_RE``'s kept word
+  runs with their row indices
   (``test_batch_ascii_splitter_equals_per_text_segmenter``).  The build's
   output with it equals the per-text path's
   (``tests/test_build_invariants.py::
@@ -40,7 +41,6 @@ from functools import lru_cache
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import regex as _re
 
 from .porter2 import stem as _porter2_stem
@@ -71,11 +71,11 @@ _ASCII_SEG_RE = _stdre.compile(
 
 
 # Batch ASCII segmenter: the same kept word runs as _ASCII_SEG_RE, found
-# by RE2 over a whole Arrow string column.  Splitting on everything outside
-# [A-Za-z0-9_:'.,;] and then on runs of 2+ glue characters leaves pieces of
-# word characters joined by single glue characters; trimming glue off both
-# ends turns each piece into exactly one word run.
-_ASCII_GLUE = ":'.,;"
+# by byte classes over a whole Arrow string column's UTF-8 buffer.  A word
+# run is word bytes [A-Za-z0-9_] joined by single glue bytes [:'.,;] that
+# have a word byte on both sides in the same row, so a byte belongs to a
+# run iff it is a word byte or such a glue byte, and runs break at row
+# starts (two rows' words can touch in the buffer).
 
 
 def ascii_word_tokens(texts: pa.Array) -> tuple[pa.StringArray, np.ndarray]:
@@ -86,15 +86,49 @@ def ascii_word_tokens(texts: pa.Array) -> tuple[pa.StringArray, np.ndarray]:
     and the index in ``texts`` of the row each came from.  NFKC is the
     identity on ASCII, so ``_norm_lower_stem(tok)`` is the indexed term.
     Every row of ``texts`` must be a non-null ASCII string.
-    """
-    pieces = pc.split_pattern_regex(texts, f"[^A-Za-z0-9_{_ASCII_GLUE}]+")
-    rows = pc.list_parent_indices(pieces)
-    pieces = pc.split_pattern_regex(pc.list_flatten(pieces),
-                                    f"[{_ASCII_GLUE}]{{2,}}")
-    rows = rows.take(pc.list_parent_indices(pieces))
-    toks = pc.utf8_trim(pc.list_flatten(pieces), characters=_ASCII_GLUE)
-    keep = pc.match_substring_regex(toks, "^[A-Za-z]")
-    return toks.filter(keep), rows.filter(keep).to_numpy()
+
+    Numpy over the column's offsets and bytes: classify every byte, mark
+    run starts and ends, keep the runs that start with a letter, and
+    build the tokens from one boolean compress of the buffer."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    if texts.type != pa.string():
+        texts = texts.cast(pa.string())
+    n = len(texts)
+    off = np.frombuffer(texts.buffers()[1], np.int32, n + 1, texts.offset * 4)
+    lo = int(off[0])
+    m = int(off[-1]) - lo
+    data = (np.frombuffer(texts.buffers()[2], np.uint8, m, lo) if m
+            else np.zeros(0, np.uint8))
+    letter = (data | 32) - 97 < 26  # uint8 wraps below 'a'
+    word = letter | (data - 48 < 10) | (data == 95)
+    # in_row[i]: bytes i and i+1 are in the same row
+    in_row = np.ones(max(m - 1, 0), bool)
+    in_row[off[1:-1][(off[1:-1] > lo) & (off[1:-1] < lo + m)] - lo - 1] = False
+    run = word.copy()
+    glue = ((data == 58) | (data == 39) | (data == 46) | (data == 44)
+            | (data == 59))[1:-1]
+    run[1:-1] |= glue & word[:-2] & word[2:] & in_row[:-1] & in_row[1:]
+    start = run.copy()
+    start[1:] &= ~(run[:-1] & in_row)
+    end = run.copy()
+    end[:-1] &= ~(run[1:] & in_row)
+    starts, ends = np.flatnonzero(start), np.flatnonzero(end) + 1
+    keep = letter[starts]
+    if not keep.all():  # drop the runs that start with [0-9_]
+        drop = ~keep
+        d = np.zeros(m + 1, np.int8)
+        d[starts[drop]] += 1  # two runs can touch across rows
+        d[ends[drop]] -= 1
+        run &= np.cumsum(d[:-1], dtype=np.int8) == 0
+        starts, ends = starts[keep], ends[keep]
+    tok_off = np.zeros(starts.size + 1, np.int32)
+    np.cumsum(ends - starts, out=tok_off[1:])
+    toks = pa.Array.from_buffers(
+        pa.string(), starts.size,
+        [None, pa.py_buffer(tok_off), pa.py_buffer(data[run])])
+    rows = np.searchsorted(off, starts + lo, side="right") - 1
+    return toks, rows
 
 
 def word_segments(text: str):

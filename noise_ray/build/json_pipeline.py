@@ -35,8 +35,10 @@ build's ``pipeline.run_build``, with its one route rule (one ingest
 task's worth runs in the driver), sizing, stage 3 and manifest publish.
 ``ShredTokenize``'s postings come from the flat build's kernel: every
 string value of the batch is one instance, ranked by (doc, arraypath),
-tokenized by the flat ``_field_tokens`` and grouped by
-``pipeline.group_postings`` with the keypath as the group.  Segment
+tokenized by the flat ``pipeline.batch_tokens`` (term ids from the one
+``TermTable``) and grouped by ``pipeline.group_postings`` with the
+keypath as the group; bucket ids come from each term's CRC-32 and length
+(``kp_term_buckets``), with no per-key string hashed.  Segment
 groups go through the one writer ``pipeline.write_segment_group``,
 which gives rows with ``aps`` the nested row-group size — their keypath
 ``field`` strings and the extra ``aps`` / ``depth`` columns pass through
@@ -61,7 +63,7 @@ import ray.data
 from .arrow_shred import shred_table_fast
 from .codec import encode_varint
 from .pipeline import (_atomic_write_table, _binary_rows, _dict_ranks,
-                       _field_tokens, encode_posting_blocks, group_postings,
+                       batch_tokens, encode_posting_blocks, group_postings,
                        run_build)
 from .shred import shred
 from .spatial import sidecar_path
@@ -76,6 +78,29 @@ _INSTANCES = pa.schema([("doc_id", pa.int64()),
 
 def kp_term_bucket(kp: str, term: str, num_buckets: int) -> int:
     return zlib.crc32(f"{kp}\0{term}".encode("utf-8")) % num_buckets
+
+
+def kp_term_buckets(kps: pa.Array, term_crc: np.ndarray,
+                    term_nbytes: np.ndarray, num_buckets: int) -> np.ndarray:
+    """``kp_term_bucket`` of many (keypath, term) pairs, from the keypath
+    strings ``kps`` and each term's CRC-32 and UTF-8 length, with no
+    joined string hashed.  CRC-32 is affine in its start value:
+    crc32(t, v) = A·v ⊕ crc32(t), where A depends only on len(t), and
+    A·v = crc32(z, v) ⊕ crc32(z) for z = len(t) zero bytes.  So each
+    distinct (keypath, term length) costs one pair of calls."""
+    if num_buckets == 1:
+        return np.zeros(len(kps), np.int64)
+    enc = pc.dictionary_encode(kps)
+    kp_crc = [zlib.crc32(f"{kp}\0".encode("utf-8"))
+              for kp in enc.dictionary.to_pylist()]
+    span = int(term_nbytes.max(initial=0)) + 1
+    pairs, inv = np.unique(enc.indices.to_numpy().astype(np.int64) * span
+                           + term_nbytes, return_inverse=True)
+    shift = np.fromiter(
+        (zlib.crc32(bytes(p % span), kp_crc[p // span])
+         ^ zlib.crc32(bytes(p % span)) for p in pairs.tolist()),
+        np.int64, pairs.size)
+    return (shift[inv] ^ term_crc) % num_buckets
 
 
 # ------------------------------------------------------------------ inputs
@@ -160,7 +185,7 @@ class ShredTokenize:
 
     Postings follow add_stemmed_entries (src/json_shred.rs:148-203): one
     per (keypath, stem, doc, arraypath).  The string instances of all the
-    batch's files are tokenized by one ``_field_tokens`` call and turned
+    batch's files are tokenized by one ``batch_tokens`` call and turned
     into postings by the flat build's ``group_postings`` — key =
     (keypath, term), instance = one string value at one (doc, arraypath)
     — so each (keypath, term) run comes out in (doc, arraypath) order."""
@@ -176,16 +201,6 @@ class ShredTokenize:
         self.range_base = range_base
         self.block_size = block_size
         self.fast = fast  # try the Arrow column-wise shred first
-        self._bucket_cache: dict[tuple[str, str], int] = {}
-
-    def _bucket(self, kp: str, term: str) -> int:
-        k = (kp, term)
-        b = self._bucket_cache.get(k)
-        if b is None:
-            b = kp_term_bucket(kp, term, self.num_buckets)
-            if len(self._bucket_cache) < 1_000_000:
-                self._bucket_cache[k] = b
-        return b
 
     # -------------------------------------------------------- per file
 
@@ -386,23 +401,19 @@ class ShredTokenize:
         inst = inst.take(pa.array(rank))
         ap_mat, in_ap, depth = ap_mat[rank], in_ap[rank], depth[rank]
 
-        term_id: dict[str, int] = {}
-        row, pos, tid, flen = _field_tokens(inst.column("str"),
-                                            inst.num_rows, term_id)
+        _, row, pos, tid, flen, (terms, crc, nbytes) = batch_tokens(
+            [inst.column("str")], inst.num_rows)
         kp = _dict_ranks(inst.column("kp"))
         p_key, p_inst, tfs, pos, first = group_postings(
             kp[row], row, pos, tid, int(kp.max(initial=0)) + 1)
         key_field = inst.column("kp").take(pa.array(row[first])).cast(
             pa.string()).combine_chunks()
-        terms = list(term_id)
-        key_term = [terms[t] for t in tid[first].tolist()]
-        bucket = np.fromiter(
-            (self._bucket(f, t)
-             for f, t in zip(key_field.to_pylist(), key_term)),
-            np.int64, len(key_term))
+        key_tid = tid[first]
+        bucket = kp_term_buckets(key_field, crc[key_tid], nbytes[key_tid],
+                                 self.num_buckets)
         bounds, cols = encode_posting_blocks(
             p_key, inst.column("doc_id").to_numpy()[p_inst], tfs,
-            flen[p_inst], pos, bucket, num_ranges=self.num_ranges,
+            flen[0][p_inst], pos, bucket, num_ranges=self.num_ranges,
             range_span=self.range_span, range_base=self.range_base,
             block_size=self.block_size)
         row_key = p_key[bounds[:-1]]
@@ -412,7 +423,7 @@ class ShredTokenize:
             encode_varint(ap_mat[p_inst][in_ap[p_inst]]), ap_bounds)
         cols["depth"] = pa.array(p_depth[bounds[:-1]], pa.int32())
         cols["field"] = key_field.take(row_key)
-        cols["term"] = pa.array(key_term, pa.string()).take(row_key)
+        cols["term"] = terms.take(key_tid[row_key])
         return pa.table({c: cols[c] for c in (
             "gkey", "field", "term", "depth", "min_doc", "max_doc", "cnt",
             "c_block", "max_tf_norm", "docs", "aps", "tfs", "lens", "pos")})

@@ -20,16 +20,21 @@ stage chain:
                            Idempotent (tmp+rename), resumable per file.
   stage 2  tokenize        task ``map_batches`` over zero-copy Arrow
                            batches → per-(field, term) PRE-COMBINED posting
-                           runs, built as Arrow/numpy arrays end to end:
-                           ASCII rows are segmented for the whole column
-                           by RE2 (``ascii_word_tokens``) and stemmed once
-                           per distinct token; only non-ASCII rows and
-                           rows with no kept token go through the per-text
-                           ``tokenize_grouped``.  ``group_postings``
-                           lays the tokens out posting by posting with one
-                           lexsort; the nested build's ``ShredTokenize``
-                           calls the same kernel with keypaths as groups
-                           and string values as instances.  The runs are
+                           runs, built as Arrow/numpy arrays end to end
+                           (``batch_tokens``): ASCII rows are split for
+                           the whole column by numpy byte classes over its
+                           offsets and UTF-8 buffer (``ascii_word_tokens``),
+                           an ASCII row with no kept token is its own
+                           token, and the raw tokens get term ids from one
+                           ``pc.index_in`` against the process-wide
+                           ``TermTable``, so only a raw token never seen
+                           before reaches the stemmer; only non-ASCII rows
+                           go through the per-text ``tokenize_grouped``.
+                           ``group_postings`` lays the tokens out posting
+                           by posting with one argsort of a packed key;
+                           the nested build's ``ShredTokenize`` calls the
+                           same kernel with keypaths as groups and string
+                           values as instances.  The runs are
                            cut into finished blocks and already
                            delta+varint ENCODED (ascending doc order) with
                            a shuffle key `gkey` = (term bucket, doc range).
@@ -105,8 +110,10 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import os
+import threading
 import time
 import uuid
 import zlib
@@ -290,138 +297,191 @@ def _ingest_emit(batch: pa.Table, key_columns, docmap_dir: str,
 
 # ----------------------------------------------------------------- stage 2
 
+class TermTable:
+    """The build's term ids: one table per process, shared by every batch
+    of both engines' stage 2.
+
+    ``raws`` (an Arrow string array) holds every raw token seen so far and
+    ``raw_tid`` its term id; ``terms`` holds each term id's indexed term,
+    ``crc`` its CRC-32 (``crc % num_buckets`` is ``term_bucket`` under any
+    bucket count) and ``nbytes`` its UTF-8 length.  A batch looks its raw
+    tokens up with one ``pc.index_in``, and only raw tokens never seen
+    before reach the stemmer.  A raw token is an ASCII word run (its term
+    is ``_norm_lower_stem`` of it) or an ASCII text with no kept token (the
+    whole-text fallback: its term is the text); a word run starts with a
+    letter and such a text never does, so one table holds both.
+
+    ``index_in`` hashes the whole table on every call (about 1.2 ms at
+    16k entries, 11 ms at 64k and 52 ms at 256k on one core), so ``begin``
+    starts it over once it holds more than ``LIMIT`` raw tokens or terms;
+    the stemmer's own cache (``_norm_lower_stem``) outlives a restart.
+    The perfbench and sf0.1 transcripts stay far below it (30k and a few
+    hundred raw tokens).  Term ids are only compared within one batch
+    (``group_postings`` numbers keys by first occurrence), so a restart
+    between batches changes no output byte."""
+
+    LIMIT = 65536
+
+    def __init__(self):
+        self.lock = threading.Lock()  # a batch's lookups and their view
+        self.clear()
+
+    def clear(self) -> None:
+        self.raws = self.terms = pa.array([], pa.string())
+        self.raw_tid = self.crc = self.nbytes = np.zeros(0, np.int64)
+
+    def begin(self) -> None:
+        if max(len(self.raws), len(self.terms)) > self.LIMIT:
+            self.clear()
+
+    def raw_ids(self, raws) -> np.ndarray:
+        """Term ids of ASCII raw tokens (word runs or fallback texts)."""
+        if not len(raws):
+            return np.zeros(0, np.int64)
+        idx = pc.index_in(raws, value_set=self.raws)
+        if idx.null_count:
+            new = pc.unique(raws.filter(idx.is_null()))
+            tid = self.term_ids(pa.array(
+                [_norm_lower_stem(r) if r[:1].isalpha() else r
+                 for r in new.to_pylist()], pa.string()))
+            self.raws = pa.concat_arrays([self.raws, new])
+            self.raw_tid = np.concatenate((self.raw_tid, tid))
+            idx = pc.index_in(raws, value_set=self.raws)
+        return self.raw_tid[idx.to_numpy()]
+
+    def term_ids(self, terms: pa.Array) -> np.ndarray:
+        """Term ids of indexed terms, adding the new ones."""
+        if not len(terms):
+            return np.zeros(0, np.int64)
+        idx = pc.index_in(terms, value_set=self.terms)
+        if idx.null_count:
+            new = pc.unique(terms.filter(idx.is_null()))
+            self.terms = pa.concat_arrays([self.terms, new])
+            self.crc = np.concatenate((self.crc, np.fromiter(
+                (zlib.crc32(t.encode("utf-8")) for t in new.to_pylist()),
+                np.int64, len(new))))
+            self.nbytes = np.concatenate(
+                (self.nbytes, pc.binary_length(new).to_numpy()))
+            idx = pc.index_in(terms, value_set=self.terms)
+        return idx.to_numpy().astype(np.int64)
+
+
+_TERMS = TermTable()
+
+
+def batch_tokens(cols, num_rows: int):
+    """Every token of the string columns ``cols`` (``num_rows`` rows
+    each): per token its column, row, position and term id, per column
+    and row the field length (0 for null rows), and the ``(terms, crc,
+    nbytes)`` arrays of ``TermTable`` that the term ids index.
+
+    ASCII rows are split for the whole column at once
+    (``ascii_word_tokens``).  An ASCII row with no kept token yields one
+    token, the text itself (NFKC is the identity on ASCII), at position 0
+    with field length 1.  These raw tokens get their term ids from one
+    ``TermTable.raw_ids`` lookup for all of ``cols``.  Only non-ASCII rows
+    go through the per-text ``tokenize_grouped``."""
+    flen = np.zeros((len(cols), num_rows), np.int64)
+    raws, col_of, row, pos = [], [], [], []
+    terms, t_cnt = [], []
+    t_col, t_row, t_pos = [], [], []
+    for c, col in enumerate(cols):
+        if isinstance(col, pa.ChunkedArray):
+            col = col.combine_chunks()
+        if pa.types.is_null(col.type):  # all-null field: no postings
+            continue
+        col = col.cast(pa.string())
+        is_ascii = pc.fill_null(pc.string_is_ascii(col), False).to_numpy(
+            zero_copy_only=False)
+        ascii_rows = np.flatnonzero(is_ascii)
+        toks, rel = ascii_word_tokens(
+            col if ascii_rows.size == num_rows else col.take(ascii_rows))
+        w_row = ascii_rows[rel]
+        fl = flen[c]
+        fl += np.bincount(w_row, minlength=num_rows)
+        w_pos = np.arange(w_row.size) - (np.cumsum(fl) - fl)[w_row]
+        fb = ascii_rows[fl[ascii_rows] == 0]
+        fl[fb] = 1
+        raws += [toks, col.take(fb)]
+        row += [w_row, fb]
+        pos += [w_pos, np.zeros(fb.size, np.int64)]
+        col_of.append(np.full(w_row.size + fb.size, c))
+        rest = np.flatnonzero(~is_ascii & col.is_valid().to_numpy(
+            zero_copy_only=False))
+        for i, text in zip(rest.tolist(), col.take(rest).to_pylist()):
+            t_terms, positions, fl[i] = tokenize_grouped(text)
+            terms += t_terms
+            t_cnt += map(len, positions)
+            t_pos += itertools.chain.from_iterable(positions)
+            t_row.append(np.full(fl[i], i))
+            t_col.append(np.full(fl[i], c))
+    with _TERMS.lock:
+        _TERMS.begin()
+        tid = np.concatenate((
+            _TERMS.raw_ids(pa.chunked_array(raws, pa.string())),
+            np.repeat(_TERMS.term_ids(pa.array(terms, pa.string())), t_cnt)))
+        view = (_TERMS.terms, _TERMS.crc, _TERMS.nbytes)
+    empty = [np.zeros(0, np.int64)]
+    return (np.concatenate(col_of + t_col + empty),
+            np.concatenate(row + t_row + empty),
+            np.concatenate(pos + [np.array(t_pos, np.int64)]),
+            tid, flen, view)
+
+
 def tokenize_batch(batch: pa.Table, *, fields: tuple, num_buckets: int,
                    num_ranges: int, range_span: int,
                    range_base: int = 0, block_size: int = 4096) -> pa.Table:
-    """Task-based batch tokenizer with a map-side combiner (see
-    TokenizeBatch).  Worker processes persist module state across tasks, so
-    the stemmer lru_cache and bucket cache warm up exactly like an actor's
-    would — without actor-pool scale-up lag."""
-    tk = TokenizeBatch(fields, num_buckets, num_ranges, range_span, range_base,
-                       block_size)
-    tk._bucket_cache = _BUCKET_CACHES.setdefault(num_buckets, {})
-    return tk(batch)
-
-
-_BUCKET_CACHES: dict[int, dict] = {}
-
-
-def _field_tokens(col: pa.ChunkedArray, num_rows: int,
-                  term_id: dict[str, int]):
-    """One field's tokens as arrays: (row, pos, term id) per token plus the
-    field length of every row (0 for null rows).  ``term_id`` maps each
-    indexed term to its id and grows as new terms appear.
-
-    ASCII rows are segmented for the whole column at once
-    (``ascii_word_tokens``) and stemmed once per distinct token.  The other
-    rows go through the per-text ``tokenize_grouped``: non-ASCII texts,
-    and ASCII texts with no kept token (the whole-text fallback term)."""
-    col = col.combine_chunks()
-    flen = np.zeros(num_rows, np.int64)
-    if pa.types.is_null(col.type):  # all-null field: no postings
-        empty = np.zeros(0, np.int64)
-        return empty, empty, empty, flen
-    is_ascii = pc.fill_null(pc.string_is_ascii(col), False).to_numpy(
-        zero_copy_only=False)
-    ascii_rows = np.flatnonzero(is_ascii)
-    toks, rel = ascii_word_tokens(
-        col if ascii_rows.size == num_rows else col.take(ascii_rows))
-    row = ascii_rows[rel]
-    flen += np.bincount(row, minlength=num_rows)
-    pos = np.arange(row.size) - (np.cumsum(flen) - flen)[row]
-    enc = pc.dictionary_encode(toks)
-    code_tid = np.fromiter(
-        (term_id.setdefault(_norm_lower_stem(t), len(term_id))
-         for t in enc.dictionary.to_pylist()), np.int64, len(enc.dictionary))
-    tid = code_tid[enc.indices.to_numpy()]
-
-    valid = col.is_valid().to_numpy(zero_copy_only=False)
-    rest = np.flatnonzero(valid & (flen == 0))
-    r_row, r_pos, r_tid = [], [], []
-    for i, text in zip(rest.tolist(), col.take(rest).to_pylist()):
-        terms, positions, flen[i] = tokenize_grouped(text)
-        for t, p in zip(terms, positions):
-            r_row.extend([i] * len(p))
-            r_pos.extend(p)
-            r_tid.extend([term_id.setdefault(t, len(term_id))] * len(p))
-    return (np.concatenate((row, np.array(r_row, np.int64))),
-            np.concatenate((pos, np.array(r_pos, np.int64))),
-            np.concatenate((tid, np.array(r_tid, np.int64))), flen)
-
-
-class TokenizeBatch:
-    """Batch tokenizer with a map-side combiner.
+    """Stage 2 of the flat build: a batch of ingested rows → encoded
+    posting-block rows, with a map-side combiner.
 
     Tokenizes every field of every doc in the batch
     (src/json_shred.rs:148-203) and PRE-COMBINES postings per (field, term)
     into one posting run per distinct term: ``docs`` ascending, plus
     aligned ``tfs`` / ``lens`` and the flattened position lists, emitted
-    as encoded block rows (``encode_posting_blocks``).  Batches
-    arrive in ascending doc order (each ingest task covers a contiguous
-    doc_id range), so runs from different tasks are doc-disjoint and the
-    segment writer can merge them by simple min_doc-ordered concatenation.
-    This shrinks the wide shuffle from one row per posting to one row per
+    as encoded block rows (``encode_posting_blocks``).  Batches arrive in
+    ascending doc order (each ingest task covers a contiguous doc_id
+    range), so runs from different tasks are doc-disjoint and the segment
+    writer can merge them by simple min_doc-ordered concatenation.  This
+    shrinks the wide shuffle from one row per posting to one row per
     (task, field, term) — the partial-aggregation-before-groupby pattern.
 
     The combiner works on token arrays, never on per-posting Python
-    objects: each field yields (row, pos, term id) per token
-    (``_field_tokens``), and ``group_postings`` — the posting kernel the
-    nested ``ShredTokenize`` shares, with the field as the group and the
-    row as the instance — lays them out posting by posting.  Keys are
-    ordered by first occurrence (field, row, position), so block rows come
-    out in the order a per-text pass would emit them.
-    """
+    objects: ``batch_tokens`` yields (field, row, pos, term id) per token,
+    and ``group_postings`` — the posting kernel the nested
+    ``ShredTokenize`` shares, with the field as the group and the row as
+    the instance — lays them out posting by posting.  Keys are ordered by
+    first occurrence (field, row, position), so block rows come out in the
+    order a per-text pass would emit them.  Worker processes keep module
+    state across tasks, so the stemmer cache and the term table warm up
+    across a worker's batches."""
+    field, row, pos, tid, field_len, (terms, crc, _) = batch_tokens(
+        [batch.column(f) for f in fields], batch.num_rows)
+    p_key, p_row, tfs, pos, first = group_postings(field, row, pos, tid,
+                                                   len(fields))
+    key_field, key_tid = field[first], tid[first]
+    docs = batch.column("doc_id").to_numpy()[p_row].astype(np.int64,
+                                                           copy=False)
+    lens = field_len[key_field[p_key], p_row]
+    bounds, cols = encode_posting_blocks(
+        p_key, docs, tfs, lens, pos, crc[key_tid] % num_buckets,
+        num_ranges=num_ranges, range_span=range_span, range_base=range_base,
+        block_size=block_size)
+    row_key = p_key[bounds[:-1]]
+    cols["field"] = pa.array(key_field.astype(np.int32)[row_key])
+    cols["term"] = terms.take(key_tid[row_key])
+    return pa.table({c: cols[c] for c in (
+        "gkey", "field", "term", "min_doc", "max_doc", "cnt", "c_block",
+        "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens", "pos")})
 
-    def __init__(self, fields: tuple, num_buckets: int, num_ranges: int,
-                 range_span: int, range_base: int = 0,
-                 block_size: int = 4096):
-        self.fields = fields
-        self.num_buckets = num_buckets
-        self.num_ranges = num_ranges
-        self.range_span = range_span
-        self.range_base = range_base  # first doc_id (incremental epochs)
-        self.block_size = block_size
-        self._bucket_cache: dict[str, int] = {}
 
-    def _bucket(self, term: str) -> int:
-        b = self._bucket_cache.get(term)
-        if b is None:
-            b = term_bucket(term, self.num_buckets)
-            if len(self._bucket_cache) < 1_000_000:
-                self._bucket_cache[term] = b
-        return b
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch.column("doc_id").to_numpy()
-        nf = len(self.fields)
-        term_id: dict[str, int] = {}
-        parts = [_field_tokens(batch.column(f), batch.num_rows, term_id)
-                 for f in self.fields]
-        row, pos, tid = (np.concatenate([p[j] for p in parts])
-                         for j in range(3))
-        field = np.repeat(np.arange(nf), [p[0].size for p in parts])
-        field_len = np.stack([p[3] for p in parts])
-        del parts
-
-        p_key, p_row, tfs, pos, first = group_postings(field, row, pos, tid,
-                                                       nf)
-        key_field = field[first]
-        docs = doc_ids[p_row].astype(np.int64, copy=False)
-        lens = field_len[key_field[p_key], p_row]
-        terms = list(term_id)
-        key_terms = [terms[t] for t in tid[first].tolist()]
-        bucket = np.fromiter((self._bucket(t) for t in key_terms), np.int64,
-                             len(key_terms))
-        bounds, cols = encode_posting_blocks(
-            p_key, docs, tfs, lens, pos, bucket,
-            num_ranges=self.num_ranges, range_span=self.range_span,
-            range_base=self.range_base, block_size=self.block_size)
-        row_key = p_key[bounds[:-1]]
-        cols["field"] = pa.array(key_field.astype(np.int32)[row_key])
-        cols["term"] = pa.array(key_terms, pa.string()).take(row_key)
-        return pa.table({c: cols[c] for c in (
-            "gkey", "field", "term", "min_doc", "max_doc", "cnt", "c_block",
-            "max_tf_norm", "max_tf", "min_len", "docs", "tfs", "lens", "pos")})
+def _argsort_pairs(major: np.ndarray, minor: np.ndarray,
+                   span: int) -> np.ndarray:
+    """The order of distinct (major, minor) pairs, ``minor`` in [0,
+    ``span``): one argsort of the packed key ``major * span + minor`` when
+    it fits an int64, else a two-key lexsort (the same order)."""
+    if (int(major.max(initial=0)) + 1) * span < 2 ** 63:
+        return np.argsort(major * span + minor)
+    return np.lexsort((minor, major))
 
 
 def group_postings(group, inst, pos, tid, num_groups: int):
@@ -431,15 +491,19 @@ def group_postings(group, inst, pos, tid, num_groups: int):
     index or nested keypath id, the instance it came from (a flat row, or
     one nested string value), its position and its term id.  A key is one
     (group, term); keys are numbered by first occurrence — group, then
-    instance, then position — and one lexsort lays the tokens out key by
+    instance, then position — and one sort lays the tokens out key by
     key, each key in (instance, pos) order.  One posting per (key,
     instance), whose tf is its token count.
 
     Returns per posting (key id, instance, tf), the positions in posting
     order, and each key's first token index."""
+    # (instance, pos) packed exactly: both are below 2^31 (string offsets
+    # are int32), so the product is below 2^62
+    ip = inst * (int(pos.max(initial=0)) + 1) + pos
+    span = int(ip.max(initial=0)) + 1
     # group tokens by key, each key in (instance, pos) order
     gt = tid * num_groups + group
-    order = np.lexsort((pos, inst, gt))
+    order = _argsort_pairs(gt, ip, span)
     n = order.size
     s_key = gt[order]
     g_cut = np.ones(n, dtype=bool)
@@ -448,7 +512,7 @@ def group_postings(group, inst, pos, tid, num_groups: int):
     g_len = np.diff(np.append(g_start, n))
     # key ids = keys ranked by first occurrence: group, instance, pos
     first = order[g_start]
-    rank = np.lexsort((pos[first], inst[first], group[first]))
+    rank = _argsort_pairs(group[first], ip[first], span)
     g_len = g_len[rank]
     out_start = np.cumsum(g_len) - g_len
     order = order[np.repeat(g_start[rank] - out_start, g_len) + np.arange(n)]

@@ -348,6 +348,7 @@ def _reference_posting_blocks(batch, fields, num_buckets, num_ranges,
     return pa.Table.from_pylist(rows, schema=schema)
 
 
+@pytest.mark.parametrize("table", ["cold", "warm"])
 @pytest.mark.parametrize("num_ranges,range_span,range_base,block_size", [
     (1, 10**9, 0, 4096),
     (3, 40, 17, 4096),   # doc-range splits with a nonzero base
@@ -355,11 +356,14 @@ def _reference_posting_blocks(batch, fields, num_buckets, num_ranges,
     (4, 25, 5, 3),       # both
 ])
 def test_tokenize_batch_matches_per_term_reference(
-        num_ranges, range_span, range_base, block_size):
+        num_ranges, range_span, range_base, block_size, table):
+    # ``table``: the process-wide term table starts empty ("cold") or
+    # already holds every raw token of both batches under other term ids
+    # ("warm": both batches tokenized first, in the other order)
     import numpy as np
     import pyarrow as pa
 
-    from noise_ray.build.pipeline import tokenize_batch
+    from noise_ray.build.pipeline import _TERMS, tokenize_batch
 
     rng = np.random.default_rng(7)
     words = ["cat", "cats", "dog", "running", "runs", "the", "naïve",
@@ -392,11 +396,20 @@ def test_tokenize_batch_matches_per_term_reference(
         "none": pa.nulls(m),
         "fallback": [fallback[i % len(fallback)] for i in range(m)]})
 
-    for b, fields in ((batch, ("role", "text", "tool")),
-                      (edge_batch, ("text", "none", "fallback"))):
+    cases = ((batch, ("role", "text", "tool")),
+             (edge_batch, ("text", "none", "fallback")))
+    _TERMS.clear()
+    if table == "warm":
+        for b, fields in cases[::-1]:
+            tokenize_batch(b.slice(1), fields=fields, num_buckets=1,
+                           num_ranges=1, range_span=10**9,
+                           range_base=range_base + 1)
+    for b, fields in cases:
         kw = dict(fields=fields, num_buckets=8, num_ranges=num_ranges,
                   range_span=range_span, range_base=range_base,
                   block_size=block_size)
+        if table == "cold":
+            _TERMS.clear()
         got = tokenize_batch(b, **kw)
         want = _reference_posting_blocks(b, fields, 8, num_ranges,
                                          range_span, range_base, block_size)
@@ -404,6 +417,186 @@ def test_tokenize_batch_matches_per_term_reference(
         assert got.equals(want)
         empty = tokenize_batch(b.slice(0, 0), **kw)
         assert empty.equals(want.slice(0, 0))
+
+
+def _term_table_corpora(root):
+    """Two flat corpora (B's texts differ from A's) and two nested ones."""
+    from noise_ray.build.json_pipeline import docs_to_parquet
+
+    flat = [generate_transcripts(os.path.join(root, f"f{k}"), num_convs=30,
+                                 num_files=2, seed=seed)
+            for k, seed in enumerate((3, 11))]
+    os.makedirs(os.path.join(root, "n"), exist_ok=True)
+    nested = [[docs_to_parquet(
+        [{"_id": f"d{i}", "msgs": [{"t": f"w{(i * j + k) % 17} naïve {j}"}
+                                   for j in range(1 + i % 4)],
+          "s": ["", "42", "日本 dog", "Running runs"][(i + k) % 4]}
+         for i in range(50)], os.path.join(root, "n", f"n{k}.parquet"))]
+        for k in range(2)]
+    return flat, nested
+
+
+_FRESH_BUILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from noise_ray.build import build_index
+from noise_ray.build.json_pipeline import build_json_index
+flat = sys.argv[2] == "flat"
+(build_index if flat else build_json_index)(sys.argv[4:], sys.argv[3])
+"""
+
+
+def test_term_table_state_never_reaches_the_files(tmp_path, monkeypatch):
+    # (a) corpus B built after corpus A in one process writes the files a
+    # fresh process writes for B; (b) so does B built with the table
+    # restarted before its batch, and B's rows tokenized in three batches
+    # with a restart before each equal B's rows tokenized in one batch
+    import subprocess
+    import sys
+
+    import numpy as np
+    import pyarrow as pa
+
+    from noise_ray.build import pipeline
+    from noise_ray.build.json_pipeline import build_json_index
+
+    flat, nested = _term_table_corpora(str(tmp_path / "in"))
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for kind, (a, b), build in (("flat", flat, build_index),
+                                ("nested", nested, build_json_index)):
+        fresh = str(tmp_path / f"{kind}_fresh")
+        subprocess.run([sys.executable, "-c", _FRESH_BUILD, repo, kind,
+                        fresh, *b], check=True)
+        want = _hash_dir_files(fresh)
+        assert any(k.startswith("segments/") for k in want)
+        build(a, str(tmp_path / f"{kind}_a"))
+        assert len(pipeline._TERMS.raws) + len(pipeline._TERMS.terms) > 8
+        build(b, str(tmp_path / f"{kind}_after_a"))
+        assert _hash_dir_files(str(tmp_path / f"{kind}_after_a")) == want
+        with monkeypatch.context() as m:
+            m.setattr(pipeline.TermTable, "LIMIT", 8)
+            build(a, str(tmp_path / f"{kind}_a2"))
+            build(b, str(tmp_path / f"{kind}_restart"))
+        assert _hash_dir_files(str(tmp_path / f"{kind}_restart")) == want
+
+    fields = ("role", "text", "tool")
+    t = pa.concat_tables([pq.read_table(p) for p in flat[1]])
+    batch = t.select(fields).add_column(
+        0, "doc_id", pa.array(np.arange(t.num_rows), pa.int64()))
+    kw = dict(fields=fields, num_buckets=4, num_ranges=3,
+              range_span=-(-t.num_rows // 3))
+    cuts = [0, t.num_rows // 3, 2 * t.num_rows // 3, t.num_rows]
+    pipeline._TERMS.clear()
+    want = pa.concat_tables([pipeline.tokenize_batch(
+        batch.slice(lo, hi - lo), **kw) for lo, hi in zip(cuts, cuts[1:])])
+    clears = []
+    real_clear = pipeline.TermTable.clear
+    monkeypatch.setattr(pipeline.TermTable, "LIMIT", 8)
+    monkeypatch.setattr(pipeline.TermTable, "clear",
+                        lambda self: clears.append(1) or real_clear(self))
+    got = pa.concat_tables([pipeline.tokenize_batch(
+        batch.slice(lo, hi - lo), **kw) for lo, hi in zip(cuts, cuts[1:])])
+    assert len(clears) == 3 and got.equals(want)
+
+
+def test_term_table_shared_by_threads(monkeypatch):
+    # threads tokenizing different batches share the process-wide term
+    # table, restarting it before nearly every batch: each output must
+    # equal the same batch's single-threaded output
+    import sys
+    import threading
+
+    import numpy as np
+    import pyarrow as pa
+
+    from noise_ray.build import pipeline
+
+    rng = np.random.default_rng(5)
+    words = ["cat", "cats", "dog", "running", "naïve", "x9", "42", "",
+             "zebra", "apple", "bee", "tab\tdog"]
+    batches = [pa.table({
+        "doc_id": pa.array(np.arange(k * 50, k * 50 + 50), pa.int64()),
+        "text": [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+                 for _ in range(50)]}) for k in range(6)]
+    kw = dict(fields=("text",), num_buckets=4, num_ranges=1,
+              range_span=10**9)
+    want = [pipeline.tokenize_batch(b, **kw) for b in batches]
+    monkeypatch.setattr(pipeline.TermTable, "LIMIT", 4)
+    bad = []
+
+    def work(k):
+        try:
+            for i in range(60):
+                j = (k + i) % len(batches)
+                got = pipeline.tokenize_batch(batches[j], **kw)
+                if not got.equals(want[j]):
+                    bad.append(j)
+        except Exception as e:  # a thread's error fails the test too
+            bad.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
+def test_kp_term_buckets_equal_kp_term_bucket():
+    import numpy as np
+    import pyarrow as pa
+
+    from noise_ray.build.json_pipeline import kp_term_bucket, kp_term_buckets
+    from noise_ray.build.pipeline import TermTable
+
+    rng = np.random.default_rng(3)
+    alphabet = list("ab.$_ é日\0")
+    words = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 12))))
+             for _ in range(300)]
+    kps = [".a", ".msgs$.t", "", ".ü$$"]
+    table = TermTable()
+    tid = table.term_ids(pa.array(words))
+    kp = [kps[i % len(kps)] for i in range(len(words))]
+    for nb in (1, 7, 32, 4096):
+        got = kp_term_buckets(pa.array(kp), table.crc[tid], table.nbytes[tid],
+                              nb)
+        assert got.tolist() == [kp_term_bucket(k, w, nb)
+                                for k, w in zip(kp, words)]
+
+
+def test_group_postings_lexsort_fallback_agrees():
+    # term ids so large that the packed (key, instance, pos) sort key
+    # cannot fit an int64 take group_postings' two-key lexsort: the
+    # postings must be the packed sort's
+    import numpy as np
+
+    from noise_ray.build import pipeline
+
+    rng = np.random.default_rng(9)
+    group, inst, pos = [], [], []
+    for g in range(3):
+        for i in range(40):
+            k = int(rng.integers(0, 30))
+            group += [g] * k
+            inst += [i] * k
+            pos += rng.permutation(k).tolist()
+    group, inst, pos = (np.array(x, np.int64) for x in (group, inst, pos))
+    tid = rng.integers(0, 50, group.size)
+    perm = rng.permutation(group.size)
+    group, inst, pos, tid = group[perm], inst[perm], pos[perm], tid[perm]
+    packed = pipeline.group_postings(group, inst, pos, tid, 3)
+    big = tid + 2 ** 59  # (3 * 2**59 + 3) * span >= 2**63
+    assert (int((big * 3 + group).max()) + 1) * (
+        int((inst * (pos.max() + 1) + pos).max()) + 1) >= 2 ** 63
+    for a, b in zip(packed, pipeline.group_postings(group, inst, pos, big, 3)):
+        assert np.array_equal(a, b)
 
 
 def _reference_nested_blocks(paths, offsets, num_buckets, num_ranges,

@@ -117,7 +117,7 @@ def test_ascii_fast_path_equals_unicode_engine():
 
 
 def test_batch_ascii_splitter_equals_per_text_segmenter():
-    # the RE2 batch splitter the build runs over ASCII rows must keep
+    # the batch splitter the build runs over ASCII rows must keep
     # exactly tokenize's kept word runs, each tagged with its row
     import pyarrow as pa
 
@@ -132,3 +132,90 @@ def test_batch_ascii_splitter_equals_per_text_segmenter():
     assert list(zip(rows.tolist(), toks.to_pylist())) == want
     empty_toks, empty_rows = ascii_word_tokens(pa.array([], pa.string()))
     assert len(empty_toks) == 0 and empty_rows.size == 0
+
+
+def _kept_runs(texts):
+    """(row, token) of every kept word run, per text by ``_ASCII_SEG_RE``."""
+    from noise_ray.analysis.tokenizer import _ASCII_SEG_RE
+
+    return [(i, seg) for i, s in enumerate(texts)
+            for seg in _ASCII_SEG_RE.findall(s) if seg[0].isalpha()]
+
+
+def _split(col):
+    from noise_ray.analysis.tokenizer import ascii_word_tokens
+
+    toks, rows = ascii_word_tokens(col)
+    toks.validate(full=True)
+    return list(zip(rows.tolist(), toks.to_pylist()))
+
+
+def test_batch_ascii_splitter_sliced_and_chunked_input():
+    # a slice's offsets start past 0; a chunked column has several buffers
+    import pyarrow as pa
+
+    samples = _ascii_samples()[:400]
+    arr = pa.array(samples, pa.string())
+    for lo, hi in ((1, 400), (17, 250), (399, 400), (5, 5)):
+        assert _split(arr.slice(lo, hi - lo)) == _kept_runs(samples[lo:hi])
+    chunked = pa.chunked_array([arr.slice(0, 150), arr.slice(150, 0),
+                                arr.slice(150)])
+    assert _split(chunked) == _kept_runs(samples)
+    assert _split(arr.cast(pa.large_string())) == _kept_runs(samples)
+
+
+def test_batch_ascii_splitter_keeps_rows_apart():
+    # the bytes of adjacent rows touch in the buffer, but a word run (and
+    # a glue byte's word neighbours) never crosses a row start
+    import pyarrow as pa
+
+    cases = [["ab", "cd"], ["a.", "b"], ["a", ".b"], ["a", ""],
+             ["a", "", "b"], ["a:", "'b"], ["9", "a"], ["a9", "_b"],
+             ["9", "9a", "b"], ["x.", "", ".y"]]
+    for texts in cases:
+        assert _split(pa.array(texts, pa.string())) == _kept_runs(texts), texts
+    assert _split(pa.array(["ab", "cd"])) == [(0, "ab"), (1, "cd")]
+    assert _split(pa.array(["a.", "b"])) == [(0, "a"), (1, "b")]
+
+
+def test_batch_ascii_splitter_empty_columns():
+    import pyarrow as pa
+
+    from noise_ray.analysis.tokenizer import ascii_word_tokens
+
+    for texts in ([], [""], ["", "", ""], [" ", "...", "42", "_9"]):
+        toks, rows = ascii_word_tokens(pa.array(texts, pa.string()))
+        assert isinstance(toks, pa.StringArray)
+        assert len(toks) == 0 and rows.size == 0
+
+
+def test_batch_tokens_equal_tokenize_grouped_per_row():
+    # a mixed ASCII / non-ASCII column: ASCII rows take the batch
+    # splitter (or the whole-text fallback), the rest the per-text path;
+    # every row must get exactly tokenize_grouped's tokens
+    import pyarrow as pa
+
+    from noise_ray.analysis.tokenizer import tokenize_grouped
+    from noise_ray.build.pipeline import batch_tokens
+
+    texts = ["dog cats", "naïve cafés dog", None, "", "42", "日本語 dog",
+             "™ mark", "a.b", "½", " \t", "Running runs", "ﬁne dog", "!!",
+             "dog’s bone", "x9 zebra", "١٢٣"] * 3
+    cols = [pa.chunked_array([pa.array(texts[:20]), pa.array(texts[20:])]),
+            pa.nulls(len(texts)), pa.array(texts[::-1])]
+    col_of, row, pos, tid, flen, (terms, _, _) = batch_tokens(cols,
+                                                              len(texts))
+    got: dict = {}
+    for c, r, p, t in zip(col_of.tolist(), row.tolist(), pos.tolist(),
+                          terms.take(pa.array(tid)).to_pylist()):
+        got.setdefault((c, r), []).append((p, t))
+    assert not any(c == 1 for c, _ in got)  # the all-null column
+    for c, col in ((0, texts), (2, texts[::-1])):
+        for i, text in enumerate(col):
+            if text is None:
+                assert flen[c, i] == 0 and (c, i) not in got
+                continue
+            t_terms, positions, field_len = tokenize_grouped(text)
+            assert sorted(got[c, i]) == sorted(
+                (p, t) for t, ps in zip(t_terms, positions) for p in ps)
+            assert flen[c, i] == field_len
