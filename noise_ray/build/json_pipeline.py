@@ -88,8 +88,6 @@ def kp_term_buckets(kps: pa.Array, term_crc: np.ndarray,
     crc32(t, v) = A·v ⊕ crc32(t), where A depends only on len(t), and
     A·v = crc32(z, v) ⊕ crc32(z) for z = len(t) zero bytes.  So each
     distinct (keypath, term length) costs one pair of calls."""
-    if num_buckets == 1:
-        return np.zeros(len(kps), np.int64)
     enc = pc.dictionary_encode(kps)
     kp_crc = [zlib.crc32(f"{kp}\0".encode("utf-8"))
               for kp in enc.dictionary.to_pylist()]
