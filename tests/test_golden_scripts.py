@@ -1,8 +1,10 @@
 """Golden REPL transcripts, the reference's conformance style
 (/root/reference/tests/repl_tests.rs:10-71): replay each
 tests/golden/*.script through the line protocol and byte-compare the full
-output against its .expected file.  On mismatch a .reject file is written
-next to the golden, mirroring the reference harness."""
+output against its .expected file, and replay each tests/golden/*.noise
+reference-protocol transcript through the test-mode REPL and byte-compare
+it against itself.  On mismatch a .reject file is written next to the
+golden, mirroring the reference harness."""
 
 import glob
 import io
@@ -57,3 +59,21 @@ def test_golden_script(ray_session, tmp_path, script_path):
         with open(script_path.replace(".script", ".reject"), "w") as f:
             f.write(got)
     assert got == want, f"transcript mismatch; wrote {script_path}.reject"
+
+
+@pytest.mark.parametrize("noise_path",
+                         sorted(glob.glob(os.path.join(GOLDEN_DIR,
+                                                       "*.noise"))),
+                         ids=os.path.basename)
+def test_golden_noise(tmp_path, noise_path):
+    """Reference-protocol transcripts are self-verifying: in test mode the
+    REPL echoes commands, keeps blank and `#` lines and drops the expected
+    output lines, so a faithful run reproduces the file byte for byte."""
+    from noise_ray.noise_repl import run_noise_transcript
+
+    want = open(noise_path).read()
+    got = run_noise_transcript(want, str(tmp_path))
+    if got != want:
+        with open(noise_path + ".reject", "w") as f:
+            f.write(got)
+    assert got == want, f"transcript mismatch; wrote {noise_path}.reject"
