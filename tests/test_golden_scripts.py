@@ -69,7 +69,7 @@ def test_golden_noise(tmp_path, noise_path):
     """Reference-protocol transcripts are self-verifying: in test mode the
     REPL echoes commands, keeps blank and `#` lines and drops the expected
     output lines, so a faithful run reproduces the file byte for byte."""
-    from noise_ray.noise_repl import run_noise_transcript
+    from noise_ray.repl import run_noise_transcript
 
     want = open(noise_path).read()
     got = run_noise_transcript(want, str(tmp_path))
