@@ -42,7 +42,11 @@ keypath as the group; bucket ids come from each term's CRC-32 and length
 groups go through the one writer ``pipeline.write_segment_group``,
 which gives rows with ``aps`` the nested row-group size — their keypath
 ``field`` strings and the extra ``aps`` / ``depth`` columns pass through
-it like any other payload column.
+it like any other payload column.  Docmap and values partitions are
+written under the build's ``pipeline.DOCMAP_WRITE`` / ``VALUES_WRITE``
+policies (zstd; ``doc_id`` / ``seq`` / the arraypath elements delta-coded;
+dictionary pages on ``kp``, ``code`` and, until they pass the page limit,
+the ``_id`` / ``json`` / ``str`` strings), like every other producer's.
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ import ray.data
 
 from .arrow_shred import shred_table_fast
 from .codec import encode_varint
-from .pipeline import (_atomic_write_table, _binary_rows, _dict_ranks,
-                       batch_tokens, encode_posting_blocks, group_postings,
-                       run_build)
+from .pipeline import (DOCMAP_WRITE, VALUES_WRITE, _atomic_write_table,
+                       _binary_rows, _dict_ranks, batch_tokens,
+                       encode_posting_blocks, group_postings, run_build)
 from .shred import shred
 from .spatial import sidecar_path
 
@@ -204,8 +208,9 @@ class ShredTokenize:
 
     def _shred_file(self, path: str, offset: int, rows: int,
                     seq: int) -> pa.Table:
-        """Shred one input file: write its docmap, values and spatial
-        partitions (each idempotent) and return its string instances —
+        """Shred one input file: write its docmap and values partitions
+        (under the build's write policies) and its spatial sidecar (Parquet
+        defaults), each idempotent, and return its string instances —
         the values rows of code ``s`` — as ``(doc_id, kp, ap, str)``."""
         docmap_path = os.path.join(self.docmap_dir,
                                    f"docmap-{seq:05d}.parquet")
@@ -234,7 +239,7 @@ class ShredTokenize:
         if not os.path.exists(values_path):
             vt_out = vt.replace_schema_metadata(
                 {"noise_kp_zones": json.dumps(zmeta, sort_keys=True)})
-            _atomic_write_table(vt_out, values_path, row_group_size=16384)
+            _atomic_write_table(vt_out, values_path, policy=VALUES_WRITE)
         if not os.path.exists(docmap_path):
             cols = {
                 "doc_id": pa.array(
@@ -245,7 +250,7 @@ class ShredTokenize:
             if have_seq:
                 cols["seq"] = t.column("seq")
             _atomic_write_table(pa.table(cols), docmap_path,
-                                row_group_size=65536)
+                                policy=DOCMAP_WRITE)
         return vt.filter(pc.equal(vt.column("code"), "s")).select(
             _INSTANCES.names)
 

@@ -30,7 +30,8 @@ concatenated source rows — while never touching raw text:
   dfs exactly.  ``field_k``
   (per-field token totals) sums per field, so merged idf/avgdl equal the
   unified build's — which is why merged BM25 scores are f64-bit-equal.
-- **docmap**: partitions are rewritten with the shifted ``doc_id``
+- **docmap**: partitions are rewritten, under the build's
+  ``pipeline.DOCMAP_WRITE`` policy, with the shifted ``doc_id``
   column (the one column readers consult raw: ``lookup_doc``,
   incremental's collision scan); stored payload columns pass through
   unchanged.  This is the only data-sized copy — sequential I/O, one
@@ -79,7 +80,9 @@ from .codec import (decode_position_lists, decode_varint, encode_deltas,
                     encode_position_lists, encode_varint)
 from .incremental import (_epoch_dirs, add_tombstones, read_bucket,
                           read_tombstones)
-from .pipeline import MANIFEST_NAME, read_group_meta, write_segment_group
+from .pipeline import (DOCMAP_WRITE, MANIFEST_NAME, SEGMENT_WRITE,
+                       VALUES_WRITE, _atomic_write_table, read_group_meta,
+                       segment_row_group, write_segment_group)
 
 
 def _shift_first_varint(buf, offset: int) -> bytes:
@@ -110,18 +113,21 @@ def _shift_blocks(t: pa.Table, offset: int) -> pa.Table:
 
 
 def _patch_segment(src: str, dst: str, offset: int) -> None:
-    pq.write_table(_shift_blocks(pq.read_table(src), offset), dst + ".tmp")
-    os.replace(dst + ".tmp", dst)
+    """A copied-through segment file moved ``offset`` doc ids up, written
+    like the build writes segments (schema metadata kept)."""
+    t = _shift_blocks(pq.read_table(src), offset)
+    _atomic_write_table(t, dst, segment_row_group(t), SEGMENT_WRITE)
 
 
-def _patch_docmap(src: str, dst: str, offset: int) -> None:
+def _patch_docmap(src: str, dst: str, offset: int, policy: dict) -> None:
+    """A docmap or values partition (``policy``) with its ``doc_id``
+    moved ``offset`` up."""
     t = pq.read_table(src)
     if offset:
         i = t.schema.get_field_index("doc_id")
         t = t.set_column(i, "doc_id",
                          pa.compute.add(t.column("doc_id"), offset))
-    pq.write_table(t, dst + ".tmp")
-    os.replace(dst + ".tmp", dst)
+    _atomic_write_table(t, dst, policy=policy)
 
 
 def _copy_file(src: str, dst: str) -> None:
@@ -214,7 +220,7 @@ def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
                                "max_doc": e["max_doc"] + off})
         for e in m.get("values", []):
             rel = f"values/m{i:02d}-{os.path.basename(e['path'])}"
-            item("docmap", os.path.join(d, e["path"]), rel, off)  # same patch
+            item("values", os.path.join(d, e["path"]), rel, off)
             man_values.append({"path": rel,
                                "min_doc": e["min_doc"] + off,
                                "max_doc": e["max_doc"] + off})
@@ -250,8 +256,10 @@ def merge_indexes(src_dirs: list[str], out_dir: str) -> dict:
         if not os.path.exists(row["dst"]):  # resume: skip finished files
             if row["kind"] == "segment":
                 _patch_segment(row["src"], row["dst"], row["off"])
-            elif row["kind"] == "docmap":
-                _patch_docmap(row["src"], row["dst"], row["off"])
+            elif row["kind"] in ("docmap", "values"):
+                _patch_docmap(row["src"], row["dst"], row["off"],
+                              VALUES_WRITE if row["kind"] == "values"
+                              else DOCMAP_WRITE)
             else:
                 _copy_file(row["src"], row["dst"])
         return []
@@ -377,8 +385,7 @@ def _split_part(src: str, dst: str, lo: int, hi: int, values: bool) -> None:
     t = t.set_column(i, "doc_id",
                      pa.compute.subtract(t.column("doc_id"), lo))
     if not values:
-        pq.write_table(t, dst + ".tmp")
-        os.replace(dst + ".tmp", dst)
+        _atomic_write_table(t, dst, policy=DOCMAP_WRITE)
         return
     kps = t.column("kp").to_pylist()
     codes = t.column("code").to_pylist()
@@ -398,8 +405,7 @@ def _split_part(src: str, dst: str, lo: int, hi: int, values: bool) -> None:
              for kp, z in zones.items()}
     t = t.replace_schema_metadata(
         {"noise_kp_zones": json.dumps(zmeta, sort_keys=True)})
-    pq.write_table(t, dst + ".tmp", row_group_size=16384)
-    os.replace(dst + ".tmp", dst)
+    _atomic_write_table(t, dst, policy=VALUES_WRITE)
 
 
 def split_index(src_dir: str, out_dirs: list[str],

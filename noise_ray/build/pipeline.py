@@ -17,6 +17,10 @@ stage chain:
                            the analogue of noise's V keyspace) as a side
                            effect, and EMIT the sorted (doc_id, fields…)
                            table downstream — no write+read-back round trip.
+                           Written under ``DOCMAP_WRITE`` (zstd, delta-coded
+                           integer and timestamp columns, a small
+                           dictionary page on the other string columns,
+                           statistics on every column: ``parquet_options``).
                            Idempotent (tmp+rename), resumable per file.
   stage 2  tokenize        task ``map_batches`` over zero-copy Arrow
                            batches → per-(field, term) PRE-COMBINED posting
@@ -71,17 +75,15 @@ stage chain:
                            each (perfbench block rows carry 49 B on
                            average, 5 B at the median) but at least 64
                            rows (FLAT_ROW_GROUP), a nested file's 2048
-                           rows (NESTED_ROW_GROUP).  Both files
-                           have no dictionary pages (but the stats
-                           ``field`` column's) and min/max statistics
+                           rows (NESTED_ROW_GROUP).  Both files are
+                           snappy, with no dictionary pages, delta-coded
+                           integer and sorted string columns, length-
+                           delta payload blobs and min/max statistics
                            only on the columns filtered reads prune row
                            groups by:
                            field/term/min_doc/max_doc for the split's
                            reads (SEGMENT_WRITE), field/term for the df
-                           lookups (STATS_WRITE).  Docmap and values
-                           files keep Parquet's defaults: the zone maps,
-                           the doc-id plan and the key lookups read their
-                           footer min/max.  Idempotent, resumable per
+                           lookups (STATS_WRITE).  Idempotent, resumable per
                            group (committed groups are filtered before the
                            shuffle); commit order stats→segment so a
                            segment file's presence implies its stats exist.
@@ -152,28 +154,93 @@ MANIFEST_NAME = "manifest.json"
 FLAT_ROW_GROUP_BYTES = 64 * 1024
 FLAT_ROW_GROUP = 64
 NESTED_ROW_GROUP = 2048
-# Parquet writer properties of the two files ``write_segment_group``
-# writes.  No dictionary pages: a block's varint payloads are unique
-# blobs, and most terms have one block row, so a dictionary page per
-# column chunk only adds bytes.  The one exception is the stats file's
-# ``field`` column (a few field ids or keypaths over many rows): its
-# dictionary took a one-bucket flat 8k-turn build's stats from 99.7 to
-# 98.1 KB and the nested 40k-turn one's from 350.9 to 335.0 KB.  Min/max
-# statistics (page headers and footer) only on the columns that filtered
-# reads prune row groups by: (field, term, max_doc, min_doc) in the
-# split's doc-range read (build/merge.py) and (field, term) in the
-# ``ops/aggs`` df lookups.  The reader reads the key columns whole into
-# a per-file index and payload row groups by ordinal
-# (``query.reader._SegBlockIndex`` / ``_StatsIndex``), so no reader looks
-# at the statistics of the multi-KB payload columns (docs, tfs, lens,
-# positions, aps).  Every other file keeps
-# Parquet's defaults: docmap footer min/max feed the reader's zone maps
-# (``IndexReader.docmap_zone``), the doc-id plan (``docids.plan_doc_ids``)
-# and the key lookups, and values files are filtered by kp / doc_id.
-SEGMENT_WRITE = {"use_dictionary": False,
-                 "write_statistics": ["field", "term", "min_doc", "max_doc"]}
-STATS_WRITE = {"use_dictionary": ["field"],
-               "write_statistics": ["field", "term"]}
+# The Parquet writer policy of the four index file kinds, one dict each:
+# codec, the columns that carry min/max statistics (None: all), the
+# string columns whose rows are sorted, and the row-group size (the
+# segment's comes from ``segment_row_group``).  ``parquet_options`` turns
+# a policy and a table's schema into writer properties, each column's
+# encoding following from its Arrow type:
+# - integer and temporal columns: DELTA_BINARY_PACKED (the docmap's dense
+#   ``doc_id`` 45 KB → 92 B, ``ts`` 69 KB → 3.4 KB on a perfbench 8k-turn
+#   build);
+# - sorted string columns (``term``, and ``field`` where it holds nested
+#   keypaths): DELTA_BYTE_ARRAY, the shared prefix of neighbours stored
+#   once;
+# - binary columns (the varint payloads docs / tfs / lens / positions /
+#   aps, unique blobs): DELTA_LENGTH_BYTE_ARRAY;
+# - other string columns: a dictionary under ``DICT_PAGE_LIMIT``, so a
+#   high-cardinality ``text`` or ``json`` column falls back to plain at
+#   once rather than after ~1 MB of dictionary;
+# - everything else (floats, bools): plain.
+# Docmap and values files take zstd: they are the stored documents, read
+# by doc-range scans and key lookups that decode whole pages anyway.
+# Segment and stats files keep snappy, because zstd added about 6 ms to
+# each 8k-turn segment write.  Statistics: the docmap's footer min/max
+# feed the reader's zone maps (``IndexReader.docmap_zone``), the doc-id
+# plan (``docids.plan_doc_ids``) and the key lookups, and values files
+# are filtered by kp / doc_id, so both keep them on every column;
+# segment and stats files carry them only on the columns filtered reads
+# prune row groups by: (field, term, max_doc, min_doc) in the split's
+# doc-range read (build/merge.py) and (field, term) in the ``ops/aggs``
+# df lookups.  The reader reads the key columns whole into a per-file
+# index and payload row groups by ordinal (``query.reader.
+# _SegBlockIndex`` / ``_StatsIndex``).  Readers never depend on the
+# encodings: Parquet files describe their own, so files written under
+# older policies read the same.
+DICT_PAGE_LIMIT = 64 * 1024
+SEGMENT_WRITE = {"compression": "snappy",
+                 "statistics": ["field", "term", "min_doc", "max_doc"],
+                 "sorted": ("field", "term")}
+STATS_WRITE = {"compression": "snappy", "statistics": ["field", "term"],
+               "sorted": ("field", "term"), "row_group_size": 8192}
+DOCMAP_WRITE = {"compression": "zstd", "statistics": None, "sorted": (),
+                "row_group_size": 65536}
+VALUES_WRITE = {"compression": "zstd", "statistics": None, "sorted": (),
+                "row_group_size": 16384}
+
+
+def _leaves(field: pa.Field, prefix: str = ""):
+    """(Parquet column path, Arrow type) of each leaf column of ``field``
+    (lists and structs descend; other nested types are skipped)."""
+    path, t = prefix + field.name, field.type
+    if pa.types.is_dictionary(t):
+        t = t.value_type
+    if pa.types.is_struct(t):
+        for i in range(t.num_fields):
+            yield from _leaves(t.field(i), path + ".")
+    elif (pa.types.is_list(t) or pa.types.is_large_list(t)
+          or pa.types.is_fixed_size_list(t)):
+        yield from _leaves(pa.field("element", t.value_type),
+                           path + ".list.")
+    elif not pa.types.is_nested(t):
+        yield path, t
+
+
+def parquet_options(schema: pa.Schema, policy: dict) -> dict:
+    """``pq.write_table`` keywords of one index file: ``policy`` (one of
+    ``SEGMENT_WRITE``, ``STATS_WRITE``, ``DOCMAP_WRITE``,
+    ``VALUES_WRITE``) applied to ``schema``, each column encoded by its
+    Arrow type (the policy comment above)."""
+    dictionary, encoding = [], {}
+    for f in schema:
+        for path, t in _leaves(f):
+            if pa.types.is_string(t) or pa.types.is_large_string(t):
+                if path in policy["sorted"]:
+                    encoding[path] = "DELTA_BYTE_ARRAY"
+                else:
+                    dictionary.append(path)
+            elif pa.types.is_binary(t) or pa.types.is_large_binary(t):
+                encoding[path] = "DELTA_LENGTH_BYTE_ARRAY"
+            elif pa.types.is_integer(t) or pa.types.is_temporal(t):
+                encoding[path] = "DELTA_BINARY_PACKED"
+    stats = policy["statistics"]
+    return {"compression": policy["compression"],
+            "use_dictionary": dictionary,
+            "dictionary_pagesize_limit": DICT_PAGE_LIMIT,
+            "column_encoding": encoding,
+            "write_statistics": True if stats is None else stats}
+
+
 # Docs one ingest task takes at the least, per engine.  A build of at most
 # this many docs is one task anyway, so it runs in the driver with no Ray
 # Data job (``run_build``).  The floors stay apart: the flat one would cut
@@ -243,11 +310,17 @@ def row_buckets(rows: pa.Table, num_buckets: int, nested: bool) -> np.ndarray:
     return hashed[inv]
 
 
-def _atomic_write_table(table: pa.Table, path: str, row_group_size: int = 2048,
-                        **writer):
-    """Write ``table`` to ``path`` via a temp file and a rename; ``writer``
-    passes Parquet writer properties through.  A failed write removes its
-    temp file and re-raises."""
+def _atomic_write_table(table: pa.Table, path: str,
+                        row_group_size: int | None = None,
+                        policy: dict | None = None):
+    """Write ``table`` to ``path`` via a temp file and a rename.  An index
+    file passes its kind's ``policy`` (``parquet_options``; its
+    ``row_group_size`` unless one is given); other files get Parquet's
+    defaults in 2048-row groups.  A failed write removes its temp file and
+    re-raises."""
+    writer = {} if policy is None else parquet_options(table.schema, policy)
+    if row_group_size is None:
+        row_group_size = (policy or {}).get("row_group_size", 2048)
     tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
     try:
         pq.write_table(table, tmp, row_group_size=row_group_size, **writer)
@@ -288,7 +361,7 @@ def _ingest_emit(batch: pa.Table, key_columns, docmap_dir: str,
         if t.num_rows != rows:
             raise ValueError(
                 f"{plan_path}: footer said {rows} rows, read {t.num_rows}")
-        _atomic_write_table(t, out_path, row_group_size=65536)
+        _atomic_write_table(t, out_path, policy=DOCMAP_WRITE)
         outs.append(t.select(emit_cols))
     if not outs:
         return pa.table({c: [] for c in emit_cols})
@@ -672,11 +745,9 @@ def write_segment_group(rows: pa.Table, gkey: int, seg_path: str,
         {**meta, "noise_field_k": json.dumps(field_k, sort_keys=True)})
     seg = seg.rename_columns(["positions" if c == "pos" else c
                               for c in seg.column_names])
-    _atomic_write_table(stats, stats_path, row_group_size=8192,
-                        **STATS_WRITE)
+    _atomic_write_table(stats, stats_path, policy=STATS_WRITE)
     _atomic_write_table(seg.replace_schema_metadata(meta), seg_path,
-                        row_group_size=segment_row_group(seg),
-                        **SEGMENT_WRITE)
+                        segment_row_group(seg), SEGMENT_WRITE)
     return postings, field_k
 
 

@@ -181,6 +181,15 @@ def _blob(col) -> list:
     return out
 
 
+def _value_slices(col) -> tuple:
+    """(value buffer, per-row offsets list) of a binary column: row i's
+    bytes are ``buf[offs[i]:offs[i + 1]]``."""
+    ch = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    data = ch.buffers()[2]
+    return (memoryview(data) if data is not None else memoryview(b""),
+            _offsets(ch).tolist())
+
+
 class _KeyIndex:
     """(field, term) → row range of one file whose rows are sorted by
     (field, term): segment files (several block rows per key) and stats
@@ -263,7 +272,7 @@ class _SegBlockIndex(_KeyIndex):
         # division, no per-group scan
         self._rg_rows = (self.pf.metadata.row_group(0).num_rows
                          if self.pf.metadata.num_row_groups else 1)
-        self._rg_cache: OrderedDict[int, object] = OrderedDict()
+        self._rg_cache: OrderedDict[tuple, list] = OrderedDict()
 
     def rows(self, fkey, term: str,
              doc_range: tuple[int, int] | None = None) -> tuple[int, int]:
@@ -278,11 +287,13 @@ class _SegBlockIndex(_KeyIndex):
         return s, e
 
     def _groups(self, g0: int, g1: int, positions: bool) -> list:
-        """Payload tables of row groups g0..g1 (with the positions column
-        when ``positions``), through a small LRU of recently read groups
-        keyed (group, positions): ``read`` and ``fetch`` share it, so the
-        many short runs that share a row group read it once.  Missing
-        groups are read in one call."""
+        """Cache entries ``[table, buffers]`` of row groups g0..g1: the
+        payload table (with the positions column when ``positions``) and
+        ``fetch``'s per-column buffer views (None until a fetch needs
+        them), through a small LRU of recently read groups keyed (group,
+        positions): ``read`` and ``fetch`` share it, so the many short
+        runs that share a row group read it once.  Missing groups are
+        read in one call."""
         cache, want = self._rg_cache, range(g0, g1 + 1)
         got = {g: cache.get((g, positions)) for g in want}
         miss = [g for g, t in got.items() if t is None]
@@ -295,7 +306,7 @@ class _SegBlockIndex(_KeyIndex):
                                                else []))
             rg = self._rg_rows  # only the file's last group is short
             for i, g in enumerate(miss):
-                got[g] = cache[(g, positions)] = t.slice(i * rg, rg)
+                got[g] = cache[(g, positions)] = [t.slice(i * rg, rg), None]
                 if len(cache) > 8:
                     cache.popitem(last=False)
         return [got[g] for g in want]
@@ -304,24 +315,31 @@ class _SegBlockIndex(_KeyIndex):
         """Columns ``cols`` (payload, optionally ``positions``) of rows
         [s, e): only the row groups the rows span are read."""
         g0, g1 = s // self._rg_rows, (e - 1) // self._rg_rows
-        t = pa.concat_tables(self._groups(g0, g1, "positions" in cols))
+        t = pa.concat_tables(
+            [t for t, _ in self._groups(g0, g1, "positions" in cols)])
         return t.slice(s - g0 * self._rg_rows, e - s)
 
     def fetch(self, blk: "LazyBlock", row: int,
               positions: bool = False) -> None:
         """Assign one block row's payload bytes from its row group
-        (footer already parsed; the row-group LRU of ``_groups``).
+        (footer already parsed; the row-group LRU of ``_groups``), sliced
+        from each column's value buffer at its offsets, as ``_blob``
+        reads them, with no Arrow scalar per value.
         ``positions=True`` additionally loads the positions column —
         cached separately so position-free access paths never pay for
         the heaviest column."""
         gid = row // self._rg_rows
-        tbl = self._groups(gid, gid, positions)[0]
+        entry = self._groups(gid, gid, positions)[0]
+        if entry[1] is None:
+            entry[1] = [_value_slices(entry[0].column(c)) for c in (
+                "docs", "tfs", "lens") + (("positions",) if positions
+                                          else ())]
         off = row - gid * self._rg_rows
-        blk._docs_raw = tbl.column("docs")[off].as_py()
-        blk._tfs_raw = tbl.column("tfs")[off].as_py()
-        blk._lens_raw = tbl.column("lens")[off].as_py()
+        raw = [bytes(data[offs[off]:offs[off + 1]])
+               for data, offs in entry[1]]
+        blk._docs_raw, blk._tfs_raw, blk._lens_raw = raw[:3]
         if positions:
-            blk._pos_raw = tbl.column("positions")[off].as_py()
+            blk._pos_raw = raw[3]
 
 
 class _StatsIndex(_KeyIndex):

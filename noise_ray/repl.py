@@ -22,7 +22,8 @@ File-mode statements:
     keys k1,k2 ;              set the stable doc ordering key columns
     commit ;                  build the index from staged files, or append
                               them as an epoch with upserts
-    del <doc_id>... ;         tombstone docs
+    del <doc_id>... ;         tombstone docs (`conv_id:turn_idx` keys too;
+                              a nested index takes `_id`s)
     compact ;                 fold epochs and tombstones into a new base
     params {"name": value} ;  bind @name parameters for subsequent finds
     find <query> ;            run a query, print one JSON row per line
@@ -338,12 +339,14 @@ class Repl:
 
     def cmd_del(self, rest: str):
         """`del <doc_id | conv_id:turn_idx | _id>... ;` — tombstone docs, the
-        analogue of the reference's Index::delete (src/index.rs:164-179)."""
+        analogue of the reference's Index::delete (src/index.rs:164-179).
+        A nested index takes only `_id`s, digit strings included; a flat
+        one takes doc ids and `conv_id:turn_idx` keys."""
         r = self._reader()
         nested = isinstance(r, JsonIndexReader)
         doc_ids = []
         for tok in rest.split():
-            if nested and not tok.lstrip("-").isdigit():
+            if nested:
                 d = r.lookup_id(tok)  # nested: delete by document _id
             elif ":" in tok:
                 conv, _, turn = tok.rpartition(":")

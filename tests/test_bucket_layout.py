@@ -200,7 +200,8 @@ def _small_row_groups(idx: str) -> str:
         for s in _manifest(d)["segments"]:
             p = os.path.join(d, s["path"])
             t = pq.read_table(p)
-            pq.write_table(t, p, row_group_size=3, **pipeline.SEGMENT_WRITE)
+            pq.write_table(t, p, row_group_size=3, **pipeline.parquet_options(
+                t.schema, pipeline.SEGMENT_WRITE))
             assert pq.read_metadata(p).num_row_groups == -(-t.num_rows // 3)
     return idx
 

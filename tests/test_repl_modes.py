@@ -86,3 +86,24 @@ def test_transcript_keeps_one_build(tmp_path):
     out = run_noise_transcript(text, str(tmp_path))
     assert out.endswith('[\n"0",\n"1",\n"2"\n]\n')
     assert len(glob.glob(os.path.join(str(tmp_path), "t", "idx-*"))) == 1
+
+
+def test_nested_del_by_digit_id(ray_session, tmp_path):
+    """On a nested index every ``del`` token is an ``_id``, digit strings
+    included: ``del 1`` removes the document "1", not doc id 1."""
+    from noise_ray.repl import Repl
+
+    d = str(tmp_path)
+    with open(f"{d}/a.jsonl", "w") as f:
+        f.writelines(json.dumps({"_id": i, "t": "fox"}) + "\n"
+                     for i in ("1", "2", "x"))
+    out = io.StringIO()
+    r = Repl(out)
+    for s in (f"create {d}/idx", "fields json", f"add {d}/a.jsonl", "commit",
+              "del 1", 'find {t: ~="fox"} return ._id'):
+        r.execute(s)
+    lines = out.getvalue().splitlines()
+    assert lines[-3] == "ok (1 tombstoned)"
+    assert sorted(json.loads(l) for l in lines[-2:]) == ["2", "x"]
+    r.execute("del 0")
+    assert out.getvalue().splitlines()[-1] == "not found: 0"

@@ -13,14 +13,19 @@ size but at least ``pipeline.FLAT_ROW_GROUP`` (64), uniform per file.
 Light transcript files get one group wider than 64 rows; a hot-term
 build at block_size 4096, its split and its merged epochs get 64-row
 groups and span several.  Every file also has
-the writer layout of ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``: no
-dictionary pages, and min/max statistics only on the columns that
-filtered reads prune row groups by; the one dictionary is the stats
-file's ``field`` column.
+the writer layout of ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE``:
+snappy, no dictionary pages, per-column encodings by Arrow type
+(``pipeline.parquet_options``) and min/max statistics only on the columns
+that filtered reads prune row groups by.  Every producer's docmap and
+values files (both build routes of both engines, merged epochs, merged
+indexes, splits and compactions) have the layout of
+``pipeline.DOCMAP_WRITE`` / ``VALUES_WRITE``: zstd, dictionary pages only
+on unsorted string columns, statistics on every column.
 
 Indexes written before that layout (Parquet's defaults, 64-row flat
 row groups) still open: an index whose base and first epoch are
-rewritten in the old layout answers and merges like the untouched one.
+rewritten in the old layout answers, upserts and merges like the
+untouched one.
 """
 
 import json
@@ -34,10 +39,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from noise_ray.build import add_documents, build_index, merge_epochs
-from noise_ray.build import pipeline
+from noise_ray.build import (add_documents, build_index, compact_index,
+                             merge_epochs)
+from noise_ray.build import merge, pipeline
 from noise_ray.build.json_pipeline import build_json_index, docs_to_parquet
-from noise_ray.build.merge import split_index
+from noise_ray.build.merge import merge_indexes, split_index
 from noise_ray.sources import generate_transcripts
 
 # the columns filtered reads prune row groups by, per file kind
@@ -81,6 +87,18 @@ def indexes(ray_session, tmp_path_factory):
         n = json.load(f)["num_docs"]
     split_index(flat, [str(root / "fa"), str(root / "fb")],
                 [0, n // 3, n])
+    # the Ray route of the same corpus (one task fewer docs than it holds)
+    build_index(paths, str(root / "flat_ray"), num_buckets=4,
+                docs_per_ingest_task=n - 1)
+    # two sources at the same bucket count: segments copy through
+    other = str(root / "other")
+    build_index(generate_transcripts(str(root / "in3"), num_convs=40,
+                                     num_files=2, seed=11), other,
+                num_buckets=4)
+    merge_indexes([flat, other], str(root / "mi"))
+    compacted = str(root / "compacted")
+    shutil.copytree(live, compacted)
+    compact_index(compacted)
 
     # one bucket and one-posting blocks: nested segments long enough to
     # span several row groups
@@ -89,6 +107,9 @@ def indexes(ray_session, tmp_path_factory):
                             str(root / "docs-00000.parquet"))
     build_json_index([shard], nested, num_buckets=1, block_size=1)
     split_index(nested, [str(root / "na"), str(root / "nb")])
+    build_json_index([shard], str(root / "nested_ray"), num_buckets=1,
+                     block_size=1, docs_per_ingest_task=399)
+    merge_indexes([nested, nested], str(root / "nmi"))
 
     nested_live = str(root / "nested_live")
     shutil.copytree(nested, nested_live)
@@ -96,6 +117,9 @@ def indexes(ray_session, tmp_path_factory):
         add_documents(nested_live, [docs_to_parquet(
             _nested_docs(150, seed, f"e{ep}-"),
             str(root / f"nested-{ep}.parquet"), docid_base=250 + 150 * ep)])
+    nested_compacted = str(root / "nested_compacted")
+    shutil.copytree(nested_live, nested_compacted)
+    compact_index(nested_compacted)
     assert merge_epochs(nested_live) is not None
     nested_merged = os.path.join(nested_live, "epochs", "epoch-0001-0002")
 
@@ -136,6 +160,12 @@ def indexes(ray_session, tmp_path_factory):
         "flat_heavy": (heavy, flat),
         "flat_heavy_split": (str(root / "ha"), flat),
         "flat_heavy_merged": (heavy_merged, flat),
+        "merged_indexes": (str(root / "mi"), flat),
+        "nested_merged_indexes": (str(root / "nmi"), nested),
+        "flat_ray": (str(root / "flat_ray"), flat),
+        "nested_ray": (str(root / "nested_ray"), nested),
+        "compacted": (compacted, flat),
+        "nested_compacted": (nested_compacted, nested),
     }
 
 
@@ -147,6 +177,12 @@ def _groups(index_dir: str):
     return [(os.path.join(seg_dir, f),
              os.path.join(index_dir, "stats",
                           f.replace("seg-", "stats-", 1))) for f in names]
+
+
+def _parts(index_dir: str, sub: str) -> list[str]:
+    d = os.path.join(index_dir, sub)
+    return sorted(os.path.join(d, f) for f in os.listdir(d)
+                  if f.endswith(".parquet")) if os.path.isdir(d) else []
 
 
 def _row_groups(path: str) -> list[int]:
@@ -166,14 +202,15 @@ def _byte_rows(seg) -> int:
 # flat producers whose fixture files hold light rows: under 64 KiB of
 # payload per file, so one row group each, wider than the 64-row floor.
 # Every other producer's files must span row groups.
-LIGHT = {"flat_build", "merged_epoch", "flat_split"}
+LIGHT = {"flat_build", "merged_epoch", "flat_split", "merged_indexes"}
 
 
 @pytest.mark.parametrize("name", ["flat_build", "nested_build",
                                   "merged_epoch", "nested_merged_epoch",
                                   "flat_split",
                                   "nested_split", "flat_heavy",
-                                  "flat_heavy_split", "flat_heavy_merged"])
+                                  "flat_heavy_split", "flat_heavy_merged",
+                                  "merged_indexes"])
 def test_segment_group_invariants(indexes, name):
     index_dir, fresh_dir = indexes[name]
     schema = pq.read_schema(_groups(fresh_dir)[0][0]).remove_metadata()
@@ -218,8 +255,8 @@ def test_segment_group_invariants(indexes, name):
         spans_row_groups |= len(rgs) > 1
         widest = max(widest, rgs[0])
 
-        _assert_writer_layout(stats_path, STATS_FILTER_COLS, {"field"})
-        _assert_writer_layout(seg_path, SEG_FILTER_COLS)
+        _assert_writer_layout(stats_path, pipeline.STATS_WRITE)
+        _assert_writer_layout(seg_path, pipeline.SEGMENT_WRITE)
         md = pq.read_metadata(seg_path)
         names = md.schema.names
         start = 0
@@ -236,19 +273,67 @@ def test_segment_group_invariants(indexes, name):
         assert spans_row_groups, "no segment spans two row groups"
 
 
-def _assert_writer_layout(path: str, filter_cols: set,
-                          dict_cols: set = frozenset()) -> None:
-    """Only the ``dict_cols`` column chunks have a dictionary page;
-    statistics exist exactly on ``filter_cols``."""
+# the encoding of the index columns whose Arrow type fixes it
+ENCODING = {"doc_id": "DELTA_BINARY_PACKED", "seq": "DELTA_BINARY_PACKED",
+            "turn_idx": "DELTA_BINARY_PACKED", "ts": "DELTA_BINARY_PACKED",
+            "min_doc": "DELTA_BINARY_PACKED", "cnt": "DELTA_BINARY_PACKED",
+            "c": "DELTA_BINARY_PACKED", "term": "DELTA_BYTE_ARRAY",
+            "docs": "DELTA_LENGTH_BYTE_ARRAY",
+            "positions": "DELTA_LENGTH_BYTE_ARRAY",
+            "aps": "DELTA_LENGTH_BYTE_ARRAY",
+            "ap.list.element": "DELTA_BINARY_PACKED"}
+# string columns that keep a dictionary page (a plain fallback past
+# ``pipeline.DICT_PAGE_LIMIT``)
+DICT_COLS = {"conv_id", "role", "text", "tool", "_id", "json", "kp", "code",
+             "str"}
+
+
+def _assert_writer_layout(path: str, policy: dict) -> None:
+    """The file has ``policy``'s layout: its codec, dictionary pages
+    exactly on its unsorted string columns, each column's encoding by
+    Arrow type (``pipeline.parquet_options``) and statistics exactly on
+    the policy's columns (every column when it names none)."""
     md = pq.read_metadata(path)
+    want = pipeline.parquet_options(pq.read_schema(path), policy)
+    stats = policy["statistics"]
     assert md.num_row_groups, path
     for rg in range(md.num_row_groups):
         for j in range(md.num_columns):
             c = md.row_group(rg).column(j)
+            col = c.path_in_schema
+            where = (path, rg, col)
+            assert c.compression == policy["compression"].upper(), where
             assert c.has_dictionary_page == (
-                c.path_in_schema in dict_cols), (path, c.path_in_schema)
-            assert c.is_stats_set == (c.path_in_schema in filter_cols), (
-                path, rg, c.path_in_schema)
+                col in want["use_dictionary"]), where
+            if col in ENCODING:
+                assert ENCODING[col] in c.encodings, (where, c.encodings)
+            if col in want["column_encoding"]:
+                assert want["column_encoding"][col] in c.encodings, where
+            if col in DICT_COLS:
+                assert c.has_dictionary_page, where
+            assert c.is_stats_set == (stats is None or col in stats), where
+
+
+def test_policies_name_the_filter_columns():
+    assert set(pipeline.SEGMENT_WRITE["statistics"]) == SEG_FILTER_COLS
+    assert set(pipeline.STATS_WRITE["statistics"]) == STATS_FILTER_COLS
+
+
+@pytest.mark.parametrize("name", ["flat_build", "nested_build",
+                                  "flat_ray", "nested_ray",
+                                  "merged_epoch", "nested_merged_epoch",
+                                  "merged_indexes", "nested_merged_indexes",
+                                  "flat_split", "nested_split",
+                                  "compacted", "nested_compacted"])
+def test_docmap_values_layout(indexes, name):
+    index_dir = indexes[name][0]
+    docmaps = _parts(index_dir, "docmap")
+    values = _parts(index_dir, "values")
+    assert docmaps and bool(values) == ("nested" in name)
+    for p in docmaps:
+        _assert_writer_layout(p, pipeline.DOCMAP_WRITE)
+    for p in values:
+        _assert_writer_layout(p, pipeline.VALUES_WRITE)
 
 
 def test_failed_write_leaves_no_file(indexes, tmp_path, monkeypatch):
@@ -260,7 +345,7 @@ def test_failed_write_leaves_no_file(indexes, tmp_path, monkeypatch):
     real = pq.write_table
 
     def failing(table, where, **kw):
-        if os.path.basename(where).startswith("seg-"):
+        if "seg-" in os.path.basename(where):
             with open(where, "wb") as f:
                 f.write(b"PAR1")
             raise OSError("disk full")
@@ -272,19 +357,26 @@ def test_failed_write_leaves_no_file(indexes, tmp_path, monkeypatch):
             rows, 0, str(tmp_path / "seg-00000000.parquet"),
             str(tmp_path / "stats-00000000.parquet"))
     assert os.listdir(tmp_path) == ["stats-00000000.parquet"]
+    # the merge's copy-through segment write takes the same path
+    out = tmp_path / "merged"
+    out.mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        merge._patch_segment(seg_path, str(out / "m00-seg-00000000.parquet"),
+                             5)
+    assert os.listdir(out) == []
 
 
 def _rewrite_old_layout(index_dir: str) -> None:
-    """Rewrite the ``segments/`` and ``stats/`` files directly under
-    ``index_dir`` with Parquet's default writer properties (dictionary
-    pages, statistics on every column) and 64-row segment row groups,
-    keeping the stats files' row-group size and every file's schema
-    metadata: the layout of indexes written before
-    ``pipeline.SEGMENT_WRITE`` / ``STATS_WRITE`` and
+    """Rewrite the ``segments/``, ``stats/``, ``docmap/`` (and nested
+    ``values/``) files directly under ``index_dir`` with Parquet's default
+    writer properties (snappy, dictionary pages, plain fallbacks,
+    statistics on every column) and 64-row segment row groups, keeping
+    the other files' row-group size and every file's schema metadata: the
+    layout of indexes written before ``pipeline.parquet_options`` and
     ``pipeline.segment_row_group``."""
-    for sub in ("segments", "stats"):
+    for sub in ("segments", "stats", "docmap", "values"):
         d = os.path.join(index_dir, sub)
-        for f in sorted(os.listdir(d)):
+        for f in sorted(os.listdir(d)) if os.path.isdir(d) else ():
             p = os.path.join(d, f)
             md = pq.read_metadata(p)
             t = pq.read_table(p)
@@ -316,8 +408,10 @@ def layouts(ray_session, tmp_path_factory):
     _rewrite_old_layout(epoch)
     second = generate_transcripts(str(root / "in2"), num_convs=30,
                                   num_files=2, seed=9)
-    for idx in (new, old):
-        add_documents(idx, second)
+    # upserts: the second epoch's keys shadow docs of the old-layout base
+    upserted = [add_documents(idx, second)["tombstoned"]
+                for idx in (new, old)]
+    assert upserted[0] and upserted[0] == upserted[1]
     return new, old
 
 
@@ -352,6 +446,11 @@ def _answers(index_dir: str) -> dict:
     out["phrase"] = run_query(
         r, f'find {{text: ~="{phrase}"}} order score() desc '
         'return [.conv_id, .turn_idx, score()] ;').to_pylist()
+    # key lookups over every docmap partition, base ones included
+    keys = r.fetch_docs(np.arange(0, n, 7), ["conv_id", "turn_idx"])
+    out["lookup"] = [r.lookup_doc(k["conv_id"], k["turn_idx"])
+                     for k in keys.to_pylist()]
+    out["fetch"] = r.fetch_docs(np.arange(0, n, 5)).to_pylist()
     return out
 
 
